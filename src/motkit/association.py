@@ -166,16 +166,34 @@ def greedy_match(cost: np.ndarray, det_order: Sequence[int]) -> AssociationResul
     return AssociationResult(matches, unmatched_dets, unmatched_trks)
 
 
-def _build_matrix(
-    which: str,
+#: Each strategy as its greedy rounds, in order. A round sums the cost
+#: matrices it names; a later round sees only the earlier rounds' leftovers.
+ROUNDS: dict[Strategy, tuple[tuple[str, ...], ...]] = {
+    Strategy.DIS: (("dis",),),
+    Strategy.IOU: (("iou",),),
+    Strategy.COMBINED: (("dis", "iou"),),
+    Strategy.IOU_THEN_DIS: (("iou",), ("dis",)),
+    Strategy.DIS_THEN_IOU: (("dis",), ("iou",)),
+}
+
+
+def _greedy_round(
+    kinds: Sequence[str],
     dets: Sequence[Detection],
     tracks: Sequence["Tracklet"],
     variant: str,
     filter_form: str,
-) -> np.ndarray:
-    if which == "dis":
-        return displacement_cost(dets, tracks)
-    return iou_cost(dets, tracks, variant, filter_form)
+) -> AssociationResult:
+    # The cost functions are looked up by module name on every call, so a
+    # wrapper patched onto the module attribute sees each matrix build.
+    cost = None
+    for kind in kinds:
+        if kind == "dis":
+            m = displacement_cost(dets, tracks)
+        else:
+            m = iou_cost(dets, tracks, variant, filter_form)
+        cost = m if cost is None else combine(cost, m)
+    return greedy_match(cost, confidence_order(dets))
 
 
 def associate(
@@ -185,38 +203,22 @@ def associate(
     variant: str,
     filter_form: str = FILTER_RATIONALE,
 ) -> AssociationResult:
-    """Run the chosen matching strategy and return the frame's assignment.
+    """Run the chosen strategy's greedy rounds and return the frame's assignment.
 
-    Single-matrix strategies run one greedy round. Sequential strategies run
-    a second round on a fresh matrix built only from the first round's
-    leftovers, each matrix keeping its native admissibility gate.
+    Each round matches in confidence order over the sum of its matrices. A
+    later round builds fresh matrices from the earlier rounds' leftovers
+    only, each matrix keeping its native admissibility gate.
     """
-    order = confidence_order(dets)
-    if strategy is Strategy.DIS:
-        return greedy_match(displacement_cost(dets, tracks), order)
-    if strategy is Strategy.IOU:
-        return greedy_match(iou_cost(dets, tracks, variant, filter_form), order)
-    if strategy is Strategy.COMBINED:
-        combined = combine(
-            displacement_cost(dets, tracks), iou_cost(dets, tracks, variant, filter_form)
+    rounds = ROUNDS[strategy]
+    result = _greedy_round(rounds[0], dets, tracks, variant, filter_form)
+    for kinds in rounds[1:]:
+        det_map, trk_map = result.unmatched_detections, result.unmatched_tracklets
+        sub_dets = [dets[i] for i in det_map]
+        sub_tracks = [tracks[j] for j in trk_map]
+        sub = _greedy_round(kinds, sub_dets, sub_tracks, variant, filter_form)
+        result = AssociationResult(
+            matches=result.matches + [(det_map[i], trk_map[j]) for i, j in sub.matches],
+            unmatched_detections=[det_map[i] for i in sub.unmatched_detections],
+            unmatched_tracklets=[trk_map[j] for j in sub.unmatched_tracklets],
         )
-        return greedy_match(combined, order)
-
-    first, second = ("iou", "dis") if strategy is Strategy.IOU_THEN_DIS else ("dis", "iou")
-    round1 = greedy_match(_build_matrix(first, dets, tracks, variant, filter_form), order)
-
-    sub_dets = [dets[i] for i in round1.unmatched_detections]
-    sub_tracks = [tracks[j] for j in round1.unmatched_tracklets]
-    round2 = greedy_match(
-        _build_matrix(second, sub_dets, sub_tracks, variant, filter_form),
-        confidence_order(sub_dets),
-    )
-
-    det_map = round1.unmatched_detections
-    trk_map = round1.unmatched_tracklets
-    matches = round1.matches + [(det_map[i], trk_map[j]) for i, j in round2.matches]
-    return AssociationResult(
-        matches=matches,
-        unmatched_detections=sorted(det_map[i] for i in round2.unmatched_detections),
-        unmatched_tracklets=sorted(trk_map[j] for j in round2.unmatched_tracklets),
-    )
+    return result

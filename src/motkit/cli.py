@@ -24,7 +24,8 @@ from .formats import (
     write_mot,
     write_predictions,
 )
-from .metrics import clear_mot, idf1
+from .heatmap import DEFAULT_OUTPUT_THRESHOLD
+from .metrics import DEFAULT_IOU_THRESHOLD, clear_mot, idf1
 from .objectives import gradient_check_report
 from .simulator import (
     AgentSpec,
@@ -36,7 +37,7 @@ from .simulator import (
     occluded_crossing_scenario,
     perturb,
 )
-from .tracker import TrackerConfig, run_sequence
+from .tracker import DEFAULT_LIFETIME, TrackerConfig, run_sequence
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -201,7 +202,7 @@ def _parse_scenario_config(text: str, path: str) -> tuple[ScenarioConfig, NoiseC
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg, noise = _parse_scenario_config(_read_text(args.config), args.config)
     seed = args.seed if args.seed is not None else cfg.seed
-    gt, oracle = generate(cfg, workers=args.workers)
+    gt, oracle = generate(cfg)
     dets = perturb(oracle, noise, seed, image_size=(cfg.width, cfg.height))
     out_dir = Path(args.out_dir)
     _atomic_write(out_dir / "gt.txt", write_gt(gt))
@@ -239,8 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["wh", "ltrb"],
         help="expected tracked-size variant; must match the file header (default: take from file)",
     )
-    p_track.add_argument("--lifetime", type=int, default=30)
-    p_track.add_argument("--theta", type=float, default=0.4, help="output confidence threshold")
+    p_track.add_argument("--lifetime", type=int, default=DEFAULT_LIFETIME)
+    p_track.add_argument(
+        "--theta", type=float, default=DEFAULT_OUTPUT_THRESHOLD, help="output confidence threshold"
+    )
     p_track.add_argument("--iou-filter-form", default=FILTER_RATIONALE, choices=list(FILTER_FORMS))
     p_track.add_argument("--out", default=None, help="output MOT file (default: stdout)")
     p_track.set_defaults(func=cmd_track)
@@ -248,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score a track file against ground truth")
     p_eval.add_argument("gt")
     p_eval.add_argument("hyp")
-    p_eval.add_argument("--iou-thresh", type=float, default=0.5)
+    p_eval.add_argument("--iou-thresh", type=float, default=DEFAULT_IOU_THRESHOLD)
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -256,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("config", help="flat key = value scenario file")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--out-dir", required=True)
-    p_sim.add_argument("--workers", type=int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_check = sub.add_parser("check-losses", help="run the loss gradient-check suite")

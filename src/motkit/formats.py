@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .geometry import (
     BoxLTRB,
@@ -138,27 +138,31 @@ def _int(field_text: str, line_no: int, name: str) -> int:
     if "_" in field_text:
         raise ParseError(line_no, f"bad {name}: {field_text!r}")
     try:
-        return int(float(field_text)) if "." in field_text else int(field_text)
+        if "." not in field_text:
+            return int(field_text)
+        value = float(field_text)
     except ValueError:
         raise ParseError(line_no, f"bad {name}: {field_text!r}") from None
+    if not value.is_integer():
+        raise ParseError(line_no, f"non-integral {name}: {field_text!r}")
+    return int(value)
 
 
-def parse_mot(source: Union[str, Iterable[str]]) -> list[GtEntry]:
-    """Parse ground-truth rows into entries, in file order.
+def _mot_rows(
+    source: Union[str, Iterable[str]], n_fields: int
+) -> Iterator[tuple[int, list[str], int, int, BoxLTRB, float]]:
+    """``(line_no, fields, frame, id, box, conf)`` for each non-blank MOT row.
 
-    ``bb_left``/``bb_top`` are the top-left corner; width and height convert
-    to edge coordinates. Negative sizes and malformed rows raise
-    :class:`ParseError` with the line number. The conf column is read as the
-    MOT consider flag (0 means ignore for evaluation).
+    The first seven columns are shared by ground truth and tracker output;
+    callers read any further columns from ``fields``.
     """
-    entries: list[GtEntry] = []
     for line_no, raw in enumerate(_lines(source), start=1):
         row = raw.strip()
         if not row:
             continue
         parts = row.split(",")
-        if len(parts) != 9:
-            raise ParseError(line_no, f"expected 9 fields, got {len(parts)}")
+        if len(parts) != n_fields:
+            raise ParseError(line_no, f"expected {n_fields} fields, got {len(parts)}")
         frame = _int(parts[0], line_no, "frame")
         track_id = _int(parts[1], line_no, "id")
         if frame < 1 or track_id < 1:
@@ -170,19 +174,28 @@ def parse_mot(source: Union[str, Iterable[str]]) -> list[GtEntry]:
         if w < 0 or h < 0:
             raise ParseError(line_no, f"negative box size: {w}x{h}")
         conf = _float(parts[6], line_no, "conf")
-        class_id = _int(parts[7], line_no, "class")
-        visibility = _float(parts[8], line_no, "visibility")
-        entries.append(
-            GtEntry(
-                frame=frame,
-                track_id=track_id,
-                box=BoxLTRB(left, top, left + w, top + h),
-                class_id=class_id,
-                visibility=visibility,
-                consider=conf != 0,
-            )
+        yield line_no, parts, frame, track_id, BoxLTRB(left, top, left + w, top + h), conf
+
+
+def parse_mot(source: Union[str, Iterable[str]]) -> list[GtEntry]:
+    """Parse ground-truth rows into entries, in file order.
+
+    ``bb_left``/``bb_top`` are the top-left corner; width and height convert
+    to edge coordinates. Negative sizes and malformed rows raise
+    :class:`ParseError` with the line number. The conf column is read as the
+    MOT consider flag (0 means ignore for evaluation).
+    """
+    return [
+        GtEntry(
+            frame=frame,
+            track_id=track_id,
+            box=box,
+            class_id=_int(parts[7], line_no, "class"),
+            visibility=_float(parts[8], line_no, "visibility"),
+            consider=conf != 0,
         )
-    return entries
+        for line_no, parts, frame, track_id, box, conf in _mot_rows(source, 9)
+    ]
 
 
 def write_gt(entries: Iterable[GtEntry]) -> str:
@@ -232,27 +245,10 @@ def write_mot(records: Iterable[TrackRecord]) -> str:
 
 def parse_track_file(source: Union[str, Iterable[str]]) -> list[TrackRecord]:
     """Parse tracker output rows (the :func:`write_mot` format) back into records."""
-    records: list[TrackRecord] = []
-    for line_no, raw in enumerate(_lines(source), start=1):
-        row = raw.strip()
-        if not row:
-            continue
-        parts = row.split(",")
-        if len(parts) != 10:
-            raise ParseError(line_no, f"expected 10 fields, got {len(parts)}")
-        frame = _int(parts[0], line_no, "frame")
-        track_id = _int(parts[1], line_no, "id")
-        if frame < 1 or track_id < 1:
-            raise ParseError(line_no, "frame and id must be positive")
-        left = _float(parts[2], line_no, "bb_left")
-        top = _float(parts[3], line_no, "bb_top")
-        w = _float(parts[4], line_no, "bb_width")
-        h = _float(parts[5], line_no, "bb_height")
-        if w < 0 or h < 0:
-            raise ParseError(line_no, f"negative box size: {w}x{h}")
-        conf = _float(parts[6], line_no, "conf")
-        records.append(TrackRecord(frame, track_id, BoxLTRB(left, top, left + w, top + h), conf))
-    return records
+    return [
+        TrackRecord(frame, track_id, box, conf)
+        for _, _, frame, track_id, box, conf in _mot_rows(source, 10)
+    ]
 
 
 def _ts_fields(det: Detection) -> tuple[float, ...]:

@@ -21,13 +21,15 @@ from .geometry import Displacement, Point2, Size2, TrackedSizeLTRB, TrackedSizeW
 
 log = logging.getLogger(__name__)
 
-DEFAULT_RENDER_THRESHOLD = 0.5  # cutoff when rendering prior detections back in
 DEFAULT_OUTPUT_THRESHOLD = 0.4  # cutoff when emitting decoded detections
 
 MIN_PEAK_OVERLAP = 0.7
 RADIUS_FLOOR = 2.0
 
 HEATMAP_MAGIC = b"HMAP"
+# Checked against the header before reading, so a corrupt header cannot ask
+# for an arbitrarily large read; far above any grid a real image produces.
+MAX_PAYLOAD_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -278,8 +280,11 @@ def read_heatmap(stream: BinaryIO) -> Heatmap:
     magic, cols, rows, c = struct.unpack("<4sIII", header)
     if magic != HEATMAP_MAGIC:
         raise ValueError(f"bad magic: {magic!r}")
-    payload = stream.read(4 * cols * rows * c)
-    if len(payload) != 4 * cols * rows * c:
+    size = 4 * cols * rows * c
+    if size > MAX_PAYLOAD_BYTES:
+        raise ValueError(f"heatmap payload of {size} bytes exceeds {MAX_PAYLOAD_BYTES}")
+    payload = stream.read(size)
+    if len(payload) != size:
         raise ValueError("truncated heatmap payload")
     values = np.frombuffer(payload, dtype="<f4").astype(float).reshape(c, rows, cols)
     return Heatmap(values)

@@ -21,6 +21,8 @@ from scipy.optimize import linear_sum_assignment
 from .formats import GtEntry, TrackRecord
 from .geometry import iou
 
+DEFAULT_IOU_THRESHOLD = 0.5  # overlap a pair needs to count as a match
+
 _BIG_COST = 1e9
 
 
@@ -41,42 +43,28 @@ class IdResult:
     idfn: int
 
 
-def _gt_by_frame(gt: Iterable[GtEntry]) -> dict[int, list[GtEntry]]:
+def _by_frame(rows: Iterable[GtEntry | TrackRecord], kind: str) -> dict[int, list]:
     seen: set[tuple[int, int]] = set()
-    frames: dict[int, list[GtEntry]] = defaultdict(list)
-    for e in gt:
-        if not e.consider:
-            continue
-        key = (e.frame, e.track_id)
-        if key in seen:
-            raise ValueError(f"duplicate ground-truth entry for frame {e.frame}, id {e.track_id}")
-        seen.add(key)
-        frames[e.frame].append(e)
-    return frames
-
-
-def _hyp_by_frame(hyp: Iterable[TrackRecord]) -> dict[int, list[TrackRecord]]:
-    seen: set[tuple[int, int]] = set()
-    frames: dict[int, list[TrackRecord]] = defaultdict(list)
-    for r in hyp:
+    frames: dict[int, list] = defaultdict(list)
+    for r in rows:
         key = (r.frame, r.track_id)
         if key in seen:
-            raise ValueError(f"duplicate hypothesis entry for frame {r.frame}, id {r.track_id}")
+            raise ValueError(f"duplicate {kind} entry for frame {r.frame}, id {r.track_id}")
         seen.add(key)
         frames[r.frame].append(r)
     return frames
 
 
 def clear_mot(
-    gt: Sequence[GtEntry], hyp: Sequence[TrackRecord], iou_thresh: float = 0.5
+    gt: Sequence[GtEntry], hyp: Sequence[TrackRecord], iou_thresh: float = DEFAULT_IOU_THRESHOLD
 ) -> ClearResult:
     """CLEAR metrics: MOTA with its FP, FN, and identity-switch counts.
 
     Ground-truth entries flagged as ignored are removed entirely. Raises if
     no considered ground truth remains, since MOTA is undefined then.
     """
-    gt_frames = _gt_by_frame(gt)
-    hyp_frames = _hyp_by_frame(hyp)
+    gt_frames = _by_frame((e for e in gt if e.consider), "ground-truth")
+    hyp_frames = _by_frame(hyp, "hypothesis")
     num_gt = sum(len(v) for v in gt_frames.values())
     if num_gt == 0:
         raise ValueError("no considered ground truth; MOTA is undefined")
@@ -123,7 +111,7 @@ def clear_mot(
 
 
 def idf1(
-    gt: Sequence[GtEntry], hyp: Sequence[TrackRecord], iou_thresh: float = 0.5
+    gt: Sequence[GtEntry], hyp: Sequence[TrackRecord], iou_thresh: float = DEFAULT_IOU_THRESHOLD
 ) -> IdResult:
     """Identity F1 under the optimal global trajectory assignment.
 
@@ -132,8 +120,8 @@ def idf1(
     maximizing the total matched frames defines IDTP. Empty ground truth and
     hypothesis score 1.0 by convention (vacuous perfection).
     """
-    gt_frames = _gt_by_frame(gt)
-    hyp_frames = _hyp_by_frame(hyp)
+    gt_frames = _by_frame((e for e in gt if e.consider), "ground-truth")
+    hyp_frames = _by_frame(hyp, "hypothesis")
     total_gt = sum(len(v) for v in gt_frames.values())
     total_hyp = sum(len(v) for v in hyp_frames.values())
     if total_gt == 0 and total_hyp == 0:

@@ -11,7 +11,6 @@ prediction, random misses, and random false alarms.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,10 +126,6 @@ def _inside(box: BoxLTRB, width: float, height: float) -> bool:
     return box.left >= 0 and box.top >= 0 and box.right <= width and box.bottom <= height
 
 
-def _agent_track(agent: AgentSpec, frames: int) -> list[BoxLTRB]:
-    return [agent.box(f) for f in range(1, frames + 1)]
-
-
 def _tracked_size(
     variant: str, cur_box: BoxLTRB, prev_box: BoxLTRB
 ) -> TrackedSizeWH | TrackedSizeLTRB:
@@ -139,7 +134,7 @@ def _tracked_size(
     return TrackedSizeLTRB(prev_box.left, prev_box.top, prev_box.right, prev_box.bottom)
 
 
-def generate(cfg: ScenarioConfig, workers: int = 1) -> tuple[list[GtEntry], FrameDetections]:
+def generate(cfg: ScenarioConfig) -> tuple[list[GtEntry], FrameDetections]:
     """Ground truth and oracle detections for every frame of a scenario.
 
     An agent is visible when its box lies fully inside the image and no
@@ -147,20 +142,14 @@ def generate(cfg: ScenarioConfig, workers: int = 1) -> tuple[list[GtEntry], Fram
     emit neither ground truth nor a detection. Oracle channels use the true
     state one frame earlier (at the first frame, the current one), so
     displacements, tracked boxes, and adjacent IOUs are exact. Deterministic
-    for a fixed config; ``workers`` only parallelizes per-agent trajectory
-    precomputation.
+    for a fixed config.
     """
-    n_agents = len(cfg.agents)
-    if workers > 1 and n_agents > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tracks = list(pool.map(lambda a: _agent_track(a, cfg.frames), cfg.agents))
-    else:
-        tracks = [_agent_track(a, cfg.frames) for a in cfg.agents]
+    tracks = [[a.box(f) for f in range(1, cfg.frames + 1)] for a in cfg.agents]
 
     gt: list[GtEntry] = []
     frames: FrameDetections = []
     for frame in range(1, cfg.frames + 1):
-        boxes = [tracks[k][frame - 1] for k in range(n_agents)]
+        boxes = [track[frame - 1] for track in tracks]
         visible = []
         for k, agent in enumerate(cfg.agents):
             if not _inside(boxes[k], cfg.width, cfg.height):

@@ -13,10 +13,9 @@ from typing import Iterable, Sequence
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy, associate
 from .formats import Detection, TrackRecord, VARIANTS
 from .geometry import BoxLTRB, Point2
+from .heatmap import DEFAULT_OUTPUT_THRESHOLD
 
 DEFAULT_LIFETIME = 30
-DEFAULT_OUT_THRESHOLD = 0.4
-DEFAULT_RENDER_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -36,15 +35,14 @@ class TrackerConfig:
     strategy: Strategy = Strategy.IOU
     variant: str = "ltrb"
     lifetime: int = DEFAULT_LIFETIME
-    out_threshold: float = DEFAULT_OUT_THRESHOLD
-    render_threshold: float = DEFAULT_RENDER_THRESHOLD
+    out_threshold: float = DEFAULT_OUTPUT_THRESHOLD
     iou_filter_form: str = FILTER_RATIONALE
 
     def __post_init__(self) -> None:
         if self.lifetime < 1:
             raise ValueError("lifetime must be >= 1")
-        if not 0.0 <= self.out_threshold <= 1.0 or not 0.0 <= self.render_threshold <= 1.0:
-            raise ValueError("thresholds must lie in [0, 1]")
+        if not 0.0 <= self.out_threshold <= 1.0:
+            raise ValueError("out_threshold must lie in [0, 1]")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant!r}")
         if self.iou_filter_form not in FILTER_FORMS:

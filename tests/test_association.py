@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from motkit.association import (
+    FILTER_FORMS,
     INADMISSIBLE,
+    AssociationResult,
     Strategy,
     associate,
     combine,
@@ -336,6 +338,48 @@ class TestProperties:
             iouc = iou_cost(dets, tracks, "ltrb")
             comb = combine(dis, iouc)
             assert np.array_equal(np.isfinite(comb), np.isfinite(dis) & np.isfinite(iouc))
+
+    def test_strategies_equal_explicit_rounds(self):
+        def reference(strategy, dets, tracks, form):
+            def dis(d, t):
+                return displacement_cost(d, t)
+
+            def iou(d, t):
+                return iou_cost(d, t, "ltrb", form)
+
+            def both(d, t):
+                return combine(displacement_cost(d, t), iou_cost(d, t, "ltrb", form))
+
+            first, second = {
+                Strategy.DIS: (dis, None),
+                Strategy.IOU: (iou, None),
+                Strategy.COMBINED: (both, None),
+                Strategy.IOU_THEN_DIS: (iou, dis),
+                Strategy.DIS_THEN_IOU: (dis, iou),
+            }[strategy]
+            r1 = greedy_match(first(dets, tracks), confidence_order(dets))
+            if second is None:
+                return r1, 0
+            det_map, trk_map = r1.unmatched_detections, r1.unmatched_tracklets
+            sub_dets = [dets[i] for i in det_map]
+            r2 = greedy_match(second(sub_dets, [tracks[j] for j in trk_map]), confidence_order(sub_dets))
+            merged = AssociationResult(
+                r1.matches + [(det_map[i], trk_map[j]) for i, j in r2.matches],
+                sorted(det_map[i] for i in r2.unmatched_detections),
+                sorted(trk_map[j] for j in r2.unmatched_tracklets),
+            )
+            return merged, len(r2.matches)
+
+        rng = np.random.default_rng(26)
+        second_round_matches = 0
+        for _ in range(300):
+            dets, tracks = random_case(rng)
+            for form in FILTER_FORMS:
+                for strategy in Strategy:
+                    want, n_second = reference(strategy, dets, tracks, form)
+                    assert associate(strategy, dets, tracks, "ltrb", form) == want
+                    second_round_matches += n_second
+        assert second_round_matches > 50  # the second rounds were exercised
 
     def test_confidence_order(self):
         dets = [det(0, 0, 4, 4, conf=0.5), det(0, 0, 4, 4, conf=0.9), det(0, 0, 4, 4, conf=0.5)]

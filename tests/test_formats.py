@@ -71,6 +71,32 @@ class TestParseMot:
             parse_mot("1,1,inf,20,4,2,1,1,1")
 
 
+class TestIntegerFields:
+    """Integer columns accept integral decimals like ``3.0`` and nothing fractional."""
+
+    @pytest.mark.parametrize(
+        "parse, text, line",
+        [
+            (parse_mot, "1,1,10,20,4,2,1,1,1\n2.7,1,10,20,4,2,1,1,1", 2),
+            (parse_mot, "1,1.9,10,20,4,2,1,1,1", 1),
+            (parse_mot, "1,1,10,20,4,2,1,1.5,1", 1),
+            (parse_track_file, "1,1,0,0,10,10,0.9,-1,-1,-1\n2.7,1,0,0,10,10,0.9,-1,-1,-1", 2),
+            (parse_track_file, "1,1.9,0,0,10,10,0.9,-1,-1,-1", 1),
+            (parse_predictions, "variant: wh\n2.7,10,10,4,4,0.9,1,2,0,0,0,0.7", 2),
+            (parse_predictions, "variant: wh\n1,10,10,4,4,0.9,1.9,2,0,0,0,0.7", 2),
+        ],
+    )
+    def test_fractional_value_rejected_with_line(self, parse, text, line):
+        with pytest.raises(ParseError, match=f"line {line}: non-integral"):
+            parse(text)
+
+    def test_integral_decimal_accepted(self):
+        gt = parse_mot("3.0,2.0,10,20,4,2,1,1.0,1")[0]
+        assert (gt.frame, gt.track_id, gt.class_id) == (3, 2, 1)
+        assert parse_track_file("3.0,2,0,0,10,10,0.9,-1,-1,-1")[0].frame == 3
+        assert list(parse_predictions("variant: wh\n3.0,10,10,4,4,0.9,1,2,0,0,0,0.7").by_frame) == [3]
+
+
 class TestWriteMot:
     def test_single_record(self):
         text = write_mot([TrackRecord(1, 2, BoxLTRB(0, 0, 10, 10), 0.9)])

