@@ -17,10 +17,13 @@ import numpy as np
 
 from .formats import Detection, VARIANT_LTRB, VARIANT_WH
 from .geometry import (
+    KERNEL_MIN_CELLS,
     BoxLTRB,
     TrackedSizeLTRB,
     TrackedSizeWH,
     iou,
+    iou_array,
+    ltrb,
     size_gate,
     tracked_box_ltrb,
     tracked_box_wh,
@@ -78,6 +81,27 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -
     A cell is inadmissible when the distance exceeds the detection's size
     gate (sqrt of its box area) or the classes differ.
     """
+    if len(dets) * len(tracks) < KERNEL_MIN_CELLS:
+        return _displacement_cost_loop(dets, tracks)
+    back = np.array([(d.center.x - d.disp.dx, d.center.y - d.disp.dy) for d in dets])
+    centers = np.array([(t.last_center.x, t.last_center.y) for t in tracks])
+    gates = [size_gate(d.size) for d in dets]
+    dx = back[:, 0:1] - centers[:, 0]
+    dy = back[:, 1:2] - centers[:, 1]
+    # hypot >= max(|dx|, |dy|), so this box prefilter keeps every admissible
+    # pair; math.hypot then decides the few survivors exactly as the loop does.
+    gate_col = np.array(gates)[:, None]
+    near = (np.abs(dx) <= gate_col) & (np.abs(dy) <= gate_col) & _same_class(dets, tracks)
+    rows, cols = np.nonzero(near)
+    cost = np.full((len(dets), len(tracks)), INADMISSIBLE)
+    for i, j, x, y in zip(rows.tolist(), cols.tolist(), dx[rows, cols].tolist(), dy[rows, cols].tolist()):
+        dist = math.hypot(x, y)
+        if dist <= gates[i]:
+            cost[i, j] = dist
+    return cost
+
+
+def _displacement_cost_loop(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -> np.ndarray:
     cost = np.full((len(dets), len(tracks)), INADMISSIBLE)
     for i, d in enumerate(dets):
         bx = d.center.x - d.disp.dx
@@ -90,6 +114,10 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -
             if dist <= gate:
                 cost[i, j] = dist
     return cost
+
+
+def _same_class(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -> np.ndarray:
+    return np.array([d.class_id for d in dets])[:, None] == np.array([t.class_id for t in tracks])
 
 
 def iou_cost(
@@ -107,6 +135,23 @@ def iou_cost(
     """
     if filter_form not in FILTER_FORMS:
         raise ValueError(f"unknown filter form: {filter_form!r}")
+    if len(dets) * len(tracks) < KERNEL_MIN_CELLS:
+        return _iou_cost_loop(dets, tracks, variant, filter_form)
+    tracked = np.array([ltrb(tracked_box(d, variant)) for d in dets])
+    last = np.array([ltrb(t.last_box) for t in tracks])
+    overlap = iou_array(last[None], tracked[:, None])
+    pred = np.array([d.iou_pred for d in dets])[:, None]
+    if filter_form == FILTER_RATIONALE:
+        admissible = overlap >= pred
+    else:
+        admissible = (1.0 - overlap) <= pred
+    admissible &= (overlap > 0.0) & _same_class(dets, tracks)
+    return np.where(admissible, 1.0 - overlap, INADMISSIBLE)
+
+
+def _iou_cost_loop(
+    dets: Sequence[Detection], tracks: Sequence["Tracklet"], variant: str, filter_form: str
+) -> np.ndarray:
     cost = np.full((len(dets), len(tracks)), INADMISSIBLE)
     for i, d in enumerate(dets):
         tb = tracked_box(d, variant)
@@ -146,6 +191,28 @@ def greedy_match(cost: np.ndarray, det_order: Sequence[int]) -> AssociationResul
     n_det, n_trk = cost.shape
     if sorted(det_order) != list(range(n_det)):
         raise ValueError("det_order is not a permutation of detection indices")
+    if n_det * n_trk < KERNEL_MIN_CELLS:
+        return _greedy_match_loop(cost, det_order)
+    # The loop never picks a NaN cell; as infinity, argmin never does either.
+    free = np.where(np.isnan(cost), INADMISSIBLE, cost)
+    matches: list[tuple[int, int]] = []
+    unmatched_dets: list[int] = []
+    for i in det_order:
+        row = free[i]
+        j = int(row.argmin())  # the first minimum: ties go to the lowest index
+        if row[j] < INADMISSIBLE:
+            free[:, j] = INADMISSIBLE
+            matches.append((i, j))
+        else:
+            unmatched_dets.append(i)
+    unmatched_dets.sort()
+    taken = {j for _, j in matches}
+    unmatched_trks = [j for j in range(n_trk) if j not in taken]
+    return AssociationResult(matches, unmatched_dets, unmatched_trks)
+
+
+def _greedy_match_loop(cost: np.ndarray, det_order: Sequence[int]) -> AssociationResult:
+    n_det, n_trk = cost.shape
     taken = [False] * n_trk
     matches: list[tuple[int, int]] = []
     unmatched_dets: list[int] = []

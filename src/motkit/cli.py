@@ -25,7 +25,7 @@ from .formats import (
     write_predictions,
 )
 from .heatmap import DEFAULT_OUTPUT_THRESHOLD
-from .metrics import DEFAULT_IOU_THRESHOLD, clear_mot, idf1
+from .metrics import DEFAULT_IOU_THRESHOLD, check_iou_threshold, clear_mot, idf1
 from .objectives import gradient_check_report
 from .simulator import (
     AgentSpec,
@@ -99,6 +99,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    check_iou_threshold(args.iou_thresh)
     gt = parse_mot(_read_text(args.gt))
     hyp = parse_track_file(_read_text(args.hyp))
     try:
@@ -203,7 +204,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg, noise = _parse_scenario_config(_read_text(args.config), args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     gt, oracle = generate(cfg)
-    dets = perturb(oracle, noise, seed, image_size=(cfg.width, cfg.height))
+    dets = perturb(oracle, noise, seed, image_size=(cfg.width, cfg.height), variant=cfg.variant)
     out_dir = Path(args.out_dir)
     _atomic_write(out_dir / "gt.txt", write_gt(gt))
     _atomic_write(out_dir / "preds.csv", write_predictions(cfg.variant, dets))

@@ -9,6 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+#: Box-pair loops with fewer cells than this keep their scalar form: on tiny
+#: matrices numpy's fixed per-call cost outweighs the work it vectorizes. At
+#: least 1, so empty matrices always take the loops.
+KERNEL_MIN_CELLS = 16
+
 
 @dataclass(frozen=True)
 class Point2:
@@ -112,6 +119,29 @@ def iou(a: BoxLTRB, b: BoxLTRB) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def ltrb(box: BoxLTRB) -> tuple[float, float, float, float]:
+    """The box's edges as a (left, top, right, bottom) tuple, the rows :func:`iou_array` reads."""
+    return (box.left, box.top, box.right, box.bottom)
+
+
+def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`iou` over broadcast ``(..., 4)`` ltrb arrays.
+
+    The pairwise matrix of N and M boxes is ``iou_array(a[:, None], b[None])``.
+    Every cell takes the scalar function's float operations in the same
+    order, so it equals ``iou`` of the same two boxes bit for bit.
+    """
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = iw * ih
+    union = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1]) + (b[..., 2] - b[..., 0]) * (
+        b[..., 3] - b[..., 1]
+    ) - inter
+    # The negated form keeps the scalar's handling of NaN: it is divided, not zeroed.
+    ok = ~((iw <= 0.0) | (ih <= 0.0) | (union <= 0.0))
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=ok)
 
 
 def box_from_center_size(c: Point2, s: Size2) -> BoxLTRB:

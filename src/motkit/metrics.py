@@ -11,6 +11,7 @@ global trajectory-level assignment.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .formats import GtEntry, TrackRecord
-from .geometry import iou
+from .geometry import KERNEL_MIN_CELLS, iou, iou_array, ltrb
 
 DEFAULT_IOU_THRESHOLD = 0.5  # overlap a pair needs to count as a match
 
@@ -55,14 +56,26 @@ def _by_frame(rows: Iterable[GtEntry | TrackRecord], kind: str) -> dict[int, lis
     return frames
 
 
+def check_iou_threshold(iou_thresh: float) -> None:
+    """Raise ``ValueError`` unless the match threshold is finite and in (0, 1].
+
+    At or below 0 disjoint boxes would match, above 1 nothing could, and NaN
+    compares false with every overlap.
+    """
+    if not (math.isfinite(iou_thresh) and 0.0 < iou_thresh <= 1.0):
+        raise ValueError(f"IOU threshold must lie in (0, 1], got {iou_thresh}")
+
+
 def clear_mot(
     gt: Sequence[GtEntry], hyp: Sequence[TrackRecord], iou_thresh: float = DEFAULT_IOU_THRESHOLD
 ) -> ClearResult:
     """CLEAR metrics: MOTA with its FP, FN, and identity-switch counts.
 
     Ground-truth entries flagged as ignored are removed entirely. Raises if
-    no considered ground truth remains, since MOTA is undefined then.
+    no considered ground truth remains, since MOTA is undefined then, or if
+    the threshold fails :func:`check_iou_threshold`.
     """
+    check_iou_threshold(iou_thresh)
     gt_frames = _by_frame((e for e in gt if e.consider), "ground-truth")
     hyp_frames = _by_frame(hyp, "hypothesis")
     num_gt = sum(len(v) for v in gt_frames.values())
@@ -88,9 +101,14 @@ def clear_mot(
         used_h = set(corr.values())
         rem_h = [h for h in hyp_boxes if h not in used_h]
         if rem_g and rem_h:
-            overlap = np.array(
-                [[iou(gt_boxes[g], hyp_boxes[h]) for h in rem_h] for g in rem_g]
-            )
+            if len(rem_g) * len(rem_h) < KERNEL_MIN_CELLS:
+                overlap = np.array(
+                    [[iou(gt_boxes[g], hyp_boxes[h]) for h in rem_h] for g in rem_g]
+                )
+            else:
+                g_boxes = np.array([ltrb(gt_boxes[g]) for g in rem_g])
+                h_boxes = np.array([ltrb(hyp_boxes[h]) for h in rem_h])
+                overlap = iou_array(g_boxes[:, None], h_boxes[None])
             cost = np.where(overlap >= iou_thresh, 1.0 - overlap, _BIG_COST)
             rows, cols = linear_sum_assignment(cost)
             for r, c in zip(rows, cols):
@@ -118,8 +136,10 @@ def idf1(
     Counts, per (ground-truth track, hypothesis track) pair, the frames where
     both are present with IOU at or above the threshold; the assignment
     maximizing the total matched frames defines IDTP. Empty ground truth and
-    hypothesis score 1.0 by convention (vacuous perfection).
+    hypothesis score 1.0 by convention (vacuous perfection). Raises if the
+    threshold fails :func:`check_iou_threshold`.
     """
+    check_iou_threshold(iou_thresh)
     gt_frames = _by_frame((e for e in gt if e.consider), "ground-truth")
     hyp_frames = _by_frame(hyp, "hypothesis")
     total_gt = sum(len(v) for v in gt_frames.values())
@@ -127,20 +147,10 @@ def idf1(
     if total_gt == 0 and total_hyp == 0:
         return IdResult(idf1=1.0, idtp=0, idfp=0, idfn=0)
 
-    counts: dict[tuple[int, int], int] = defaultdict(int)
-    for frame in sorted(set(gt_frames) & set(hyp_frames)):
-        for e in gt_frames[frame]:
-            for r in hyp_frames[frame]:
-                if iou(e.box, r.box) >= iou_thresh:
-                    counts[(e.track_id, r.track_id)] += 1
-
+    mat = _id_overlap_counts(gt_frames, hyp_frames, iou_thresh)
     idtp = 0
-    if counts:
-        gt_ids = {g: i for i, g in enumerate(sorted({g for g, _ in counts}))}
-        hyp_ids = {h: i for i, h in enumerate(sorted({h for _, h in counts}))}
-        mat = np.zeros((len(gt_ids), len(hyp_ids)), dtype=int)
-        for (g, h), c in counts.items():
-            mat[gt_ids[g], hyp_ids[h]] = c
+    if mat.any():
+        mat = mat[mat.any(axis=1)][:, mat.any(axis=0)]
         rows, cols = linear_sum_assignment(-mat)
         idtp = int(mat[rows, cols].sum())
 
@@ -148,3 +158,39 @@ def idf1(
     idfn = total_gt - idtp
     score = 2.0 * idtp / (2.0 * idtp + idfp + idfn)
     return IdResult(idf1=score, idtp=idtp, idfp=idfp, idfn=idfn)
+
+
+def _id_overlap_counts(
+    gt_frames: dict[int, list[GtEntry]], hyp_frames: dict[int, list[TrackRecord]], iou_thresh: float
+) -> np.ndarray:
+    """Frames each (ground-truth id, hypothesis id) pair overlaps at the threshold.
+
+    Hypothesis boxes are laid out once as a (frame, slot) grid whose unused
+    slots hold id index -1; each ground-truth track then takes one kernel
+    call against the grid rows of its frames. One call per track, not per
+    sequence, keeps the working set to one track's frames.
+    """
+    frame_row = {f: k for k, f in enumerate(sorted(hyp_frames))}
+    hyp_ids = sorted({r.track_id for rows in hyp_frames.values() for r in rows})
+    hyp_col = {h: k for k, h in enumerate(hyp_ids)}
+    slots = max((len(rows) for rows in hyp_frames.values()), default=0)
+    grid = np.zeros((len(frame_row), slots, 4))
+    grid_ids = np.full((len(frame_row), slots), -1)
+    for f, rows in hyp_frames.items():
+        k = frame_row[f]
+        grid[k, : len(rows)] = [ltrb(r.box) for r in rows]
+        grid_ids[k, : len(rows)] = [hyp_col[r.track_id] for r in rows]
+
+    tracks: dict[int, list[GtEntry]] = defaultdict(list)
+    for f in sorted(gt_frames):
+        if f in frame_row:
+            for e in gt_frames[f]:
+                tracks[e.track_id].append(e)
+    counts = np.zeros((len(tracks), len(hyp_ids)), dtype=int)
+    for row, entries in enumerate(tracks.values()):
+        k = [frame_row[e.frame] for e in entries]
+        boxes = np.array([ltrb(e.box) for e in entries])
+        ids = grid_ids[k]
+        hit = (iou_array(boxes[:, None], grid[k]) >= iou_thresh) & (ids >= 0)
+        counts[row] = np.bincount(ids[hit], minlength=len(hyp_ids))
+    return counts

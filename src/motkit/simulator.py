@@ -25,6 +25,8 @@ from .geometry import (
     TrackedSizeWH,
     box_from_center_size,
     iou,
+    iou_array,
+    ltrb,
 )
 
 OCCLUSION_IOU = 0.7
@@ -122,10 +124,6 @@ MODERATE_NOISE = NoiseConfig(
 )
 
 
-def _inside(box: BoxLTRB, width: float, height: float) -> bool:
-    return box.left >= 0 and box.top >= 0 and box.right <= width and box.bottom <= height
-
-
 def _tracked_size(
     variant: str, cur_box: BoxLTRB, prev_box: BoxLTRB
 ) -> TrackedSizeWH | TrackedSizeLTRB:
@@ -145,28 +143,16 @@ def generate(cfg: ScenarioConfig) -> tuple[list[GtEntry], FrameDetections]:
     for a fixed config.
     """
     tracks = [[a.box(f) for f in range(1, cfg.frames + 1)] for a in cfg.agents]
+    visible = _visibility(cfg, tracks)
 
     gt: list[GtEntry] = []
     frames: FrameDetections = []
     for frame in range(1, cfg.frames + 1):
-        boxes = [track[frame - 1] for track in tracks]
-        visible = []
-        for k, agent in enumerate(cfg.agents):
-            if not _inside(boxes[k], cfg.width, cfg.height):
-                visible.append(False)
-                continue
-            occluded = any(
-                other.depth < agent.depth and iou(boxes[k], boxes[m]) > cfg.occlusion_iou
-                for m, other in enumerate(cfg.agents)
-                if m != k and _inside(boxes[m], cfg.width, cfg.height)
-            )
-            visible.append(not occluded)
-
         dets: list[Detection] = []
         for k, agent in enumerate(cfg.agents):
-            if not visible[k]:
+            if not visible[k][frame - 1]:
                 continue
-            cur = boxes[k]
+            cur = tracks[k][frame - 1]
             prev = tracks[k][frame - 2] if frame > 1 else cur
             center = cur.center
             prev_center = prev.center
@@ -193,6 +179,30 @@ def generate(cfg: ScenarioConfig) -> tuple[list[GtEntry], FrameDetections]:
             )
         frames.append((frame, dets))
     return gt, frames
+
+
+def _visibility(cfg: ScenarioConfig, tracks: list[list[BoxLTRB]]) -> list[list[bool]]:
+    """Per agent and frame: inside the image and not occluded by a nearer on-screen agent.
+
+    Each agent takes one kernel call against every nearer agent over all
+    frames at once.
+    """
+    boxes = np.empty((len(tracks), cfg.frames, 4))
+    for k, track in enumerate(tracks):
+        boxes[k] = [ltrb(b) for b in track]
+    inside = (
+        (boxes[..., 0] >= 0)
+        & (boxes[..., 1] >= 0)
+        & (boxes[..., 2] <= cfg.width)
+        & (boxes[..., 3] <= cfg.height)
+    )
+    visible = inside.copy()
+    for k, agent in enumerate(cfg.agents):
+        nearer = [m for m, other in enumerate(cfg.agents) if other.depth < agent.depth]
+        if nearer:
+            overlap = iou_array(boxes[k], boxes[nearer])
+            visible[k] &= ~((overlap > cfg.occlusion_iou) & inside[nearer]).any(axis=0)
+    return visible.tolist()
 
 
 def _jitter(det: Detection, noise: NoiseConfig, rng: np.random.Generator) -> Detection:
@@ -273,23 +283,20 @@ def perturb(
     seed: int,
     image_size: tuple[float, float] | None = None,
     fp_class_id: int = 1,
+    variant: str | None = None,
 ) -> FrameDetections:
     """Degrade oracle detections: jitter channels, drop misses, inject false alarms.
 
     Each detection is dropped with probability ``fn_rate``; each frame gains
     one uniform-random false detection with probability ``fp_rate`` (so the
     injected count over N frames is Binomial(N, fp_rate)). False alarms need
-    ``image_size`` for placement. With an all-zero config the input is
+    ``image_size`` for placement and the scene's ``variant`` for their
+    tracked-size channel. With an all-zero config the input is
     returned bit-identically. Deterministic per seed.
     """
-    if noise.fp_rate > 0 and image_size is None:
-        raise ValueError("image_size is required when fp_rate > 0")
+    if noise.fp_rate > 0 and (image_size is None or variant is None):
+        raise ValueError("image_size and variant are required when fp_rate > 0")
     rng = np.random.default_rng(seed)
-    variant = None
-    for _, dets in frames:
-        if dets:
-            variant = dets[0].variant
-            break
     out: FrameDetections = []
     for frame_no, dets in frames:
         kept: list[Detection] = []
@@ -298,9 +305,7 @@ def perturb(
                 continue
             kept.append(_jitter(d, noise, rng))
         if noise.fp_rate > 0 and rng.random() < noise.fp_rate:
-            kept.append(
-                _false_positive(frame_no, variant or VARIANT_LTRB, image_size, fp_class_id, rng)
-            )
+            kept.append(_false_positive(frame_no, variant, image_size, fp_class_id, rng))
         out.append((frame_no, kept))
     return out
 

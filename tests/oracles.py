@@ -58,6 +58,77 @@ def greedy_trace(cost: np.ndarray, det_order: list[int]) -> tuple[list[tuple[int
     return matches, sorted(unmatched_d), sorted(free)
 
 
+def _box_iou(a, b):
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    ua = (a[2] - a[0]) * (a[3] - a[1])
+    ub = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (ua + ub - inter) if (ua + ub - inter) > 0 else 0.0
+
+
+def clear_enumerate(
+    gt_rows: list[tuple[int, int, tuple[float, float, float, float]]],
+    hyp_rows: list[tuple[int, int, tuple[float, float, float, float]]],
+    iou_thresh: float = 0.5,
+) -> tuple[int, int, int]:
+    """CLEAR (fp, fn, ids) with each frame's new pairs found by enumeration.
+
+    Rows are (frame, track_id, (left, top, right, bottom)). Last frame's
+    pairs are kept while their IOU stays at or above the threshold. The other
+    boxes are paired by the matching with the most pairs at or above the
+    threshold and, among those, the least total 1 - IOU, chosen from every
+    injective matching. A switch is a pair whose hypothesis id differs from
+    the last one its ground-truth id matched.
+    """
+    gt_by_frame = defaultdict(dict)
+    hyp_by_frame = defaultdict(dict)
+    for frame, tid, box in gt_rows:
+        gt_by_frame[frame][tid] = box
+    for frame, tid, box in hyp_rows:
+        hyp_by_frame[frame][tid] = box
+
+    def matchings(gs, hs):
+        if not gs:
+            yield []
+            return
+        yield from matchings(gs[1:], hs)
+        for h in hs:
+            for rest in matchings(gs[1:], [x for x in hs if x != h]):
+                yield [(gs[0], h)] + rest
+
+    fp = fn = ids = 0
+    last_matched: dict[int, int] = {}
+    prev: dict[int, int] = {}
+    for frame in sorted(set(gt_by_frame) | set(hyp_by_frame)):
+        g_boxes, h_boxes = gt_by_frame[frame], hyp_by_frame[frame]
+        corr = {
+            g: h for g, h in prev.items()
+            if g in g_boxes and h in h_boxes and _box_iou(g_boxes[g], h_boxes[h]) >= iou_thresh
+        }
+        rem_g = [g for g in g_boxes if g not in corr]
+        rem_h = [h for h in h_boxes if h not in corr.values()]
+        best_key, best = None, []
+        for m in matchings(rem_g, rem_h):
+            ious = [_box_iou(g_boxes[g], h_boxes[h]) for g, h in m]
+            if any(v < iou_thresh for v in ious):
+                continue
+            key = (-len(m), sum(1.0 - v for v in ious))
+            if best_key is None or key < best_key:
+                best_key, best = key, m
+        corr.update(best)
+        for g, h in corr.items():
+            if g in last_matched and last_matched[g] != h:
+                ids += 1
+            last_matched[g] = h
+        fn += len(g_boxes) - len(corr)
+        fp += len(h_boxes) - len(corr)
+        prev = corr
+    return fp, fn, ids
+
+
 def idf1_enumerate(
     gt_rows: list[tuple[int, int, tuple[float, float, float, float]]],
     hyp_rows: list[tuple[int, int, tuple[float, float, float, float]]],
@@ -68,17 +139,6 @@ def idf1_enumerate(
     Rows are (frame, track_id, (left, top, right, bottom)). Returns
     (idf1, idtp, idfp, idfn).
     """
-
-    def box_iou(a, b):
-        iw = min(a[2], b[2]) - max(a[0], b[0])
-        ih = min(a[3], b[3]) - max(a[1], b[1])
-        if iw <= 0 or ih <= 0:
-            return 0.0
-        inter = iw * ih
-        ua = (a[2] - a[0]) * (a[3] - a[1])
-        ub = (b[2] - b[0]) * (b[3] - b[1])
-        return inter / (ua + ub - inter) if (ua + ub - inter) > 0 else 0.0
-
     gt_by_frame = defaultdict(list)
     hyp_by_frame = defaultdict(list)
     for frame, tid, box in gt_rows:
@@ -90,7 +150,7 @@ def idf1_enumerate(
     for frame in set(gt_by_frame) & set(hyp_by_frame):
         for g, gbox in gt_by_frame[frame]:
             for h, hbox in hyp_by_frame[frame]:
-                if box_iou(gbox, hbox) >= iou_thresh:
+                if _box_iou(gbox, hbox) >= iou_thresh:
                     counts[(g, h)] += 1
 
     gt_ids = sorted({tid for _, tid, _ in gt_rows})

@@ -257,7 +257,9 @@ def test_c6_crossing_benchmark_ordinal_claim():
         for seed in range(50):
             cfg = crossing_scenario(seed=seed)
             gt, oracle = generate(cfg)
-            dets = perturb(oracle, MODERATE_NOISE, seed=seed, image_size=(cfg.width, cfg.height))
+            dets = perturb(
+                oracle, MODERATE_NOISE, seed=seed, image_size=(cfg.width, cfg.height), variant=cfg.variant
+            )
             for strategy in (Strategy.DIS, Strategy.IOU):
                 records = run_sequence(dets, TrackerConfig(strategy=strategy, variant=cfg.variant))
                 totals[strategy]["ids"] += clear_mot(gt, records).ids
@@ -301,7 +303,7 @@ def test_c8_sequential_and_combined_properties():
             cfg = random_scenario(seed)
             _, oracle = generate(cfg)
             dets_frames = perturb(
-                oracle, MODERATE_NOISE, seed=seed, image_size=(cfg.width, cfg.height)
+                oracle, MODERATE_NOISE, seed=seed, image_size=(cfg.width, cfg.height), variant=cfg.variant
             )
             tracker_cfg = TrackerConfig(strategy=Strategy.IOU, variant=cfg.variant)
             state = TrackerState()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from motkit import association
 from motkit.association import (
     FILTER_FORMS,
     INADMISSIBLE,
@@ -384,3 +385,101 @@ class TestProperties:
     def test_confidence_order(self):
         dets = [det(0, 0, 4, 4, conf=0.5), det(0, 0, 4, 4, conf=0.9), det(0, 0, 4, 4, conf=0.5)]
         assert confidence_order(dets) == [1, 0, 2]
+
+
+def mixed_case(rng, variant, n_det, n_trk):
+    """Dense random frame with two classes, in either tracked-size variant."""
+    tracks = [
+        track(j + 1, float(rng.uniform(0, 80)), float(rng.uniform(0, 80)),
+              float(rng.uniform(4, 40)), float(rng.uniform(4, 40)), cls=int(rng.integers(1, 3)))
+        for j in range(n_trk)
+    ]
+    dets = []
+    for _ in range(n_det):
+        cx, cy = (float(v) for v in rng.uniform(0, 80, size=2))
+        w, h = (float(v) for v in rng.uniform(4, 40, size=2))
+        if variant == "wh":
+            ts = TrackedSizeWH(float(rng.normal(0, 3)), float(rng.normal(0, 3)))
+        else:
+            box = box_from_center_size(Point2(cx, cy), Size2(w, h))
+            l, r = sorted((box.left + float(rng.normal(0, 3)), box.right))
+            ts = TrackedSizeLTRB(l, box.top, r, box.bottom + abs(float(rng.normal(0, 3))))
+        dets.append(det(cx, cy, w, h, conf=float(rng.uniform(0.4, 1.0)), cls=int(rng.integers(1, 3)),
+                        dx=float(rng.normal(0, 5)), dy=float(rng.normal(0, 5)), ts=ts,
+                        o=float(rng.uniform(0, 0.8))))
+    return dets, tracks
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(params=["default", "kernel-if-nonempty"])
+def cutover(request, monkeypatch):
+    """Run at the shipped cutover, then with every non-empty matrix on the kernel path."""
+    if request.param == "kernel-if-nonempty":
+        monkeypatch.setattr(association, "KERNEL_MIN_CELLS", 1)
+    return association.KERNEL_MIN_CELLS
+
+
+class TestKernelPaths:
+    """Each vectorized path against the scalar loop it replaced, on both sides of the cutover."""
+
+    def test_iou_cost_equals_loop(self, cutover):
+        rng = np.random.default_rng(31)
+        sides = set()
+        for _ in range(150):
+            n, m = (int(v) for v in rng.integers(0, 12, size=2))
+            sides.add(n * m < cutover)
+            for variant in ("ltrb", "wh"):
+                dets, tracks = mixed_case(rng, variant, n, m)
+                for form in FILTER_FORMS:
+                    want = association._iou_cost_loop(dets, tracks, variant, form)
+                    assert same_bits(iou_cost(dets, tracks, variant, form), want)
+        assert sides == {True, False}
+
+    def test_iou_cost_kernel_keeps_variant_check(self, cutover):
+        dets = [det(10, 10, 4, 4, ts=TrackedSizeWH(0, 0))] * 5
+        with pytest.raises(ValueError):
+            iou_cost(dets, [track(j, 10, 10, 4, 4) for j in range(5)], "ltrb")
+
+    def test_displacement_cost_equals_loop(self, cutover):
+        rng = np.random.default_rng(32)
+        for _ in range(150):
+            n, m = (int(v) for v in rng.integers(0, 12, size=2))
+            dets, tracks = mixed_case(rng, "ltrb", n, m)
+            assert same_bits(displacement_cost(dets, tracks), association._displacement_cost_loop(dets, tracks))
+
+    def test_displacement_pairs_exactly_on_the_gate(self, cutover):
+        # gates 3 and 5 are exact; tracklets sit on the gate along an axis, on
+        # a 3-4-5 diagonal, and one ulp beyond
+        dets = [det(100, 100, 3, 3), det(100, 100, 5, 5)]
+        beyond = math.nextafter(105.0, math.inf)
+        tracks = [track(j + 1, x, y, 4, 4) for j, (x, y) in enumerate(
+            [(103, 100), (100, 97), (97, 100), (103, 104), (105, 100), (beyond, 100), (100, 100), (96, 103)]
+        )]
+        cost = displacement_cost(dets, tracks)
+        assert same_bits(cost, association._displacement_cost_loop(dets, tracks))
+        assert cost[0, :3].tolist() == [3.0, 3.0, 3.0]
+        assert cost[1, 3:5].tolist() == [5.0, 5.0]
+        assert cost[1, 5] == INADMISSIBLE and cost[1, 7] == 5.0
+
+    def test_greedy_match_equals_oracle_with_ties(self, cutover):
+        rng = np.random.default_rng(33)
+        sides = set()
+        for _ in range(400):
+            n, m = (int(v) for v in rng.integers(0, 12, size=2))
+            sides.add(n * m < cutover)
+            cost = rng.choice([0.1, 0.2, 0.3, INADMISSIBLE], size=(n, m))
+            order = [int(i) for i in rng.permutation(n)]
+            res = greedy_match(cost, order)
+            assert (res.matches, res.unmatched_detections, res.unmatched_tracklets) == greedy_trace(cost, order)
+        assert sides == {True, False}
+
+    def test_greedy_match_never_takes_nan(self, cutover):
+        rng = np.random.default_rng(34)
+        for _ in range(100):
+            n, m = (int(v) for v in rng.integers(1, 8, size=2))
+            cost = rng.choice([0.1, 0.2, math.nan, INADMISSIBLE], size=(n, m))
+            order = [int(i) for i in rng.permutation(n)]
+            assert greedy_match(cost, order) == association._greedy_match_loop(cost, order)

@@ -99,6 +99,18 @@ class TestSimulate:
         text = (out / "gt.txt").read_text()
         assert len(text.splitlines()) == 10
 
+    def test_wh_scene_without_visible_agents_gets_false_alarms(self, tmp_path):
+        config = tmp_path / "scene.cfg"
+        config.write_text(
+            "scenario = custom\nframes = 4\nwidth = 100\nheight = 100\nvariant = wh\nfp_rate = 1.0\n"
+            "agent = 0 10 12 1:-50:-50\n"
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out-dir", str(out)]) == 0
+        preds = (out / "preds.csv").read_text()
+        assert preds.startswith("variant: wh")
+        assert main(["track", str(out / "preds.csv"), "--out", str(tmp_path / "t.txt")]) == 0
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
@@ -204,6 +216,21 @@ class TestEval:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["eval", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == 2
+
+    @pytest.mark.parametrize("thresh", ["nan", "-1", "0", "2", "inf"])
+    def test_threshold_outside_unit_interval_exits_2(self, tmp_path, capsys, thresh):
+        gt_path, hyp_path = write_fixture_files(tmp_path)
+        assert main(["eval", str(gt_path), str(hyp_path), f"--iou-thresh={thresh}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold" in captured.err
+
+    def test_threshold_checked_before_ground_truth(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.txt"
+        gt_path.write_text("1,1,10,10,20,40,0,1,1\n")  # consider flag 0: exit 3 if scored
+        hyp_path = tmp_path / "hyp.txt"
+        hyp_path.write_text(write_mot([TrackRecord(1, 1, BoxLTRB(10, 10, 30, 50), 1.0)]))
+        assert main(["eval", str(gt_path), str(hyp_path), "--iou-thresh", "0"]) == 2
 
 
 class TestCheckLosses:

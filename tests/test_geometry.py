@@ -13,6 +13,8 @@ from motkit.geometry import (
     TrackedSizeWH,
     box_from_center_size,
     iou,
+    iou_array,
+    ltrb,
     size_gate,
     tracked_box_ltrb,
     tracked_box_wh,
@@ -82,6 +84,60 @@ class TestIou:
             inter, union, expected = raster_iou(a, b)
             got = iou(BoxLTRB(*a), BoxLTRB(*b))
             assert got == expected
+
+
+def related_boxes():
+    """Pairs built around the kernel's edge cases: touching, nested, zero-area or unrelated."""
+    def touching(a, d):
+        return BoxLTRB(a.right, a.top + d, a.right + a.width + 1.0, a.bottom + d)
+
+    def nested(a, d):
+        f = min(abs(d) / 1000.0, 0.5)
+        top = min(a.top + f * a.height, a.bottom)
+        return BoxLTRB(min(a.left + f * a.width, a.right), top, a.right, max(top, a.bottom - f * a.height))
+
+    def zero_area(a, d):
+        return BoxLTRB(a.left + d, a.top, a.left + d, a.bottom)
+
+    relate = st.sampled_from([touching, nested, zero_area, None])
+    return st.builds(
+        lambda a, b, d, r: (a, r(a, d) if r else b), boxes(), boxes(), coords, relate
+    )
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestIouArray:
+    @given(st.lists(related_boxes(), min_size=1, max_size=6))
+    def test_bitwise_equal_to_scalar_both_orders(self, pairs):
+        firsts = [p for p, _ in pairs]
+        seconds = [q for _, q in pairs]
+        a = np.array([ltrb(p) for p in firsts])
+        b = np.array([ltrb(q) for q in seconds])
+        for x, y, xs, ys in ((a, b, firsts, seconds), (b, a, seconds, firsts)):
+            assert np.array_equal(bits(iou_array(x, y)), bits([iou(p, q) for p, q in zip(xs, ys)]))
+            matrix = iou_array(x[:, None], y[None])
+            assert np.array_equal(bits(matrix), bits([[iou(p, q) for q in ys] for p in xs]))
+
+    def test_edge_cases_hold_their_values(self):
+        a = np.array([ltrb(BoxLTRB(0, 0, 1, 1))] * 4)
+        b = np.array([ltrb(box) for box in (
+            BoxLTRB(1, 0, 2, 1),            # touching edge
+            BoxLTRB(0.25, 0.25, 0.75, 0.75),  # nested
+            BoxLTRB(0.5, 0, 0.5, 1),        # zero area inside
+            BoxLTRB(-3, -3, -2, -2),        # disjoint, negative
+        )])
+        assert iou_array(a, b).tolist() == [0.0, 0.25, 0.0, 0.0]
+        p = np.array([ltrb(BoxLTRB(3, 3, 3, 3))])
+        assert iou_array(p, p).tolist() == [0.0]
+
+    def test_pairwise_shapes_including_empty(self):
+        a = np.array([ltrb(BoxLTRB(0, 0, 2, 2))] * 3)
+        assert iou_array(a[:, None], a[None]).shape == (3, 3)
+        assert iou_array(np.zeros((0, 4))[:, None], a[None]).shape == (0, 3)
+        assert iou_array(a[:, None], np.zeros((0, 4))[None]).shape == (3, 0)
 
 
 class TestBoxConstruction:

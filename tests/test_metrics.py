@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from motkit import metrics
 from motkit.formats import GtEntry, TrackRecord
-from motkit.geometry import BoxLTRB
+from motkit.geometry import KERNEL_MIN_CELLS, BoxLTRB
 from motkit.metrics import clear_mot, idf1
-from oracles import idf1_enumerate
+from oracles import clear_enumerate, idf1_enumerate
 
 
 def gt_row(frame, tid, box, consider=True):
@@ -206,3 +209,88 @@ class TestAgainstEnumeration:
             # a switch needs a previously matched frame, so switches are
             # bounded by matched-frame transitions per gt track
             assert res.ids <= max(0, len(gt) - 1)
+
+
+class TestThresholdDomain:
+    @pytest.mark.parametrize("thresh", [math.nan, -1.0, 0.0, 1.0000001, 2.0, math.inf, -math.inf])
+    @pytest.mark.parametrize("score", [clear_mot, idf1])
+    def test_outside_unit_interval_rejected(self, score, thresh):
+        gt, hyp = split_track_fixture()
+        with pytest.raises(ValueError, match="threshold"):
+            score(gt, hyp, thresh)
+
+    @pytest.mark.parametrize("thresh", [1e-9, 0.5, 1.0])
+    def test_inside_accepted(self, thresh):
+        gt, hyp = split_track_fixture()
+        assert clear_mot(gt, hyp, thresh).ids == 1
+        assert idf1(gt, hyp, thresh).idtp == 5
+
+
+def rows_of(entries):
+    return [(e.frame, e.track_id, (e.box.left, e.box.top, e.box.right, e.box.bottom)) for e in entries]
+
+
+def crowded_sequence(rng):
+    """Three to five objects jumping around a small area each frame.
+
+    Hypotheses drop boxes, swap ids, add false alarms and copy a ground-truth
+    box exactly often enough that a threshold of 1.0 still matches.
+    """
+    n_gt = int(rng.integers(3, 6))
+    hyp_of = [int(h) for h in rng.permutation(n_gt) + 1]
+    gt, hyp = [], []
+    for f in range(1, int(rng.integers(3, 8)) + 1):
+        if rng.random() < 0.3:
+            a, b = rng.choice(n_gt, size=2, replace=False)
+            hyp_of[a], hyp_of[b] = hyp_of[b], hyp_of[a]
+        for g in range(n_gt):
+            if rng.random() < 0.15:
+                continue
+            x, y = (float(v) for v in rng.uniform(0, 60, size=2))
+            w, h = (float(v) for v in rng.uniform(15, 35, size=2))
+            box = BoxLTRB(x, y, x + w, y + h)
+            gt.append(gt_row(f, g + 1, box))
+            if rng.random() < 0.15:
+                continue
+            if rng.random() >= 0.4:
+                dx, dy = (float(v) for v in rng.normal(0, 4, size=2))
+                box = BoxLTRB(x + dx, y + dy, x + dx + w, y + dy + h)
+            hyp.append(hyp_row(f, hyp_of[g], box))
+        if rng.random() < 0.3:
+            x, y = (float(v) for v in rng.uniform(0, 60, size=2))
+            hyp.append(hyp_row(f, n_gt + 1, BoxLTRB(x, y, x + 20, y + 30)))
+    return gt, hyp
+
+
+@pytest.fixture(params=["default", "kernel-if-nonempty"])
+def metrics_cutover(request, monkeypatch):
+    if request.param == "kernel-if-nonempty":
+        monkeypatch.setattr(metrics, "KERNEL_MIN_CELLS", 1)
+
+
+class TestAgainstOraclesAtThresholds:
+    @pytest.mark.parametrize("thresh", [0.3, 0.5, 1.0])
+    def test_clear_mot_matches_enumeration(self, thresh, metrics_cutover):
+        rng = np.random.default_rng(41)
+        switches = kernel_frames = 0
+        for _ in range(60):
+            gt, hyp = crowded_sequence(rng)
+            res = clear_mot(gt, hyp, thresh)
+            assert (res.fp, res.fn, res.ids) == clear_enumerate(rows_of(gt), rows_of(hyp), thresh)
+            switches += res.ids
+            frames = {e.frame for e in gt}
+            kernel_frames += sum(
+                sum(e.frame == f for e in gt) * sum(r.frame == f for r in hyp) >= KERNEL_MIN_CELLS
+                for f in frames
+            )
+        assert switches > 0 and kernel_frames > 0
+
+    @pytest.mark.parametrize("thresh", [0.3, 0.5, 1.0])
+    def test_idf1_matches_enumeration(self, thresh):
+        rng = np.random.default_rng(42)
+        for _ in range(30):
+            gt, hyp = crowded_sequence(rng)
+            res = idf1(gt, hyp, thresh)
+            expected_f1, idtp, idfp, idfn = idf1_enumerate(rows_of(gt), rows_of(hyp), thresh)
+            assert (res.idtp, res.idfp, res.idfn) == (idtp, idfp, idfn)
+            assert res.idf1 == pytest.approx(expected_f1, abs=1e-12)

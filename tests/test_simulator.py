@@ -25,7 +25,62 @@ def static_config(frames=10, variant="ltrb"):
     return ScenarioConfig(width=200, height=200, frames=frames, agents=(agent,), variant=variant)
 
 
+def inside(box, cfg):
+    return box.left >= 0 and box.top >= 0 and box.right <= cfg.width and box.bottom <= cfg.height
+
+
+def reference_visibility(cfg):
+    """(frame, agent id) pairs visible under the scalar occlusion test generate() once ran."""
+    visible = set()
+    for frame in range(1, cfg.frames + 1):
+        boxes = [a.box(frame) for a in cfg.agents]
+        for k, agent in enumerate(cfg.agents):
+            if not inside(boxes[k], cfg):
+                continue
+            occluded = any(
+                other.depth < agent.depth and iou(boxes[k], boxes[m]) > cfg.occlusion_iou
+                for m, other in enumerate(cfg.agents)
+                if m != k and inside(boxes[m], cfg)
+            )
+            if not occluded:
+                visible.add((frame, k + 1))
+    return visible
+
+
+def crowded_config(seed, n_agents=30):
+    """Agents of similar size crossing a small image and its edges, depths often tied."""
+    rng = np.random.default_rng(seed)
+    frames = 25
+    agents = []
+    for _ in range(n_agents):
+        w, h = (float(v) for v in rng.uniform(20, 30, size=2))
+        x0, y0, x1, y1 = (float(v) for v in rng.uniform(-20, 140, size=4))
+        agents.append(
+            AgentSpec(width=w, height=h, waypoints=((1, x0, y0), (frames, x1, y1)), depth=int(rng.integers(0, 4)))
+        )
+    return ScenarioConfig(width=120, height=120, frames=frames, agents=tuple(agents), occlusion_iou=0.3)
+
+
 class TestGenerate:
+    def test_visibility_equals_scalar_occlusion_reference(self):
+        occluded = offscreen = 0
+        configs = [crowded_config(seed) for seed in range(8)] + [random_scenario(seed) for seed in range(40)]
+        configs += [occluded_crossing_scenario(), exit_scenario()]
+        for cfg in configs:
+            gt, frames = generate(cfg)
+            want = reference_visibility(cfg)
+            assert {(e.frame, e.track_id) for e in gt} == want
+            assert sum(len(dets) for _, dets in frames) == len(want)
+            for frame in range(1, cfg.frames + 1):
+                for k, agent in enumerate(cfg.agents):
+                    if (frame, k + 1) not in want:
+                        if inside(agent.box(frame), cfg):
+                            occluded += 1
+                        else:
+                            offscreen += 1
+        assert occluded > 100 and offscreen > 100
+
+
     def test_static_agent(self):
         gt, frames = generate(static_config())
         assert len(gt) == 10
@@ -114,7 +169,7 @@ class TestPerturb:
     def test_fp_injection_is_binomial(self):
         cfg = static_config(frames=1000)
         _, frames = generate(cfg)
-        out = perturb(frames, NoiseConfig(fp_rate=0.1), seed=3, image_size=(200, 200))
+        out = perturb(frames, NoiseConfig(fp_rate=0.1), seed=3, image_size=(200, 200), variant="ltrb")
         injected = sum(len(dets) for _, dets in out) - sum(len(dets) for _, dets in frames)
         mean, sigma = 1000 * 0.1, (1000 * 0.1 * 0.9) ** 0.5
         assert abs(injected - mean) <= 3 * sigma
@@ -124,11 +179,26 @@ class TestPerturb:
         with pytest.raises(ValueError, match="image_size"):
             perturb(frames, NoiseConfig(fp_rate=0.5), seed=0)
 
+    def test_fp_requires_variant(self):
+        _, frames = generate(static_config())
+        with pytest.raises(ValueError, match="variant"):
+            perturb(frames, NoiseConfig(fp_rate=0.5), seed=0, image_size=(200, 200))
+        assert perturb(frames, NoiseConfig(fn_rate=0.5), seed=0) is not None
+
+    def test_false_alarms_take_the_scene_variant_without_visible_agents(self):
+        agent = AgentSpec(width=16, height=20, waypoints=((1, -100.0, -100.0),))
+        cfg = ScenarioConfig(width=200, height=200, frames=5, agents=(agent,), variant="wh")
+        gt, frames = generate(cfg)
+        assert gt == []
+        out = perturb(frames, NoiseConfig(fp_rate=1.0), seed=0, image_size=(200, 200), variant=cfg.variant)
+        assert [len(dets) for _, dets in out] == [1] * 5
+        assert all(d.variant == "wh" for _, dets in out for d in dets)
+
     def test_seed_determinism(self):
         _, frames = generate(crossing_scenario())
-        a = perturb(frames, MODERATE_NOISE, seed=11, image_size=(200, 200))
-        b = perturb(frames, MODERATE_NOISE, seed=11, image_size=(200, 200))
-        c = perturb(frames, MODERATE_NOISE, seed=12, image_size=(200, 200))
+        a = perturb(frames, MODERATE_NOISE, seed=11, image_size=(200, 200), variant="ltrb")
+        b = perturb(frames, MODERATE_NOISE, seed=11, image_size=(200, 200), variant="ltrb")
+        c = perturb(frames, MODERATE_NOISE, seed=12, image_size=(200, 200), variant="ltrb")
         assert a == b
         assert a != c
 

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from motkit.association import Strategy
+from motkit.association import Strategy, associate
 from motkit.formats import Detection
 from motkit.geometry import (
     Displacement,
@@ -9,6 +10,8 @@ from motkit.geometry import (
     TrackedSizeLTRB,
     box_from_center_size,
 )
+from motkit.geometry import KERNEL_MIN_CELLS
+from motkit.simulator import AgentSpec, NoiseConfig, ScenarioConfig, generate, perturb
 from motkit.tracker import TrackerConfig, TrackerState, run_sequence, step
 
 
@@ -180,3 +183,51 @@ class TestConfigValidation:
     def test_bad_filter_form(self):
         with pytest.raises(ValueError):
             TrackerConfig(iou_filter_form="other")
+
+
+def random_stream(seed, n_objects, variant):
+    """Walkers crossing a 240x240 image under heavy misses, noise and false alarms."""
+    rng = np.random.default_rng(seed)
+    frames = 40
+    agents = []
+    for k in range(n_objects):
+        w, h = (float(v) for v in rng.uniform(12, 30, size=2))
+        x0, y0, x1, y1 = (float(v) for v in rng.uniform(-20, 260, size=4))
+        start = int(rng.integers(1, frames))
+        agents.append(AgentSpec(width=w, height=h, waypoints=((start, x0, y0), (frames + 5, x1, y1)), depth=k))
+    cfg = ScenarioConfig(width=240, height=240, frames=frames, agents=tuple(agents), variant=variant)
+    noise = NoiseConfig(center_noise_sigma=1.0, disp_noise_sigma=3.0, ts_noise_sigma=1.0,
+                        iou_pred_bias=-0.3, fp_rate=0.5, fn_rate=0.25)
+    _, oracle = generate(cfg)
+    return perturb(oracle, noise, seed, image_size=(240, 240), variant=variant)
+
+
+class TestInvariantsOnRandomStreams:
+    @pytest.mark.parametrize("n_objects", [2, 40])
+    def test_partition_fresh_ids_and_bounded_age(self, n_objects):
+        max_cells = 0
+        for seed in range(6):
+            strategy = list(Strategy)[seed % len(Strategy)]
+            variant = ("ltrb", "wh")[seed % 2]
+            cfg = TrackerConfig(strategy=strategy, variant=variant, lifetime=3)
+            state = TrackerState()
+            ever: set[int] = set()
+            for _, dets in random_stream(seed, n_objects, variant):
+                res = associate(cfg.strategy, dets, state.live, cfg.variant, cfg.iou_filter_form)
+                max_cells = max(max_cells, len(dets) * len(state.live))
+                assert sorted([i for i, _ in res.matches] + res.unmatched_detections) == list(range(len(dets)))
+                assert sorted([j for _, j in res.matches] + res.unmatched_tracklets) == list(
+                    range(len(state.live))
+                )
+                before = {t.track_id for t in state.live}
+                state, records = step(state, dets, cfg)
+                assert len(records) == len(dets)
+                spawned = {r.track_id for r in records} - before
+                assert len(spawned) == len(res.unmatched_detections)
+                assert not spawned & ever
+                ever |= spawned
+                live_ids = [t.track_id for t in state.live]
+                assert len(live_ids) == len(set(live_ids))
+                assert all(t.age < cfg.lifetime for t in state.live)
+        # two objects stay on the scalar loops; forty reach the kernel paths
+        assert (max_cells >= KERNEL_MIN_CELLS) == (n_objects == 40)
