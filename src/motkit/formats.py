@@ -174,7 +174,11 @@ def _mot_rows(
         if w < 0 or h < 0:
             raise ParseError(line_no, f"negative box size: {w}x{h}")
         conf = _float(parts[6], line_no, "conf")
-        yield line_no, parts, frame, track_id, BoxLTRB(left, top, left + w, top + h), conf
+        # Finite fields can still sum to an infinite edge, which no later layer handles.
+        right, bottom = left + w, top + h
+        if math.isinf(right) or math.isinf(bottom):
+            raise ParseError(line_no, f"box edge overflows: ({left}, {top}, {right}, {bottom})")
+        yield line_no, parts, frame, track_id, BoxLTRB(left, top, right, bottom), conf
 
 
 def parse_mot(source: Union[str, Iterable[str]]) -> list[GtEntry]:
@@ -182,7 +186,8 @@ def parse_mot(source: Union[str, Iterable[str]]) -> list[GtEntry]:
 
     ``bb_left``/``bb_top`` are the top-left corner; width and height convert
     to edge coordinates. Negative sizes and malformed rows raise
-    :class:`ParseError` with the line number. The conf column is read as the
+    :class:`ParseError` with the line number, as do boxes whose right or
+    bottom edge overflows to infinity. The conf column is read as the
     MOT consider flag (0 means ignore for evaluation).
     """
     return [
@@ -278,7 +283,12 @@ def write_predictions(variant: str, frames: Iterable[tuple[int, list[Detection]]
 
 
 def parse_predictions(source: Union[str, Iterable[str]]) -> Predictions:
-    """Parse a prediction file into per-frame detection lists, frames ascending."""
+    """Parse a prediction file into per-frame detection lists, frames ascending.
+
+    Malformed rows raise :class:`ParseError` with the line number, as do rows
+    whose detection box or ``wh`` tracked box has an edge that overflows to
+    infinity (``ltrb`` tracked edges are the parsed values themselves).
+    """
     it = iter(_lines(source))
     try:
         header = next(it).strip()
@@ -335,6 +345,17 @@ def parse_predictions(source: Union[str, Iterable[str]]) -> Predictions:
             )
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
+        # Detection.box and geometry.tracked_box_wh put edges at center -/+ size / 2. Those
+        # overflow exactly when the edge farther from zero, |center| + size / 2, does.
+        if math.isinf(abs(cx) + w / 2.0) or math.isinf(abs(cy) + h / 2.0):
+            raise ParseError(line_no, f"box edge overflows: center ({cx}, {cy}), size ({w}, {h})")
+        if variant == VARIANT_WH:
+            px, py = cx - dx, cy - dy
+            pw, ph = max(0.0, w - ts_vals[0]), max(0.0, h - ts_vals[1])
+            if math.isinf(abs(px) + pw / 2.0) or math.isinf(abs(py) + ph / 2.0):
+                raise ParseError(
+                    line_no, f"tracked box edge overflows: center ({px}, {py}), size ({pw}, {ph})"
+                )
         by_frame.setdefault(frame, []).append(det)
 
     return Predictions(variant=variant, by_frame=dict(sorted(by_frame.items())))

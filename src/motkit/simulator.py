@@ -24,9 +24,7 @@ from .geometry import (
     TrackedSizeLTRB,
     TrackedSizeWH,
     box_from_center_size,
-    iou,
     iou_array,
-    ltrb,
 )
 
 OCCLUSION_IOU = 0.7
@@ -53,6 +51,8 @@ class AgentSpec:
     def __post_init__(self) -> None:
         if not self.waypoints:
             raise ValueError("agent needs at least one waypoint")
+        if self.width < 0 or self.height < 0:
+            raise ValueError(f"negative agent size: ({self.width}, {self.height})")
         frames = [w[0] for w in self.waypoints]
         if frames != sorted(frames) or len(set(frames)) != len(frames):
             raise ValueError("waypoint frames must be strictly ascending")
@@ -124,14 +124,6 @@ MODERATE_NOISE = NoiseConfig(
 )
 
 
-def _tracked_size(
-    variant: str, cur_box: BoxLTRB, prev_box: BoxLTRB
-) -> TrackedSizeWH | TrackedSizeLTRB:
-    if variant == VARIANT_WH:
-        return TrackedSizeWH(cur_box.width - prev_box.width, cur_box.height - prev_box.height)
-    return TrackedSizeLTRB(prev_box.left, prev_box.top, prev_box.right, prev_box.bottom)
-
-
 def generate(cfg: ScenarioConfig) -> tuple[list[GtEntry], FrameDetections]:
     """Ground truth and oracle detections for every frame of a scenario.
 
@@ -139,70 +131,114 @@ def generate(cfg: ScenarioConfig) -> tuple[list[GtEntry], FrameDetections]:
     nearer agent overlaps it above the occlusion threshold; invisible frames
     emit neither ground truth nor a detection. Oracle channels use the true
     state one frame earlier (at the first frame, the current one), so
-    displacements, tracked boxes, and adjacent IOUs are exact. Deterministic
-    for a fixed config.
-    """
-    tracks = [[a.box(f) for f in range(1, cfg.frames + 1)] for a in cfg.agents]
-    visible = _visibility(cfg, tracks)
+    displacements, tracked boxes, and adjacent IOUs are exact. Rows come in
+    frame order, agents ascending within a frame. Deterministic for a fixed
+    config.
 
+    Works on arrays: every agent's path is boxed once, and the channels are
+    computed as columns of the visible agent-frames only. Each value takes
+    the float operations of :meth:`AgentSpec.box` and the scalar box
+    properties in the same order, so the rows equal an object-by-object
+    build bit for bit.
+    """
+    boxes = _paths(cfg)
+    visible = _visibility(cfg, boxes)
+    # np.nonzero walks row-major, so the transpose gives frame-major, agent-ascending rows.
+    fr, ag = np.nonzero(visible.T)
+    cur = boxes[ag, fr]
+    prev = boxes[ag, np.maximum(fr - 1, 0)]
+    l, t, r, b = cur.T
+    pl, pt, pr, pb = prev.T
+    cx, cy = (l + r) / 2.0, (t + b) / 2.0
+    w, h = r - l, b - t
+    dx, dy = cx - (pl + pr) / 2.0, cy - (pt + pb) / 2.0
+    tracked_sizes: list[TrackedSizeWH] | list[TrackedSizeLTRB]
+    if cfg.variant == VARIANT_WH:
+        dw, dh = w - (pr - pl), h - (pb - pt)
+        tracked_sizes = [TrackedSizeWH(*d) for d in zip(dw.tolist(), dh.tolist())]
+    else:
+        tracked_sizes = [TrackedSizeLTRB(*edges) for edges in prev.tolist()]
+    ious = iou_array(prev, cur)
+
+    classes = [a.class_id for a in cfg.agents]
     gt: list[GtEntry] = []
-    frames: FrameDetections = []
-    for frame in range(1, cfg.frames + 1):
-        dets: list[Detection] = []
-        for k, agent in enumerate(cfg.agents):
-            if not visible[k][frame - 1]:
-                continue
-            cur = tracks[k][frame - 1]
-            prev = tracks[k][frame - 2] if frame > 1 else cur
-            center = cur.center
-            prev_center = prev.center
-            gt.append(
-                GtEntry(
-                    frame=frame,
-                    track_id=k + 1,
-                    box=cur,
-                    class_id=agent.class_id,
-                    visibility=1.0,
-                )
+    per_frame: list[list[Detection]] = [[] for _ in range(cfg.frames)]
+    for f, k, edges, x, y, bw, bh, ddx, ddy, ts, o in zip(
+        fr.tolist(), ag.tolist(), cur.tolist(), cx.tolist(), cy.tolist(), w.tolist(), h.tolist(),
+        dx.tolist(), dy.tolist(), tracked_sizes, ious.tolist(),
+    ):
+        gt.append(
+            GtEntry(frame=f + 1, track_id=k + 1, box=BoxLTRB(*edges), class_id=classes[k], visibility=1.0)
+        )
+        per_frame[f].append(
+            Detection(
+                frame=f + 1,
+                center=Point2(x, y),
+                size=Size2(bw, bh),
+                confidence=1.0,
+                class_id=classes[k],
+                disp=Displacement(ddx, ddy),
+                tracked_size=ts,
+                iou_pred=o,
             )
-            dets.append(
-                Detection(
-                    frame=frame,
-                    center=center,
-                    size=cur.size,
-                    confidence=1.0,
-                    class_id=agent.class_id,
-                    disp=Displacement(center.x - prev_center.x, center.y - prev_center.y),
-                    tracked_size=_tracked_size(cfg.variant, cur, prev),
-                    iou_pred=iou(prev, cur),
-                )
-            )
-        frames.append((frame, dets))
-    return gt, frames
+        )
+    return gt, [(f + 1, dets) for f, dets in enumerate(per_frame)]
 
 
-def _visibility(cfg: ScenarioConfig, tracks: list[list[BoxLTRB]]) -> list[list[bool]]:
-    """Per agent and frame: inside the image and not occluded by a nearer on-screen agent.
+def _paths(cfg: ScenarioConfig) -> np.ndarray:
+    """``(agents, frames, 4)`` ltrb boxes: :meth:`AgentSpec.box` at every frame, vectorized.
 
-    Each agent takes one kernel call against every nearer agent over all
-    frames at once.
+    Each agent-frame takes the scalar path's segment, and its position the
+    same float operations: frames at or before the first waypoint keep it,
+    frames past the last one extrapolate the last segment.
     """
-    boxes = np.empty((len(tracks), cfg.frames, 4))
-    for k, track in enumerate(tracks):
-        boxes[k] = [ltrb(b) for b in track]
-    inside = (
-        (boxes[..., 0] >= 0)
-        & (boxes[..., 1] >= 0)
-        & (boxes[..., 2] <= cfg.width)
-        & (boxes[..., 3] <= cfg.height)
-    )
-    visible = inside.copy()
+    frames = np.arange(1, cfg.frames + 1)
+    boxes = np.empty((len(cfg.agents), cfg.frames, 4))
     for k, agent in enumerate(cfg.agents):
-        nearer = [m for m, other in enumerate(cfg.agents) if other.depth < agent.depth]
-        if nearer:
-            overlap = iou_array(boxes[k], boxes[nearer])
-            visible[k] &= ~((overlap > cfg.occlusion_iou) & inside[nearer]).any(axis=0)
-    return visible.tolist()
+        wps = agent.waypoints
+        cx = np.full(cfg.frames, float(wps[0][1]))
+        cy = np.full(cfg.frames, float(wps[0][2]))
+        if len(wps) > 1:
+            starts, ends = wps[:-1], wps[1:]
+            # Frame differences of 2**53 or more are inexact as floats; Python ints divide exactly.
+            exact = max(abs(wps[0][0]), abs(wps[-1][0]), cfg.frames) < 2**52
+            dtype = None if exact else object
+            # The segment of each frame: the first ending at or after it, else the last.
+            seg = np.minimum(np.searchsorted([e[0] for e in ends], frames), len(ends) - 1)
+            f0 = np.array([s[0] for s in starts], dtype=dtype)[seg]
+            span = np.array([e[0] - s[0] for s, e in zip(starts, ends)], dtype=dtype)[seg]
+            tau = ((frames - f0) / span).astype(float)
+            moving = frames > wps[0][0]
+            for axis, pos in ((1, cx), (2, cy)):
+                origin = np.array([float(s[axis]) for s in starts])[seg]
+                delta = np.array([float(e[axis] - s[axis]) for s, e in zip(starts, ends)])[seg]
+                pos[moving] = (origin + tau * delta)[moving]
+        half_w, half_h = agent.width / 2.0, agent.height / 2.0
+        boxes[k, :, 0] = cx - half_w
+        boxes[k, :, 1] = cy - half_h
+        boxes[k, :, 2] = cx + half_w
+        boxes[k, :, 3] = cy + half_h
+    return boxes
+
+
+def _visibility(cfg: ScenarioConfig, boxes: np.ndarray) -> np.ndarray:
+    """``(agents, frames)``: inside the image and not occluded by a nearer on-screen agent.
+
+    Each agent takes one kernel call against every nearer agent, over the
+    frames where it is itself on screen.
+    """
+    l, t, r, b = np.moveaxis(boxes, -1, 0)
+    inside = (l >= 0) & (t >= 0) & (r <= cfg.width) & (b <= cfg.height)
+    visible = inside.copy()
+    depths = np.array([a.depth for a in cfg.agents])
+    for k in range(len(cfg.agents)):
+        on = np.flatnonzero(inside[k])
+        nearer = np.flatnonzero(depths < depths[k])
+        if on.size and nearer.size:
+            grid = np.ix_(nearer, on)
+            overlap = iou_array(boxes[k, on], boxes[grid])
+            visible[k, on] = ~((overlap > cfg.occlusion_iou) & inside[grid]).any(axis=0)
+    return visible
 
 
 def _jitter(det: Detection, noise: NoiseConfig, rng: np.random.Generator) -> Detection:
@@ -234,7 +270,7 @@ def _jitter(det: Detection, noise: NoiseConfig, rng: np.random.Generator) -> Det
             )
     o = det.iou_pred
     if noise.iou_pred_bias != 0:
-        o = float(np.clip(o + noise.iou_pred_bias, 0.0, 1.0))
+        o = min(max(o + noise.iou_pred_bias, 0.0), 1.0)
     return Detection(
         frame=det.frame,
         center=Point2(cx, cy),
@@ -248,11 +284,7 @@ def _jitter(det: Detection, noise: NoiseConfig, rng: np.random.Generator) -> Det
 
 
 def _false_positive(
-    frame: int,
-    variant: str,
-    image_size: tuple[float, float],
-    class_id: int,
-    rng: np.random.Generator,
+    frame: int, variant: str, image_size: tuple[float, float], rng: np.random.Generator
 ) -> Detection:
     width, height = image_size
     cx = float(rng.uniform(0, width))
@@ -270,7 +302,7 @@ def _false_positive(
         center=Point2(cx, cy),
         size=Size2(w, h),
         confidence=float(rng.uniform(0.5, 1.0)),
-        class_id=class_id,
+        class_id=1,
         disp=Displacement(0.0, 0.0),
         tracked_size=ts,
         iou_pred=float(rng.uniform(0.0, 1.0)),
@@ -282,16 +314,15 @@ def perturb(
     noise: NoiseConfig,
     seed: int,
     image_size: tuple[float, float] | None = None,
-    fp_class_id: int = 1,
     variant: str | None = None,
 ) -> FrameDetections:
     """Degrade oracle detections: jitter channels, drop misses, inject false alarms.
 
     Each detection is dropped with probability ``fn_rate``; each frame gains
     one uniform-random false detection with probability ``fp_rate`` (so the
-    injected count over N frames is Binomial(N, fp_rate)). False alarms need
-    ``image_size`` for placement and the scene's ``variant`` for their
-    tracked-size channel. With an all-zero config the input is
+    injected count over N frames is Binomial(N, fp_rate)). False alarms are
+    of class 1; they need ``image_size`` for placement and the scene's
+    ``variant`` for their tracked-size channel. With an all-zero config the input is
     returned bit-identically. Deterministic per seed.
     """
     if noise.fp_rate > 0 and (image_size is None or variant is None):
@@ -305,7 +336,7 @@ def perturb(
                 continue
             kept.append(_jitter(d, noise, rng))
         if noise.fp_rate > 0 and rng.random() < noise.fp_rate:
-            kept.append(_false_positive(frame_no, variant, image_size, fp_class_id, rng))
+            kept.append(_false_positive(frame_no, variant, image_size, rng))
         out.append((frame_no, kept))
     return out
 

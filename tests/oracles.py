@@ -1,8 +1,11 @@
 """Independent oracle implementations the real code is checked against.
 
-Everything here is deliberately brute force and shares no code with the
-package: IOU by pixel counting, greedy matching as an explicit trace, and
-the identity-assignment score by full enumeration.
+Everything here is deliberately brute force. The metric and matching
+oracles share no code with the package: IOU by pixel counting, greedy
+matching as an explicit trace, and the identity-assignment score by full
+enumeration. The scene generator's referee builds the package's own row
+types one object at a time from its scalar API (``AgentSpec.box``,
+``geometry.iou``), the form the vectorized ``generate`` must equal.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import math
 from collections import defaultdict
 
 import numpy as np
+
+from motkit.formats import VARIANT_WH, Detection, GtEntry
+from motkit.geometry import Displacement, TrackedSizeLTRB, TrackedSizeWH, iou
 
 
 def raster_iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> tuple[int, int, float]:
@@ -172,3 +178,49 @@ def idf1_enumerate(
     if total_gt == 0 and total_hyp == 0:
         return 1.0, 0, 0, 0
     return 2.0 * idtp / (2.0 * idtp + idfp + idfn), idtp, idfp, idfn
+
+
+def generate_scalar(cfg):
+    """``simulator.generate`` built object by object from ``AgentSpec.box`` and scalar ``iou``.
+
+    An agent-frame is visible when its box lies inside the image and no
+    nearer on-screen agent overlaps it above ``cfg.occlusion_iou``. Its
+    channels come from its box one frame earlier (the same box at frame 1).
+    """
+    tracks = [[a.box(f) for f in range(1, cfg.frames + 1)] for a in cfg.agents]
+
+    def inside(box):
+        return box.left >= 0 and box.top >= 0 and box.right <= cfg.width and box.bottom <= cfg.height
+
+    gt, frames = [], []
+    for frame in range(1, cfg.frames + 1):
+        boxes = [track[frame - 1] for track in tracks]
+        dets = []
+        for k, agent in enumerate(cfg.agents):
+            cur = boxes[k]
+            if not inside(cur) or any(
+                other.depth < agent.depth and inside(boxes[m]) and iou(cur, boxes[m]) > cfg.occlusion_iou
+                for m, other in enumerate(cfg.agents)
+            ):
+                continue
+            prev = tracks[k][frame - 2] if frame > 1 else cur
+            center, prev_center = cur.center, prev.center
+            if cfg.variant == VARIANT_WH:
+                ts = TrackedSizeWH(cur.width - prev.width, cur.height - prev.height)
+            else:
+                ts = TrackedSizeLTRB(prev.left, prev.top, prev.right, prev.bottom)
+            gt.append(GtEntry(frame=frame, track_id=k + 1, box=cur, class_id=agent.class_id, visibility=1.0))
+            dets.append(
+                Detection(
+                    frame=frame,
+                    center=center,
+                    size=cur.size,
+                    confidence=1.0,
+                    class_id=agent.class_id,
+                    disp=Displacement(center.x - prev_center.x, center.y - prev_center.y),
+                    tracked_size=ts,
+                    iou_pred=iou(prev, cur),
+                )
+            )
+        frames.append((frame, dets))
+    return gt, frames

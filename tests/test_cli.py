@@ -169,6 +169,14 @@ class TestTrack:
         assert main(["track", str(bad)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_overflowing_box_edge_exits_2_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("variant: ltrb\n1,1.7e308,10,1.7e308,20,0.9,1,0,0,0,0,10,10,0.5\n")
+        assert main(["track", str(bad), "--out", str(tmp_path / "tracks.txt")]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "edge overflows" in err
+        assert not (tmp_path / "tracks.txt").exists()
+
     def test_every_strategy_flag_accepted(self, tmp_path):
         sim = self._simulate(tmp_path)
         for strategy in ("dis", "iou", "combined", "iou-dis", "dis-iou"):
@@ -216,6 +224,21 @@ class TestEval:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["eval", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]) == 2
+
+    @pytest.mark.parametrize("bad_files", [("gt",), ("hyp",), ("gt", "hyp")])
+    def test_overflowing_box_edge_exits_2_with_line(self, tmp_path, capsys, bad_files):
+        rows = {
+            "gt": ("1,1,10,10,20,40,1,1,1\n", "1,1,1e308,10,1.7e308,20,1,1,1\n"),
+            "hyp": ("1,1,10,10,20,40,1,-1,-1,-1\n", "1,1,1e308,10,1.7e308,20,1,-1,-1,-1\n"),
+        }
+        paths = {}
+        for name, (good, bad) in rows.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(good + (bad if name in bad_files else ""))
+        assert main(["eval", str(paths["gt"]), str(paths["hyp"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err and "edge overflows" in captured.err
 
     @pytest.mark.parametrize("thresh", ["nan", "-1", "0", "2", "inf"])
     def test_threshold_outside_unit_interval_exits_2(self, tmp_path, capsys, thresh):

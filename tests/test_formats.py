@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from motkit.formats import (
     write_mot,
     write_predictions,
 )
+from motkit.association import tracked_box
 from motkit.geometry import (
     BoxLTRB,
     Displacement,
@@ -20,11 +23,13 @@ from motkit.geometry import (
     Size2,
     TrackedSizeLTRB,
     TrackedSizeWH,
+    ltrb,
 )
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 unit = st.floats(0, 1, allow_nan=False, allow_infinity=False)
 positive_size = st.floats(0, 1e4, allow_nan=False, allow_infinity=False)
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestParseMot:
@@ -95,6 +100,55 @@ class TestIntegerFields:
         assert (gt.frame, gt.track_id, gt.class_id) == (3, 2, 1)
         assert parse_track_file("3.0,2,0,0,10,10,0.9,-1,-1,-1")[0].frame == 3
         assert list(parse_predictions("variant: wh\n3.0,10,10,4,4,0.9,1,2,0,0,0,0.7").by_frame) == [3]
+
+
+GOOD_WH_ROW = "1,10,10,4,4,0.9,1,2,0,0,0,0.7"
+
+
+class TestOverflowingEdges:
+    """Finite fields whose derived box edge overflows to infinity are rejected with the line."""
+
+    @pytest.mark.parametrize(
+        "parse, text, line",
+        [
+            (parse_mot, "1,1,10,20,4,2,1,1,1\n1,2,1e308,20,1.7e308,2,1,1,1", 2),
+            (parse_mot, "1,1,10,1.7e308,4,1.7e308,1,1,1", 1),
+            (parse_track_file, "1,1,1e308,10,1.7e308,20,1,-1,-1,-1", 1),
+            (parse_predictions, "variant: ltrb\n1,1.7e308,10,1.7e308,20,0.9,1,0,0,0,0,10,10,0.5", 2),
+            (parse_predictions, f"variant: wh\n{GOOD_WH_ROW}\n1,-1.7e308,10,1.7e308,20,0.9,1,0,0,0,0,0.5", 3),
+            (parse_predictions, "variant: wh\n1,10,1.7e308,4,1.7e308,0.9,1,0,0,0,0,0.5", 2),
+            # the wh tracked box: its center (cx - dx) and its width (w - dw) overflow
+            (parse_predictions, "variant: wh\n1,1e308,10,4,4,0.9,1,-1e308,0,0,0,0.5", 2),
+            (parse_predictions, "variant: wh\n1,10,10,1.7e308,4,0.9,1,0,0,-1.7e308,0,0.5", 2),
+        ],
+    )
+    def test_rejected_with_line(self, parse, text, line):
+        with pytest.raises(ParseError, match=f"line {line}: .*edge overflows"):
+            parse(text)
+
+    def test_large_finite_edges_accepted(self):
+        assert parse_mot("1,1,1e308,10,7e307,20,1,1,1")[0].box.right == 1.7e308
+        assert parse_track_file("1,1,-1.7e308,10,1.7e308,20,1,-1,-1,-1")[0].box.right == 0.0
+        assert parse_predictions("variant: wh\n1,1.7e308,10,1e307,4,0.9,1,0,0,0,0,0.5").by_frame[1]
+        huge_ltrb = "variant: ltrb\n1,10,10,4,4,0.9,1,0,0,-1.7e308,-1.7e308,1.7e308,1.7e308,0.5"
+        assert parse_predictions(huge_ltrb).by_frame[1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        variant=st.sampled_from(["wh", "ltrb"]),
+        cx=any_finite, cy=any_finite, w=st.floats(0, allow_infinity=False), h=st.floats(0, allow_infinity=False),
+        dx=any_finite, dy=any_finite, ts=st.lists(any_finite, min_size=4, max_size=4),
+    )
+    def test_rejects_exactly_the_rows_whose_boxes_overflow(self, variant, cx, cy, w, h, dx, dy, ts):
+        size = TrackedSizeWH(*ts[:2]) if variant == "wh" else TrackedSizeLTRB(*ts)
+        det = _det(cx=cx, cy=cy, w=w, h=h, dx=dx, dy=dy, ts=size)
+        edges = ltrb(det.box()) + ltrb(tracked_box(det, variant))
+        text = write_predictions(variant, [(1, [det])])
+        if all(map(math.isfinite, edges)):
+            assert parse_predictions(text).by_frame[1][0] == det
+        else:
+            with pytest.raises(ParseError, match="line 2: .*edge overflows"):
+                parse_predictions(text)
 
 
 class TestWriteMot:

@@ -18,6 +18,7 @@ from motkit.simulator import (
     random_scenario,
 )
 from motkit.tracker import TrackerConfig, run_sequence
+from oracles import generate_scalar
 
 
 def static_config(frames=10, variant="ltrb"):
@@ -61,7 +62,84 @@ def crowded_config(seed, n_agents=30):
     return ScenarioConfig(width=120, height=120, frames=frames, agents=tuple(agents), occlusion_iou=0.3)
 
 
+def referee_config(seed):
+    """A random scene for the scalar referee.
+
+    Agents have 1-4 waypoints, some before frame 1 or past the last frame, so
+    frames before the first waypoint and past the last one both occur. Every
+    third seed uses integer coordinates and sizes. Depths are often tied,
+    and paths wander across the image edges, so agents leave and re-enter.
+    Odd seeds are ``wh`` scenes.
+    """
+    rng = np.random.default_rng(seed)
+    frames = int(rng.integers(1, 40))
+    integer = seed % 3 == 0
+    agents = []
+    for _ in range(int(rng.integers(1, 9))):
+        n = int(rng.integers(1, 5))
+        keys = sorted(rng.choice(np.arange(-10, frames + 12), size=n, replace=False).tolist())
+        xy = rng.uniform(-40, 160, size=(n, 2))
+        size = rng.uniform(0, 40, size=2)
+        if integer:
+            xy, size = np.round(xy).astype(int), np.round(size).astype(int)
+        waypoints = tuple((f, x, y) for f, (x, y) in zip(keys, xy.tolist()))
+        w, h = size.tolist()
+        agents.append(AgentSpec(width=w, height=h, waypoints=waypoints, depth=int(rng.integers(0, 3))))
+    return ScenarioConfig(
+        width=120,
+        height=100,
+        frames=frames,
+        agents=tuple(agents),
+        variant="wh" if seed % 2 else "ltrb",
+        occlusion_iou=float(rng.choice([0.3, 0.7])),
+    )
+
+
+def assert_matches_referee(cfg):
+    """``repr`` equality with the object-by-object build: exact to the bit, and -0.0 differs from 0.0."""
+    # A bare assert on the two strings would have pytest diff them, which takes minutes.
+    equal = repr(generate(cfg)) == repr(generate_scalar(cfg))
+    assert equal, cfg
+
+
 class TestGenerate:
+    def test_equals_scalar_referee(self):
+        configs = [referee_config(seed) for seed in range(300)] + [crowded_config(seed) for seed in range(4)]
+        for build in (crossing_scenario, occluded_crossing_scenario, exit_scenario):
+            configs += [build(variant="ltrb"), build(variant="wh")]
+        seen = dict.fromkeys(("single", "clamped", "extrapolated", "reentries", "occluded"), 0)
+        for cfg in configs:
+            assert_matches_referee(cfg)
+            frames = range(1, cfg.frames + 1)
+            for agent in cfg.agents:
+                first, last = agent.waypoints[0][0], agent.waypoints[-1][0]
+                if len(agent.waypoints) == 1:
+                    seen["single"] += 1
+                else:
+                    seen["clamped"] += sum(f < first for f in frames)
+                    seen["extrapolated"] += sum(f > last for f in frames)
+                on = [f for f in frames if inside(agent.box(f), cfg)]
+                seen["reentries"] += sum(b - a > 1 for a, b in zip(on, on[1:]))
+                seen["occluded"] += len(on)
+            seen["occluded"] -= len(generate(cfg)[0])
+        assert min(seen.values()) > 50, seen
+
+    def test_equals_scalar_referee_with_huge_waypoint_frames(self):
+        """Frame numbers whose differences floats cannot hold exactly still divide as Python ints."""
+        paths = [
+            ((-(2**55) - 7, 0.0, 50.0), (2**54 + 13, 150.0, 40.0)),
+            ((-3, 10.0, 20.0), (2**70 + 1, 90.0, 60.0)),
+            ((1, 30.0, 30.0), (2**53 + 1, 60.0, 30.0), (2**80, 0.0, 0.0)),
+        ]
+        agents = tuple(AgentSpec(width=10, height=12, waypoints=p, depth=k) for k, p in enumerate(paths))
+        for variant in ("ltrb", "wh"):
+            assert_matches_referee(ScenarioConfig(width=200, height=200, frames=30, agents=agents, variant=variant))
+
+    def test_negative_agent_size_rejected(self):
+        for w, h in ((-1.0, 10.0), (10.0, -1.0)):
+            with pytest.raises(ValueError, match="negative agent size"):
+                AgentSpec(width=w, height=h, waypoints=((1, -500.0, -500.0),))
+
     def test_visibility_equals_scalar_occlusion_reference(self):
         occluded = offscreen = 0
         configs = [crowded_config(seed) for seed in range(8)] + [random_scenario(seed) for seed in range(40)]
@@ -192,7 +270,7 @@ class TestPerturb:
         assert gt == []
         out = perturb(frames, NoiseConfig(fp_rate=1.0), seed=0, image_size=(200, 200), variant=cfg.variant)
         assert [len(dets) for _, dets in out] == [1] * 5
-        assert all(d.variant == "wh" for _, dets in out for d in dets)
+        assert all(d.variant == "wh" and d.class_id == 1 for _, dets in out for d in dets)
 
     def test_seed_determinism(self):
         _, frames = generate(crossing_scenario())
@@ -201,6 +279,21 @@ class TestPerturb:
         c = perturb(frames, MODERATE_NOISE, seed=12, image_size=(200, 200), variant="ltrb")
         assert a == b
         assert a != c
+
+    def test_iou_bias_clamp_equals_np_clip(self):
+        _, frames = generate(random_scenario(3))
+        dets = [d for _, ds in frames for d in ds]
+        below = above = inside_range = 0
+        for bias in (-2.0, -0.9, -0.5, -0.1, 1e-9, 0.1, 0.5, 0.9, 2.0):
+            out = perturb(frames, NoiseConfig(iou_pred_bias=bias), seed=0)
+            got = [d.iou_pred for _, ds in out for d in ds]
+            want = [float(np.clip(d.iou_pred + bias, 0.0, 1.0)) for d in dets]
+            assert repr(got) == repr(want)
+            assert all(type(v) is float for v in got)
+            below += sum(d.iou_pred + bias < 0 for d in dets)
+            above += sum(d.iou_pred + bias > 1 for d in dets)
+            inside_range += sum(0 < d.iou_pred + bias < 1 for d in dets)
+        assert min(below, above, inside_range) > 10
 
     def test_iou_bias_clamps(self):
         _, frames = generate(static_config())
