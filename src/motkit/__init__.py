@@ -22,6 +22,7 @@ from .association import (
 )
 from .formats import (
     Detection,
+    DetectionFrame,
     GtEntry,
     ParseError,
     Predictions,

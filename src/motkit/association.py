@@ -4,6 +4,9 @@ Costs are plain float matrices with rows = detections and columns =
 tracklets; cells that must never match hold :data:`INADMISSIBLE` (infinity).
 Matching is greedy per detection in confidence order, which is deliberately
 order-dependent; optimal assignment lives on the evaluation side only.
+
+Detections are read as :class:`~motkit.formats.DetectionFrame` columns; a
+plain list of :class:`~motkit.formats.Detection` is framed once on entry.
 """
 
 from __future__ import annotations
@@ -15,16 +18,15 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .formats import Detection, VARIANT_LTRB, VARIANT_WH
+from .formats import VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame
 from .geometry import (
     KERNEL_MIN_CELLS,
     BoxLTRB,
     TrackedSizeLTRB,
     TrackedSizeWH,
-    iou,
     iou_array,
+    iou_ltrb,
     ltrb,
-    size_gate,
     tracked_box_ltrb,
     tracked_box_wh,
 )
@@ -81,19 +83,20 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -
     A cell is inadmissible when the distance exceeds the detection's size
     gate (sqrt of its box area) or the classes differ.
     """
-    if len(dets) * len(tracks) < KERNEL_MIN_CELLS:
-        return _displacement_cost_loop(dets, tracks)
-    back = np.array([(d.center.x - d.disp.dx, d.center.y - d.disp.dy) for d in dets])
+    frame = DetectionFrame.of(dets)
+    gates = frame.values("gate")
+    if len(frame) * len(tracks) < KERNEL_MIN_CELLS:
+        return _displacement_cost_loop(frame.values("back"), gates, frame.values("cls"), tracks)
+    back = frame.column("back")
     centers = np.array([(t.last_center.x, t.last_center.y) for t in tracks])
-    gates = [size_gate(d.size) for d in dets]
     dx = back[:, 0:1] - centers[:, 0]
     dy = back[:, 1:2] - centers[:, 1]
     # hypot >= max(|dx|, |dy|), so this box prefilter keeps every admissible
     # pair; math.hypot then decides the few survivors exactly as the loop does.
-    gate_col = np.array(gates)[:, None]
-    near = (np.abs(dx) <= gate_col) & (np.abs(dy) <= gate_col) & _same_class(dets, tracks)
+    gate_col = frame.column("gate")[:, None]
+    near = (np.abs(dx) <= gate_col) & (np.abs(dy) <= gate_col) & _same_class(frame, tracks)
     rows, cols = np.nonzero(near)
-    cost = np.full((len(dets), len(tracks)), INADMISSIBLE)
+    cost = np.full((len(frame), len(tracks)), INADMISSIBLE)
     for i, j, x, y in zip(rows.tolist(), cols.tolist(), dx[rows, cols].tolist(), dy[rows, cols].tolist()):
         dist = math.hypot(x, y)
         if dist <= gates[i]:
@@ -101,14 +104,13 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -
     return cost
 
 
-def _displacement_cost_loop(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -> np.ndarray:
-    cost = np.full((len(dets), len(tracks)), INADMISSIBLE)
-    for i, d in enumerate(dets):
-        bx = d.center.x - d.disp.dx
-        by = d.center.y - d.disp.dy
-        gate = size_gate(d.size)
+def _displacement_cost_loop(
+    back: list, gates: list[float], classes: list[int], tracks: Sequence["Tracklet"]
+) -> np.ndarray:
+    cost = np.full((len(back), len(tracks)), INADMISSIBLE)
+    for i, ((bx, by), gate, cls) in enumerate(zip(back, gates, classes)):
         for j, t in enumerate(tracks):
-            if d.class_id != t.class_id:
+            if cls != t.class_id:
                 continue
             dist = math.hypot(bx - t.last_center.x, by - t.last_center.y)
             if dist <= gate:
@@ -116,8 +118,8 @@ def _displacement_cost_loop(dets: Sequence[Detection], tracks: Sequence["Trackle
     return cost
 
 
-def _same_class(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -> np.ndarray:
-    return np.array([d.class_id for d in dets])[:, None] == np.array([t.class_id for t in tracks])
+def _same_class(frame: DetectionFrame, tracks: Sequence["Tracklet"]) -> np.ndarray:
+    return frame.column("cls")[:, None] == np.array([t.class_id for t in tracks])
 
 
 def iou_cost(
@@ -135,36 +137,42 @@ def iou_cost(
     """
     if filter_form not in FILTER_FORMS:
         raise ValueError(f"unknown filter form: {filter_form!r}")
-    if len(dets) * len(tracks) < KERNEL_MIN_CELLS:
-        return _iou_cost_loop(dets, tracks, variant, filter_form)
-    tracked = np.array([ltrb(tracked_box(d, variant)) for d in dets])
+    frame = DetectionFrame.of(dets)
+    if len(frame) and frame.variant != variant:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant: {variant!r}")
+        raise ValueError(f"detection does not carry {variant} tracked-size values")
+    if len(frame) * len(tracks) < KERNEL_MIN_CELLS:
+        return _iou_cost_loop(
+            frame.values("tracked"), frame.values("iou_pred"), frame.values("cls"), tracks, filter_form
+        )
     last = np.array([ltrb(t.last_box) for t in tracks])
-    overlap = iou_array(last[None], tracked[:, None])
-    pred = np.array([d.iou_pred for d in dets])[:, None]
+    overlap = iou_array(last[None], frame.column("tracked")[:, None])
+    pred = frame.column("iou_pred")[:, None]
     if filter_form == FILTER_RATIONALE:
         admissible = overlap >= pred
     else:
         admissible = (1.0 - overlap) <= pred
-    admissible &= (overlap > 0.0) & _same_class(dets, tracks)
+    admissible &= (overlap > 0.0) & _same_class(frame, tracks)
     return np.where(admissible, 1.0 - overlap, INADMISSIBLE)
 
 
 def _iou_cost_loop(
-    dets: Sequence[Detection], tracks: Sequence["Tracklet"], variant: str, filter_form: str
+    tracked: list, preds: list[float], classes: list[int], tracks: Sequence["Tracklet"], filter_form: str
 ) -> np.ndarray:
-    cost = np.full((len(dets), len(tracks)), INADMISSIBLE)
-    for i, d in enumerate(dets):
-        tb = tracked_box(d, variant)
+    cost = np.full((len(tracked), len(tracks)), INADMISSIBLE)
+    last = [ltrb(t.last_box) for t in tracks]
+    for i, (tb, pred, cls) in enumerate(zip(tracked, preds, classes)):
         for j, t in enumerate(tracks):
-            if d.class_id != t.class_id:
+            if cls != t.class_id:
                 continue
-            overlap = iou(t.last_box, tb)
+            overlap = iou_ltrb(last[j], tb)
             if overlap <= 0.0:
                 continue
             if filter_form == FILTER_RATIONALE:
-                admissible = overlap >= d.iou_pred
+                admissible = overlap >= pred
             else:
-                admissible = (1.0 - overlap) <= d.iou_pred
+                admissible = (1.0 - overlap) <= pred
             if admissible:
                 cost[i, j] = 1.0 - overlap
     return cost
@@ -179,7 +187,9 @@ def combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def confidence_order(dets: Sequence[Detection]) -> list[int]:
     """Detection indices by descending confidence, ties by lower index."""
-    return sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+    conf = DetectionFrame.of(dets).values("conf")
+    # a reversed sort is still stable: equal confidences keep ascending indices
+    return sorted(range(len(conf)), key=conf.__getitem__, reverse=True)
 
 
 def greedy_match(cost: np.ndarray, det_order: Sequence[int]) -> AssociationResult:
@@ -246,7 +256,7 @@ ROUNDS: dict[Strategy, tuple[tuple[str, ...], ...]] = {
 
 def _greedy_round(
     kinds: Sequence[str],
-    dets: Sequence[Detection],
+    dets: DetectionFrame,
     tracks: Sequence["Tracklet"],
     variant: str,
     filter_form: str,
@@ -276,13 +286,13 @@ def associate(
     later round builds fresh matrices from the earlier rounds' leftovers
     only, each matrix keeping its native admissibility gate.
     """
+    frame = DetectionFrame.of(dets)
     rounds = ROUNDS[strategy]
-    result = _greedy_round(rounds[0], dets, tracks, variant, filter_form)
+    result = _greedy_round(rounds[0], frame, tracks, variant, filter_form)
     for kinds in rounds[1:]:
         det_map, trk_map = result.unmatched_detections, result.unmatched_tracklets
-        sub_dets = [dets[i] for i in det_map]
         sub_tracks = [tracks[j] for j in trk_map]
-        sub = _greedy_round(kinds, sub_dets, sub_tracks, variant, filter_form)
+        sub = _greedy_round(kinds, frame.take(det_map), sub_tracks, variant, filter_form)
         result = AssociationResult(
             matches=result.matches + [(det_map[i], trk_map[j]) for i, j in sub.matches],
             unmatched_detections=[det_map[i] for i in sub.unmatched_detections],

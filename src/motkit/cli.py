@@ -1,7 +1,8 @@
 """Command-line pipeline: simulate scenes, track predictions, evaluate output.
 
 Exit codes: 0 on success, 2 for input problems (missing or malformed files,
-bad config), 3 for evaluation-domain errors (no ground truth to score).
+repeated (frame, id) rows, bad config), 3 for evaluation-domain errors (no
+ground truth to score).
 Output files are written atomically (temp file then rename).
 """
 
@@ -13,10 +14,13 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Sequence
 
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy
 from .formats import (
+    GtEntry,
     ParseError,
+    TrackRecord,
     parse_mot,
     parse_predictions,
     parse_track_file,
@@ -98,13 +102,35 @@ def cmd_track(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _reject_repeated_row(text: str, rows: Sequence[GtEntry | TrackRecord], kind: str) -> None:
+    """Raise :class:`ParseError` at the first scored row whose (frame, id) an earlier one has.
+
+    Rows are the file's non-blank lines, in order; ground-truth rows with the
+    consider flag 0 are not scored, so they repeat nothing.
+    """
+    line_nos = (n for n, raw in enumerate(text.splitlines(), start=1) if raw.strip())
+    seen: set[tuple[int, int]] = set()
+    for line_no, row in zip(line_nos, rows):
+        if not getattr(row, "consider", True):
+            continue
+        key = (row.frame, row.track_id)
+        if key in seen:
+            raise ParseError(line_no, f"duplicate {kind} entry for frame {row.frame}, id {row.track_id}")
+        seen.add(key)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     check_iou_threshold(args.iou_thresh)
-    gt = parse_mot(_read_text(args.gt))
-    hyp = parse_track_file(_read_text(args.hyp))
+    gt_text, hyp_text = _read_text(args.gt), _read_text(args.hyp)
+    gt = parse_mot(gt_text)
+    hyp = parse_track_file(hyp_text)
     try:
         clear = clear_mot(gt, hyp, args.iou_thresh)
     except ValueError as exc:
+        # clear_mot also refuses repeated (frame, id) rows; those are malformed
+        # input, so name the line. Only then is it no ground truth to score.
+        _reject_repeated_row(gt_text, gt, "ground-truth")
+        _reject_repeated_row(hyp_text, hyp, "hypothesis")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL_DOMAIN
     ident = idf1(gt, hyp, args.iou_thresh)

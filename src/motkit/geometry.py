@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -110,12 +111,20 @@ def iou(a: BoxLTRB, b: BoxLTRB) -> float:
     Returns 0.0 for disjoint boxes and for degenerate pairs whose union has
     zero area.
     """
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
+    return iou_ltrb(ltrb(a), ltrb(b))
+
+
+def iou_ltrb(a: Sequence[float], b: Sequence[float]) -> float:
+    """:func:`iou` of two boxes given as ``(left, top, right, bottom)`` rows.
+
+    The areas are ``BoxLTRB.area``'s width times height.
+    """
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = a.area + b.area - inter
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
     if union <= 0.0:
         return 0.0
     return inter / union

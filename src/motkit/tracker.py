@@ -7,11 +7,11 @@ is what lets an identity survive short occlusions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy, associate
-from .formats import Detection, TrackRecord, VARIANTS
+from .formats import Detection, DetectionFrame, TrackRecord, VARIANTS
 from .geometry import BoxLTRB, Point2
 from .heatmap import DEFAULT_OUTPUT_THRESHOLD
 
@@ -69,50 +69,40 @@ def step(
     detections spawn fresh ids; unmatched tracklets age and are dropped at
     ``lifetime``. One record is emitted per matched or spawned tracklet.
     """
-    frame = state.frame_index + 1
-    for d in dets:
-        if d.frame != frame:
-            raise ValueError(f"detection frame {d.frame} does not match tracker frame {frame}")
+    frame_no = state.frame_index + 1
+    frame = DetectionFrame.of(dets)
+    numbers = frame.values("frame")
+    if numbers.count(frame_no) != len(numbers):
+        bad = next(f for f in numbers if f != frame_no)
+        raise ValueError(f"detection frame {bad} does not match tracker frame {frame_no}")
 
-    result = associate(cfg.strategy, dets, state.live, cfg.variant, cfg.iou_filter_form)
+    result = associate(cfg.strategy, frame, state.live, cfg.variant, cfg.iou_filter_form)
     det_for_track = {j: i for i, j in result.matches}
+    centers, boxes = frame.values("center"), frame.values("box")
+    confs, classes = frame.values("conf"), frame.values("cls")
 
     new_live: list[Tracklet] = []
     records: list[TrackRecord] = []
     for j, trk in enumerate(state.live):
-        if j in det_for_track:
-            d = dets[det_for_track[j]]
-            updated = Tracklet(
-                track_id=trk.track_id,
-                last_center=d.center,
-                last_box=d.box(),
-                class_id=trk.class_id,
-                last_confidence=d.confidence,
-                age=0,
+        i = det_for_track.get(j)
+        if i is not None:
+            box = BoxLTRB(*boxes[i])
+            new_live.append(Tracklet(trk.track_id, Point2(*centers[i]), box, trk.class_id, confs[i], 0))
+            records.append(TrackRecord(frame_no, trk.track_id, box, confs[i]))
+        elif trk.age + 1 < cfg.lifetime:
+            aged = Tracklet(
+                trk.track_id, trk.last_center, trk.last_box, trk.class_id, trk.last_confidence, trk.age + 1
             )
-            new_live.append(updated)
-            records.append(TrackRecord(frame, trk.track_id, updated.last_box, d.confidence))
-        else:
-            aged = replace(trk, age=trk.age + 1)
-            if aged.age < cfg.lifetime:
-                new_live.append(aged)
+            new_live.append(aged)
 
     next_id = state.next_id
     for i in result.unmatched_detections:
-        d = dets[i]
-        spawned = Tracklet(
-            track_id=next_id,
-            last_center=d.center,
-            last_box=d.box(),
-            class_id=d.class_id,
-            last_confidence=d.confidence,
-            age=0,
-        )
+        box = BoxLTRB(*boxes[i])
+        new_live.append(Tracklet(next_id, Point2(*centers[i]), box, classes[i], confs[i], 0))
+        records.append(TrackRecord(frame_no, next_id, box, confs[i]))
         next_id += 1
-        new_live.append(spawned)
-        records.append(TrackRecord(frame, spawned.track_id, spawned.last_box, d.confidence))
 
-    return TrackerState(tuple(new_live), next_id, frame), records
+    return TrackerState(tuple(new_live), next_id, frame_no), records
 
 
 def run_sequence(
@@ -132,7 +122,10 @@ def run_sequence(
         prev_frame = frame_no
         if state is None:
             state = TrackerState(frame_index=frame_no - 1)
-        kept = [d for d in dets if d.confidence > cfg.out_threshold]
+        kept = DetectionFrame.of(dets)
+        confs = kept.values("conf")
+        if confs and min(confs) <= cfg.out_threshold:
+            kept = kept.take([i for i, c in enumerate(confs) if c > cfg.out_threshold])
         state, recs = step(state, kept, cfg)
         records.extend(recs)
     return records

@@ -5,7 +5,10 @@ oracles share no code with the package: IOU by pixel counting, greedy
 matching as an explicit trace, and the identity-assignment score by full
 enumeration. The scene generator's referee builds the package's own row
 types one object at a time from its scalar API (``AgentSpec.box``,
-``geometry.iou``), the form the vectorized ``generate`` must equal.
+``geometry.iou``), the form the vectorized ``generate`` must equal. The cost
+matrix referees likewise read ``Detection`` objects one at a time through
+``association.tracked_box``, ``geometry.iou`` and ``geometry.size_gate``,
+the form the column-reading ``iou_cost`` and ``displacement_cost`` must equal.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from collections import defaultdict
 
 import numpy as np
 
+from motkit.association import FILTER_RATIONALE, INADMISSIBLE, tracked_box
 from motkit.formats import VARIANT_WH, Detection, GtEntry
-from motkit.geometry import Displacement, TrackedSizeLTRB, TrackedSizeWH, iou
+from motkit.geometry import Displacement, TrackedSizeLTRB, TrackedSizeWH, iou, size_gate
 
 
 def raster_iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> tuple[int, int, float]:
@@ -224,3 +228,39 @@ def generate_scalar(cfg):
             )
         frames.append((frame, dets))
     return gt, frames
+
+
+def iou_cost_loop(dets, tracks, variant, filter_form):
+    """``association.iou_cost`` one detection object and one pair at a time."""
+    cost = np.full((len(dets), len(tracks)), INADMISSIBLE)
+    for i, d in enumerate(dets):
+        tb = tracked_box(d, variant)
+        for j, t in enumerate(tracks):
+            if d.class_id != t.class_id:
+                continue
+            overlap = iou(t.last_box, tb)
+            if overlap <= 0.0:
+                continue
+            if filter_form == FILTER_RATIONALE:
+                admissible = overlap >= d.iou_pred
+            else:
+                admissible = (1.0 - overlap) <= d.iou_pred
+            if admissible:
+                cost[i, j] = 1.0 - overlap
+    return cost
+
+
+def displacement_cost_loop(dets, tracks):
+    """``association.displacement_cost`` one detection object and one pair at a time."""
+    cost = np.full((len(dets), len(tracks)), INADMISSIBLE)
+    for i, d in enumerate(dets):
+        bx = d.center.x - d.disp.dx
+        by = d.center.y - d.disp.dy
+        gate = size_gate(d.size)
+        for j, t in enumerate(tracks):
+            if d.class_id != t.class_id:
+                continue
+            dist = math.hypot(bx - t.last_center.x, by - t.last_center.y)
+            if dist <= gate:
+                cost[i, j] = dist
+    return cost

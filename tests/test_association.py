@@ -28,7 +28,7 @@ from motkit.geometry import (
     box_from_center_size,
 )
 from motkit.tracker import Tracklet
-from oracles import greedy_trace
+from oracles import displacement_cost_loop, greedy_trace, iou_cost_loop
 
 
 def det(cx, cy, w, h, conf=1.0, cls=1, dx=0.0, dy=0.0, ts=None, o=0.0, frame=1):
@@ -434,7 +434,7 @@ class TestKernelPaths:
             for variant in ("ltrb", "wh"):
                 dets, tracks = mixed_case(rng, variant, n, m)
                 for form in FILTER_FORMS:
-                    want = association._iou_cost_loop(dets, tracks, variant, form)
+                    want = iou_cost_loop(dets, tracks, variant, form)
                     assert same_bits(iou_cost(dets, tracks, variant, form), want)
         assert sides == {True, False}
 
@@ -448,7 +448,7 @@ class TestKernelPaths:
         for _ in range(150):
             n, m = (int(v) for v in rng.integers(0, 12, size=2))
             dets, tracks = mixed_case(rng, "ltrb", n, m)
-            assert same_bits(displacement_cost(dets, tracks), association._displacement_cost_loop(dets, tracks))
+            assert same_bits(displacement_cost(dets, tracks), displacement_cost_loop(dets, tracks))
 
     def test_displacement_pairs_exactly_on_the_gate(self, cutover):
         # gates 3 and 5 are exact; tracklets sit on the gate along an axis, on
@@ -459,7 +459,7 @@ class TestKernelPaths:
             [(103, 100), (100, 97), (97, 100), (103, 104), (105, 100), (beyond, 100), (100, 100), (96, 103)]
         )]
         cost = displacement_cost(dets, tracks)
-        assert same_bits(cost, association._displacement_cost_loop(dets, tracks))
+        assert same_bits(cost, displacement_cost_loop(dets, tracks))
         assert cost[0, :3].tolist() == [3.0, 3.0, 3.0]
         assert cost[1, 3:5].tolist() == [5.0, 5.0]
         assert cost[1, 5] == INADMISSIBLE and cost[1, 7] == 5.0

@@ -177,6 +177,16 @@ class TestTrack:
         assert "line 2" in err and "edge overflows" in err
         assert not (tmp_path / "tracks.txt").exists()
 
+    def test_overflowing_box_area_exits_2_with_line(self, tmp_path, capsys):
+        # a static wh detection: its edges are finite, its area is not
+        bad = tmp_path / "bad.csv"
+        row = "1e200,1e200,2e200,2e200,0.9,1,0,0,0,0,0.5"
+        bad.write_text(f"variant: wh\n1,{row}\n2,{row}\n")
+        assert main(["track", str(bad), "--out", str(tmp_path / "tracks.txt")]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "area overflows" in err
+        assert not (tmp_path / "tracks.txt").exists()
+
     def test_every_strategy_flag_accepted(self, tmp_path):
         sim = self._simulate(tmp_path)
         for strategy in ("dis", "iou", "combined", "iou-dis", "dis-iou"):
@@ -239,6 +249,47 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 2" in captured.err and "edge overflows" in captured.err
+
+    @pytest.mark.parametrize("bad_files", [("gt",), ("hyp",)])
+    def test_overflowing_box_area_exits_2_with_line(self, tmp_path, capsys, bad_files):
+        rows = {
+            "gt": ("1,1,10,10,20,40,1,1,1\n", "2,1,0,0,1e200,1e200,1,1,1\n"),
+            "hyp": ("1,1,10,10,20,40,1,-1,-1,-1\n", "2,1,0,0,1e200,1e200,1,-1,-1,-1\n"),
+        }
+        paths = {}
+        for name, (good, huge) in rows.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(good + (huge if name in bad_files else ""))
+        assert main(["eval", str(paths["gt"]), str(paths["hyp"]), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2" in captured.err and "area overflows" in captured.err
+
+    @pytest.mark.parametrize("name, kind", [("gt", "ground-truth"), ("hyp", "hypothesis")])
+    def test_repeated_row_exits_2_with_line(self, tmp_path, capsys, name, kind):
+        rows = {
+            "gt": ["1,1,10,10,20,40,1,1,1", "1,2,50,10,20,40,1,1,1", "2,1,10,10,20,40,1,1,1"],
+            "hyp": ["1,1,10,10,20,40,1,-1,-1,-1", "1,2,50,10,20,40,1,-1,-1,-1", "2,1,10,10,20,40,1,-1,-1,-1"],
+        }
+        rows[name] = rows[name][:2] + [""] + rows[name][1:]  # line 4 repeats frame 1, id 2
+        paths = {}
+        for key, lines in rows.items():
+            paths[key] = tmp_path / f"{key}.txt"
+            paths[key].write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(paths["gt"]), str(paths["hyp"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line 4: duplicate {kind} entry for frame 1, id 2" in captured.err
+
+    @pytest.mark.parametrize("flags, code", [((1, 0), 0), ((0, 0), 3)])
+    def test_repeated_ignored_ground_truth_row_is_no_repeat(self, tmp_path, capsys, flags, code):
+        # rows with the consider flag 0 are not scored, so they repeat nothing
+        gt_path = tmp_path / "gt.txt"
+        gt_path.write_text("".join(f"1,1,10,10,20,40,{flag},1,1\n" for flag in flags))
+        hyp_path = tmp_path / "hyp.txt"
+        hyp_path.write_text("1,1,10,10,20,40,1,-1,-1,-1\n")
+        assert main(["eval", str(gt_path), str(hyp_path)]) == code
+        assert "duplicate" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("thresh", ["nan", "-1", "0", "2", "inf"])
     def test_threshold_outside_unit_interval_exits_2(self, tmp_path, capsys, thresh):

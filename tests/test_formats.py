@@ -127,10 +127,11 @@ class TestOverflowingEdges:
             parse(text)
 
     def test_large_finite_edges_accepted(self):
-        assert parse_mot("1,1,1e308,10,7e307,20,1,1,1")[0].box.right == 1.7e308
-        assert parse_track_file("1,1,-1.7e308,10,1.7e308,20,1,-1,-1,-1")[0].box.right == 0.0
+        # edges near the float limit, on boxes whose areas stay finite
+        assert parse_mot("1,1,1e308,10,7e307,1,1,1,1")[0].box.right == 1.7e308
+        assert parse_track_file("1,1,-1.7e308,10,1.7e308,1,1,-1,-1,-1")[0].box.right == 0.0
         assert parse_predictions("variant: wh\n1,1.7e308,10,1e307,4,0.9,1,0,0,0,0,0.5").by_frame[1]
-        huge_ltrb = "variant: ltrb\n1,10,10,4,4,0.9,1,0,0,-1.7e308,-1.7e308,1.7e308,1.7e308,0.5"
+        huge_ltrb = "variant: ltrb\n1,10,10,4,4,0.9,1,0,0,-1.7e308,0,0,1,0.5"
         assert parse_predictions(huge_ltrb).by_frame[1]
 
     @settings(max_examples=400, deadline=None)
@@ -142,13 +143,36 @@ class TestOverflowingEdges:
     def test_rejects_exactly_the_rows_whose_boxes_overflow(self, variant, cx, cy, w, h, dx, dy, ts):
         size = TrackedSizeWH(*ts[:2]) if variant == "wh" else TrackedSizeLTRB(*ts)
         det = _det(cx=cx, cy=cy, w=w, h=h, dx=dx, dy=dy, ts=size)
-        edges = ltrb(det.box()) + ltrb(tracked_box(det, variant))
+        boxes = (det.box(), tracked_box(det, variant))
+        derived = [v for box in boxes for v in ltrb(box)] + [box.area for box in boxes]
         text = write_predictions(variant, [(1, [det])])
-        if all(map(math.isfinite, edges)):
+        if all(map(math.isfinite, derived)):
             assert parse_predictions(text).by_frame[1][0] == det
         else:
-            with pytest.raises(ParseError, match="line 2: .*edge overflows"):
+            with pytest.raises(ParseError, match="line 2: .*(edge|area) overflows"):
                 parse_predictions(text)
+
+
+class TestOverflowingAreas:
+    """Finite edges whose box area overflows to infinity are rejected with the line."""
+
+    @pytest.mark.parametrize(
+        "parse, text, line",
+        [
+            (parse_mot, "1,1,10,20,4,2,1,1,1\n1,2,0,0,1e200,1e200,1,1,1", 2),
+            (parse_mot, "1,1,-1e308,0,1.5e308,2,1,1,1", 1),
+            (parse_track_file, "1,1,0,0,1e200,1e200,1,-1,-1,-1", 1),
+            (parse_predictions, "variant: wh\n1,0,0,1e200,1e200,0.9,1,0,0,0,0,0.5", 2),
+            # the wh tracked box: the detection box is small, the recovered previous size is not
+            (parse_predictions, f"variant: wh\n{GOOD_WH_ROW}\n1,0,0,4,4,0.9,1,0,0,-1e200,-1e200,0.5", 3),
+            # ltrb tracked edges are finite, but the width between them is not
+            (parse_predictions, "variant: ltrb\n1,0,0,4,4,0.9,1,0,0,-1e308,0,1e308,1,0.5", 2),
+            (parse_predictions, "variant: ltrb\n1,0,0,4,4,0.9,1,0,0,0,0,1e200,1e200,0.5", 2),
+        ],
+    )
+    def test_rejected_with_line(self, parse, text, line):
+        with pytest.raises(ParseError, match=f"line {line}: .*area overflows"):
+            parse(text)
 
 
 class TestWriteMot:
