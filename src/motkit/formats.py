@@ -9,16 +9,20 @@ Three row formats live here:
 
 All parsers are pure functions over line iterables; all writers return the
 full text. Decimal points only, UTF-8, ``\\n`` endings with optional ``\\r``.
-Parsed predictions come back as :class:`DetectionFrame` columns, one frame
-at a time, which is what association and the tracker read.
+
+Each format is a table of fields with their range and derived-box checks.
+One column path converts and screens a whole file by that table, as
+py-motmetrics' ``motmetrics.io.loadtxt`` reads MOT files column-wise; one
+error finder names a refused file's first bad row. Parsed predictions come back
+as :class:`DetectionFrame` columns, which association and the tracker read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from itertools import compress, count, repeat
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,8 +34,6 @@ from .geometry import (
     TrackedSizeLTRB,
     TrackedSizeWH,
     box_from_center_size,
-    tracked_box_ltrb,
-    tracked_box_wh,
 )
 
 VARIANT_WH = "wh"
@@ -125,9 +127,10 @@ class _DetectionTable:
             self.box = np.concatenate((center - half, center + half), axis=1)
             self.back = center - disp
             self.gate = np.sqrt(size[:, 0] * size[:, 1])
+            self.prev_size = None  # the wh tracked box's size, max(0.0, w - dw)
             if variant == VARIANT_WH:
-                prev = size - ts
-                half = np.where(prev > 0.0, prev, 0.0) / 2.0  # max(0.0, w - dw)
+                self.prev_size = np.where(size - ts > 0.0, size - ts, 0.0)
+                half = self.prev_size / 2.0
                 self.tracked = np.concatenate((self.back - half, self.back + half), axis=1)
             elif variant == VARIANT_LTRB:
                 # sorted((a, b)) swaps only where b < a; a mask keeps signed zeros in place
@@ -269,10 +272,8 @@ class Predictions:
         return [(f, self.by_frame.get(f, [])) for f in range(first, last + 1)]
 
 
-def _lines(source: Union[str, Iterable[str]]) -> Iterable[str]:
-    if isinstance(source, str):
-        return source.splitlines()
-    return source
+def _lines(source: Union[str, Iterable[str]]) -> list[str]:
+    return source.splitlines() if isinstance(source, str) else list(source)
 
 
 def _fmt(x: float) -> str:
@@ -309,47 +310,184 @@ def _int(field_text: str, line_no: int, name: str) -> int:
     return int(value)
 
 
-def _mot_rows(
-    source: Union[str, Iterable[str]], n_fields: int
-) -> Iterator[tuple[int, list[str], int, int, BoxLTRB, float]]:
-    """``(line_no, fields, frame, id, box, conf)`` for each non-blank MOT row.
+# -- the formats as data: the steps a row is checked in, fields left to right with the checks
+# and derived columns after them
 
-    The first seven columns are shared by ground truth and tracker output;
-    callers read any further columns from ``fields``.
+
+@dataclass(frozen=True)
+class _Field:
+    """The next comma-separated column: its name in messages and its kind (None: never read)."""
+
+    name: str
+    kind: Optional[type] = None
+    key: str = ""  # the name its values go under, if not ``name``
+
+
+@dataclass(frozen=True)
+class _Check:
+    """A test over the values so far; a row that fails raises ``message`` formatted with them."""
+
+    message: str
+    ok: Callable[[dict], np.ndarray]
+
+
+@dataclass(frozen=True)
+class _Format:
+    count_message: str  # formatted with a row's field count
+    steps: tuple  # _Field, _Check, or a function of the values so far giving derived columns
+
+    @property
+    def n_fields(self) -> int:
+        return sum(isinstance(s, _Field) for s in self.steps)
+
+
+def _in_unit(key: str) -> Callable[[dict], np.ndarray]:
+    return lambda v: (v[key] >= 0.0) & (v[key] <= 1.0)
+
+
+def _edges_ok(key: str) -> Callable[[dict], np.ndarray]:
+    return lambda v: np.isfinite(v[key]).all(axis=1)
+
+
+def _area_ok(key: str) -> Callable[[dict], np.ndarray]:
+    # Finite edges can still span an infinite area (BoxLTRB.area), whose IOU is NaN.
+    return lambda v: np.isfinite((v[key][:, 2] - v[key][:, 0]) * (v[key][:, 3] - v[key][:, 1]))
+
+
+_MOT = (
+    _Field("frame", int),
+    _Field("id", int),
+    _Check("frame and id must be positive", lambda v: (v["frame"] >= 1) & (v["id"] >= 1)),
+    *(_Field(name, float) for name in ("bb_left", "bb_top", "bb_width", "bb_height")),
+    _Check("negative box size: {bb_width}x{bb_height}", lambda v: (v["bb_width"] >= 0) & (v["bb_height"] >= 0)),
+    _Field("conf", float),
+    lambda v: {"box": np.column_stack((left := v["bb_left"], top := v["bb_top"], left + v["bb_width"],
+                                       top + v["bb_height"]))},
+    _Check("box edge overflows: ({box[0]}, {box[1]}, {box[2]}, {box[3]})", _edges_ok("box")),
+    _Check("box area overflows: ({box[0]}, {box[1]}, {box[2]}, {box[3]})", _area_ok("box")),
+)
+_GT = _Format("expected 9 fields, got {}", (*_MOT, _Field("class", int), _Field("visibility", float)))
+_TRACK = _Format("expected 10 fields, got {}", (*_MOT, _Field("x"), _Field("y"), _Field("z")))
+
+
+def _prediction_table(variant: str, v: dict) -> dict:
+    center, size, disp, ts = (
+        np.column_stack([v[k] for k in keys])
+        for keys in (("cx", "cy"), ("w", "h"), ("dx", "dy"), [k for k in v if k.startswith("ts")])
+    )
+    table = _DetectionTable(variant, v["frame"], v["class"], center, size, v["conf"], disp, ts, v["iou_pred"])
+    return {**vars(table), "table": table}  # its columns, derived ones too
+
+
+def _prediction_format(variant: str) -> _Format:
+    n_ts = 2 if variant == VARIANT_WH else 4
+    return _Format(
+        f"expected {10 + n_ts} fields for variant {variant}, got {{}}",
+        (
+            _Field("frame", int),
+            _Check("frame must be positive", lambda v: v["frame"] >= 1),
+            *(_Field(name, float) for name in ("cx", "cy", "w", "h", "conf")),
+            _Field("class", int),
+            _Field("dx", float),
+            _Field("dy", float),
+            *(_Field("tracked_size", float, f"ts{k}") for k in range(n_ts)),
+            _Field("iou_pred", float),
+            _Check("iou_pred outside [0, 1]: {iou_pred}", _in_unit("iou_pred")),
+            # Detection's own checks, in the order constructing one makes them
+            _Check("negative size: ({w}, {h})", lambda v: (v["w"] >= 0) & (v["h"] >= 0)),
+            _Check("confidence outside [0, 1]: {conf}", _in_unit("conf")),
+            lambda v: _prediction_table(variant, v),
+            _Check("box edge overflows: center ({cx}, {cy}), size ({w}, {h})", _edges_ok("box")),
+            # ltrb tracked edges are parsed values, finite already
+            *[_Check("tracked box edge overflows: center ({back[0]}, {back[1]}), "
+                     "size ({prev_size[0]}, {prev_size[1]})", _edges_ok("tracked"))] * (n_ts == 2),
+            _Check("box area overflows: ({box[0]}, {box[1]}, {box[2]}, {box[3]})", _area_ok("box")),
+            _Check("tracked box area overflows: ({tracked[0]}, {tracked[1]}, {tracked[2]}, {tracked[3]})",
+                   _area_ok("tracked")),
+        ),
+    )
+
+
+_PREDICTIONS = {variant: _prediction_format(variant) for variant in VARIANTS}
+
+
+def _read(field: _Field, texts: list[str], fast: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A column's values and the mask of the rows whose text the field's rule refuses.
+
+    With no ``_`` in the file, ``int`` or ``float`` agrees with ``_int`` or ``_float``
+    where it succeeds, but on non-finite floats; else (say ``3.0`` as an int) the rule runs.
     """
-    for line_no, raw in enumerate(_lines(source), start=1):
-        row = raw.strip()
-        if not row:
-            continue
-        parts = row.split(",")
-        if len(parts) != n_fields:
-            raise ParseError(line_no, f"expected {n_fields} fields, got {len(parts)}")
-        frame = _int(parts[0], line_no, "frame")
-        track_id = _int(parts[1], line_no, "id")
-        if frame < 1 or track_id < 1:
-            raise ParseError(line_no, "frame and id must be positive")
-        left = _float(parts[2], line_no, "bb_left")
-        top = _float(parts[3], line_no, "bb_top")
-        w = _float(parts[4], line_no, "bb_width")
-        h = _float(parts[5], line_no, "bb_height")
-        if w < 0 or h < 0:
-            raise ParseError(line_no, f"negative box size: {w}x{h}")
-        conf = _float(parts[6], line_no, "conf")
-        # Finite fields can still sum to an infinite edge, which no later layer handles.
-        right, bottom = left + w, top + h
-        if math.isinf(right) or math.isinf(bottom):
-            raise ParseError(line_no, f"box edge overflows: ({left}, {top}, {right}, {bottom})")
-        # Finite edges can still span an infinite area (BoxLTRB.area), whose IOU is NaN.
-        if not math.isfinite((right - left) * (bottom - top)):
-            raise ParseError(line_no, f"box area overflows: ({left}, {top}, {right}, {bottom})")
-        yield line_no, parts, frame, track_id, BoxLTRB(left, top, right, bottom), conf
+    values, refused = None, np.zeros(len(texts), dtype=bool)
+    if fast:
+        try:
+            values = list(map(field.kind, texts))
+        except ValueError:
+            pass
+    if values is None:
+        values = []
+        for k, text in enumerate(texts):
+            try:
+                values.append((_int if field.kind is int else _float)(text, 0, field.name))
+            except ParseError:
+                values.append(0)
+                refused[k] = True
+    if field.kind is float:
+        column = np.array(values, dtype=float)
+        return column, refused | ~np.isfinite(column)
+    try:
+        return np.array(values, dtype=np.int64), refused
+    except OverflowError:  # frames and ids of 2**63 and above stay Python ints
+        return np.array(values, dtype=object), refused
 
 
-def _check_area(box: BoxLTRB, line_no: int, name: str) -> None:
-    if not math.isfinite(box.area):
-        raise ParseError(
-            line_no, f"{name} area overflows: ({box.left}, {box.top}, {box.right}, {box.bottom})"
-        )
+def _screen(fmt: _Format, texts: list[list[str]], fast: bool) -> tuple[dict, list[tuple]]:
+    """The values by key, and ``(step, its texts or None, rows it refuses)`` per read or check."""
+    values: dict = {}
+    refusals = []
+    columns = iter(texts)
+    # Refused rows keep placeholder values, and derived boxes may overflow: both are screened.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in fmt.steps:
+            if isinstance(step, _Field):
+                column = next(columns)
+                if step.kind is not None:
+                    values[step.key or step.name], refused = _read(step, column, fast)
+                    refusals.append((step, column, refused))
+            elif isinstance(step, _Check):
+                refusals.append((step, None, ~np.asarray(step.ok(values), dtype=bool)))
+            else:
+                values.update(step(values))
+    return values, refusals
+
+
+def _parse(fmt: _Format, lines: list[str], first_line: int) -> dict:
+    """The values of the non-blank lines by key, screened column by column up to the first
+    row with a wrong field count; :func:`_first_error` raises the first bad row's error."""
+    rows = [r for r in map(str.strip, lines) if r]
+    n = fmt.n_fields
+    miscounted = compress(count(), map((n - 1).__ne__, map(str.count, rows, repeat(","))))
+    whole = next(miscounted, len(rows))
+    text = ",".join(rows[:whole])
+    fields = text.split(",") if whole else []
+    values, refusals = _screen(fmt, [fields[j::n] for j in range(n)], "_" not in text)
+    bad = np.logical_or.reduce([refused for _, _, refused in refusals])
+    if bad.any() or whole < len(rows):
+        _first_error(fmt, lines, first_line, int(bad.argmax()) if bad.any() else whole, values, refusals)
+    return values
+
+
+def _first_error(fmt: _Format, lines: list[str], first_line: int, index: int, values: dict, refusals: list):
+    """Raise the ``index``-th non-blank line's error: its field count, else its first refusing step."""
+    numbered = ((n, raw.strip()) for n, raw in enumerate(lines, first_line))
+    line_no, row = [(n, row) for n, row in numbered if row][index]
+    parts = row.split(",")
+    if len(parts) != fmt.n_fields:
+        raise ParseError(line_no, fmt.count_message.format(len(parts)))
+    step, texts, _ = next(r for r in refusals if r[2][index])
+    if texts is not None:  # a field: its rule names the fault
+        (_int if step.kind is int else _float)(texts[index], line_no, step.name)
+    shown = {k: v[index : index + 1].tolist()[0] for k, v in values.items() if isinstance(v, np.ndarray)}
+    raise ParseError(line_no, step.message.format_map(shown))
 
 
 def parse_mot(source: Union[str, Iterable[str]]) -> list[GtEntry]:
@@ -361,70 +499,42 @@ def parse_mot(source: Union[str, Iterable[str]]) -> list[GtEntry]:
     bottom edge or whose area overflows to infinity. The conf column is read as the
     MOT consider flag (0 means ignore for evaluation).
     """
+    v = _parse(_GT, _lines(source), 1)
     return [
-        GtEntry(
-            frame=frame,
-            track_id=track_id,
-            box=box,
-            class_id=_int(parts[7], line_no, "class"),
-            visibility=_float(parts[8], line_no, "visibility"),
-            consider=conf != 0,
+        GtEntry(frame, track_id, BoxLTRB(*edges), class_id, visibility, conf != 0)
+        for frame, track_id, edges, class_id, visibility, conf in zip(
+            *(v[c].tolist() for c in ("frame", "id", "box", "class", "visibility", "conf"))
         )
-        for line_no, parts, frame, track_id, box, conf in _mot_rows(source, 9)
     ]
-
-
-def write_gt(entries: Iterable[GtEntry]) -> str:
-    """Ground-truth rows, sorted by (frame, id)."""
-    rows = []
-    for e in sorted(entries, key=lambda e: (e.frame, e.track_id)):
-        rows.append(
-            ",".join(
-                (
-                    str(e.frame),
-                    str(e.track_id),
-                    _fmt(e.box.left),
-                    _fmt(e.box.top),
-                    _fmt(e.box.width),
-                    _fmt(e.box.height),
-                    "1" if e.consider else "0",
-                    str(e.class_id),
-                    _fmt(e.visibility),
-                )
-            )
-        )
-    return "".join(r + "\n" for r in rows)
-
-
-def write_mot(records: Iterable[TrackRecord]) -> str:
-    """Tracker output rows, sorted by (frame, id)."""
-    rows = []
-    for r in sorted(records, key=lambda r: (r.frame, r.track_id)):
-        rows.append(
-            ",".join(
-                (
-                    str(r.frame),
-                    str(r.track_id),
-                    _fmt(r.box.left),
-                    _fmt(r.box.top),
-                    _fmt(r.box.width),
-                    _fmt(r.box.height),
-                    _fmt(r.confidence),
-                    "-1",
-                    "-1",
-                    "-1",
-                )
-            )
-        )
-    return "".join(r + "\n" for r in rows)
 
 
 def parse_track_file(source: Union[str, Iterable[str]]) -> list[TrackRecord]:
     """Parse tracker output rows (the :func:`write_mot` format) back into records."""
+    v = _parse(_TRACK, _lines(source), 1)
     return [
-        TrackRecord(frame, track_id, box, conf)
-        for _, _, frame, track_id, box, conf in _mot_rows(source, 10)
+        TrackRecord(frame, track_id, BoxLTRB(*edges), conf)
+        for frame, track_id, edges, conf in zip(*(v[c].tolist() for c in ("frame", "id", "box", "conf")))
     ]
+
+
+def _mot_row(frame: int, track_id: int, box: BoxLTRB, rest: str) -> str:
+    return f"{frame},{track_id},{_fmt(box.left)},{_fmt(box.top)},{_fmt(box.width)},{_fmt(box.height)},{rest}\n"
+
+
+def write_gt(entries: Iterable[GtEntry]) -> str:
+    """Ground-truth rows, sorted by (frame, id)."""
+    return "".join(
+        _mot_row(e.frame, e.track_id, e.box, f"{1 if e.consider else 0},{e.class_id},{_fmt(e.visibility)}")
+        for e in sorted(entries, key=lambda e: (e.frame, e.track_id))
+    )
+
+
+def write_mot(records: Iterable[TrackRecord]) -> str:
+    """Tracker output rows, sorted by (frame, id)."""
+    return "".join(
+        _mot_row(r.frame, r.track_id, r.box, f"{_fmt(r.confidence)},-1,-1,-1")
+        for r in sorted(records, key=lambda r: (r.frame, r.track_id))
+    )
 
 
 def _ts_fields(det: Detection) -> tuple[float, ...]:
@@ -443,13 +553,9 @@ def write_predictions(variant: str, frames: Iterable[tuple[int, list[Detection]]
         for d in dets:
             if d.variant != variant:
                 raise ValueError(f"detection variant {d.variant} does not match file variant {variant}")
-            fields = (
-                [str(frame_no), _fmt(d.center.x), _fmt(d.center.y), _fmt(d.size.w), _fmt(d.size.h),
-                 _fmt(d.confidence), str(d.class_id), _fmt(d.disp.dx), _fmt(d.disp.dy)]
-                + [_fmt(v) for v in _ts_fields(d)]
-                + [_fmt(d.iou_pred)]
-            )
-            out.append(",".join(fields) + "\n")
+            head = map(_fmt, (d.center.x, d.center.y, d.size.w, d.size.h, d.confidence))
+            rest = map(_fmt, (d.disp.dx, d.disp.dy, *_ts_fields(d), d.iou_pred))
+            out.append(f"{frame_no},{','.join(head)},{d.class_id},{','.join(rest)}\n")
     return "".join(out)
 
 
@@ -460,12 +566,8 @@ def parse_predictions(source: Union[str, Iterable[str]]) -> Predictions:
     whose detection box or ``wh`` tracked box has an edge that overflows to
     infinity (``ltrb`` tracked edges are the parsed values themselves), or
     whose detection or tracked box has an area that does.
-
-    The whole file is converted column by column and screened. Only a file
-    that fails the screen takes the row-by-row parse, which names the first
-    bad line, or frames the rows it accepts.
     """
-    lines = list(_lines(source))
+    lines = _lines(source)
     if not lines:
         raise ParseError(1, "missing 'variant:' header line")
     header = lines[0].strip()
@@ -474,127 +576,16 @@ def parse_predictions(source: Union[str, Iterable[str]]) -> Predictions:
     variant = header.split(":", 1)[1].strip()
     if variant not in VARIANTS:
         raise ParseError(1, f"unknown variant {variant!r}")
-    by_frame = _prediction_columns([r for r in map(str.strip, lines[1:]) if r], variant)
-    if by_frame is None:
-        rows = _prediction_rows(lines[1:], variant)
-        by_frame = {f: DetectionFrame.of(dets) for f, dets in rows.items()}
+    table = _parse(_PREDICTIONS[variant], lines[1:], 2)["table"]
+    # Frames are slices of the table; rows of a file out of frame order are listed instead.
+    ordered = not (table.frame[1:] < table.frame[:-1]).any()
+    order = np.argsort(table.frame, kind="stable")
+    frame = table.frame[order]
+    bounds = [0, *(np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist(), len(frame)]
+    numbers = frame.tolist()
+    by_frame = {
+        numbers[a]: DetectionFrame(table, slice(a, b) if ordered else order[a:b].tolist())
+        for a, b in zip(bounds, bounds[1:])
+        if a < b
+    }
     return Predictions(variant=variant, by_frame=by_frame)
-
-
-def _prediction_columns(rows: list[str], variant: str) -> Optional[dict[int, DetectionFrame]]:
-    """The stripped, non-blank rows as frames of one table, or None if a row fails the screen.
-
-    The screen passes only files whose every row :func:`_prediction_rows` would
-    accept with the same values: the same field count, no ``_``, integer and
-    float fields that Python's ``int`` and ``float`` convert, and the same
-    range, finiteness and overflow checks.
-    """
-    n_ts = 2 if variant == VARIANT_WH else 4
-    n_fields = 10 + n_ts
-    if not rows:
-        return {}
-    text = ",".join(rows)
-    if "_" in text or set(map(str.count, rows, repeat(","))) != {n_fields - 1}:
-        return None
-    fields = text.split(",")
-    float_fields = (1, 2, 3, 4, 5, *range(7, n_fields))  # all but frame and class
-    try:
-        frame = np.array(list(map(int, fields[0::n_fields])))
-        cls = np.array(list(map(int, fields[6::n_fields])))
-        floats = np.array([list(map(float, fields[f::n_fields])) for f in float_fields])
-    except ValueError:
-        return None
-    if frame.dtype.kind != "i" or frame.min() < 1 or not np.isfinite(floats).all():
-        return None
-    if (frame[1:] < frame[:-1]).any():
-        order = np.argsort(frame, kind="stable")
-        frame, cls, floats = frame[order], cls[order], floats[:, order]
-    columns = floats.T
-    size, conf, iou_pred = columns[:, 2:4], columns[:, 4], columns[:, -1]
-    if not ((size >= 0.0).all() and _in_unit(conf) and _in_unit(iou_pred)):
-        return None
-    table = _DetectionTable(
-        variant, frame, cls, columns[:, 0:2], size, conf, columns[:, 5:7], columns[:, 7:-1], iou_pred
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        for box in (table.box, table.tracked):
-            area = (box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1])
-            if not (np.isfinite(box).all() and np.isfinite(area).all()):
-                return None
-    bounds = [0, *(np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist(), len(rows)]
-    numbers = frame[bounds[:-1]].tolist()
-    return {f: DetectionFrame(table, slice(a, b)) for f, a, b in zip(numbers, bounds, bounds[1:])}
-
-
-def _in_unit(values: np.ndarray) -> bool:
-    return bool(((values >= 0.0) & (values <= 1.0)).all())
-
-
-def _prediction_rows(lines: Iterable[str], variant: str) -> dict[int, list[Detection]]:
-    """Detections by frame, frames ascending, parsed row by row from the lines after the header.
-
-    The first malformed row raises :class:`ParseError` with its line number.
-    """
-    n_ts = 2 if variant == VARIANT_WH else 4
-    n_fields = 10 + n_ts
-    by_frame: dict[int, list[Detection]] = {}
-    for line_no, raw in enumerate(lines, start=2):
-        row = raw.strip()
-        if not row:
-            continue
-        parts = row.split(",")
-        if len(parts) != n_fields:
-            raise ParseError(
-                line_no, f"expected {n_fields} fields for variant {variant}, got {len(parts)}"
-            )
-        frame = _int(parts[0], line_no, "frame")
-        if frame < 1:
-            raise ParseError(line_no, "frame must be positive")
-        cx = _float(parts[1], line_no, "cx")
-        cy = _float(parts[2], line_no, "cy")
-        w = _float(parts[3], line_no, "w")
-        h = _float(parts[4], line_no, "h")
-        conf = _float(parts[5], line_no, "conf")
-        class_id = _int(parts[6], line_no, "class")
-        dx = _float(parts[7], line_no, "dx")
-        dy = _float(parts[8], line_no, "dy")
-        ts_vals = [_float(p, line_no, "tracked_size") for p in parts[9 : 9 + n_ts]]
-        iou_pred = _float(parts[9 + n_ts], line_no, "iou_pred")
-        if not 0.0 <= iou_pred <= 1.0:
-            raise ParseError(line_no, f"iou_pred outside [0, 1]: {iou_pred}")
-        ts: Union[TrackedSizeWH, TrackedSizeLTRB]
-        if variant == VARIANT_WH:
-            ts = TrackedSizeWH(ts_vals[0], ts_vals[1])
-        else:
-            ts = TrackedSizeLTRB(*ts_vals)
-        try:
-            det = Detection(
-                frame=frame,
-                center=Point2(cx, cy),
-                size=Size2(w, h),
-                confidence=conf,
-                class_id=class_id,
-                disp=Displacement(dx, dy),
-                tracked_size=ts,
-                iou_pred=iou_pred,
-            )
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-        # Detection.box and geometry.tracked_box_wh put edges at center -/+ size / 2. Those
-        # overflow exactly when the edge farther from zero, |center| + size / 2, does.
-        if math.isinf(abs(cx) + w / 2.0) or math.isinf(abs(cy) + h / 2.0):
-            raise ParseError(line_no, f"box edge overflows: center ({cx}, {cy}), size ({w}, {h})")
-        if variant == VARIANT_WH:
-            px, py = cx - dx, cy - dy
-            pw, ph = max(0.0, w - ts_vals[0]), max(0.0, h - ts_vals[1])
-            if math.isinf(abs(px) + pw / 2.0) or math.isinf(abs(py) + ph / 2.0):
-                raise ParseError(
-                    line_no, f"tracked box edge overflows: center ({px}, {py}), size ({pw}, {ph})"
-                )
-            tracked = tracked_box_wh(det.center, det.size, det.disp, ts)
-        else:
-            tracked = tracked_box_ltrb(ts)
-        _check_area(det.box(), line_no, "box")
-        _check_area(tracked, line_no, "tracked box")
-        by_frame.setdefault(frame, []).append(det)
-    return dict(sorted(by_frame.items()))

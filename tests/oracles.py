@@ -9,6 +9,9 @@ types one object at a time from its scalar API (``AgentSpec.box``,
 matrix referees likewise read ``Detection`` objects one at a time through
 ``association.tracked_box``, ``geometry.iou`` and ``geometry.size_gate``,
 the form the column-reading ``iou_cost`` and ``displacement_cost`` must equal.
+The file referees parse one row at a time with ``formats._int`` and
+``formats._float``, checking each row's fields in order: the column parsers
+must give the same entries, or the same first ``ParseError``.
 """
 
 from __future__ import annotations
@@ -16,12 +19,24 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
 from motkit.association import FILTER_RATIONALE, INADMISSIBLE, tracked_box
-from motkit.formats import VARIANT_WH, Detection, GtEntry
-from motkit.geometry import Displacement, TrackedSizeLTRB, TrackedSizeWH, iou, size_gate
+from motkit.formats import VARIANT_WH, Detection, GtEntry, ParseError, TrackRecord, _float, _int, _lines
+from motkit.geometry import (
+    BoxLTRB,
+    Displacement,
+    Point2,
+    Size2,
+    TrackedSizeLTRB,
+    TrackedSizeWH,
+    iou,
+    size_gate,
+    tracked_box_ltrb,
+    tracked_box_wh,
+)
 
 
 def raster_iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> tuple[int, int, float]:
@@ -264,3 +279,146 @@ def displacement_cost_loop(dets, tracks):
             if dist <= gate:
                 cost[i, j] = dist
     return cost
+
+
+def mot_rows(
+    source: Union[str, Iterable[str]], n_fields: int
+) -> Iterator[tuple[int, list[str], int, int, BoxLTRB, float]]:
+    """``(line_no, fields, frame, id, box, conf)`` for each non-blank MOT row.
+
+    The first seven columns are shared by ground truth and tracker output;
+    callers read any further columns from ``fields``.
+    """
+    for line_no, raw in enumerate(_lines(source), start=1):
+        row = raw.strip()
+        if not row:
+            continue
+        parts = row.split(",")
+        if len(parts) != n_fields:
+            raise ParseError(line_no, f"expected {n_fields} fields, got {len(parts)}")
+        frame = _int(parts[0], line_no, "frame")
+        track_id = _int(parts[1], line_no, "id")
+        if frame < 1 or track_id < 1:
+            raise ParseError(line_no, "frame and id must be positive")
+        left = _float(parts[2], line_no, "bb_left")
+        top = _float(parts[3], line_no, "bb_top")
+        w = _float(parts[4], line_no, "bb_width")
+        h = _float(parts[5], line_no, "bb_height")
+        if w < 0 or h < 0:
+            raise ParseError(line_no, f"negative box size: {w}x{h}")
+        conf = _float(parts[6], line_no, "conf")
+        # Finite fields can still sum to an infinite edge, which no later layer handles.
+        right, bottom = left + w, top + h
+        if math.isinf(right) or math.isinf(bottom):
+            raise ParseError(line_no, f"box edge overflows: ({left}, {top}, {right}, {bottom})")
+        # Finite edges can still span an infinite area (BoxLTRB.area), whose IOU is NaN.
+        if not math.isfinite((right - left) * (bottom - top)):
+            raise ParseError(line_no, f"box area overflows: ({left}, {top}, {right}, {bottom})")
+        yield line_no, parts, frame, track_id, BoxLTRB(left, top, right, bottom), conf
+
+
+def check_area(box: BoxLTRB, line_no: int, name: str) -> None:
+    if not math.isfinite(box.area):
+        raise ParseError(
+            line_no, f"{name} area overflows: ({box.left}, {box.top}, {box.right}, {box.bottom})"
+        )
+
+
+def parse_mot_rows(source: Union[str, Iterable[str]]) -> list[GtEntry]:
+    """Parse ground-truth rows into entries, in file order.
+
+    ``bb_left``/``bb_top`` are the top-left corner; width and height convert
+    to edge coordinates. Negative sizes and malformed rows raise
+    :class:`ParseError` with the line number, as do boxes whose right or
+    bottom edge or whose area overflows to infinity. The conf column is read as the
+    MOT consider flag (0 means ignore for evaluation).
+    """
+    return [
+        GtEntry(
+            frame=frame,
+            track_id=track_id,
+            box=box,
+            class_id=_int(parts[7], line_no, "class"),
+            visibility=_float(parts[8], line_no, "visibility"),
+            consider=conf != 0,
+        )
+        for line_no, parts, frame, track_id, box, conf in mot_rows(source, 9)
+    ]
+
+
+def parse_track_file_rows(source: Union[str, Iterable[str]]) -> list[TrackRecord]:
+    """Parse tracker output rows (the :func:`write_mot` format) back into records."""
+    return [
+        TrackRecord(frame, track_id, box, conf)
+        for _, _, frame, track_id, box, conf in mot_rows(source, 10)
+    ]
+
+
+def prediction_rows(lines: Iterable[str], variant: str) -> dict[int, list[Detection]]:
+    """Detections by frame, frames ascending, parsed row by row from the lines after the header.
+
+    The first malformed row raises :class:`ParseError` with its line number.
+    """
+    n_ts = 2 if variant == VARIANT_WH else 4
+    n_fields = 10 + n_ts
+    by_frame: dict[int, list[Detection]] = {}
+    for line_no, raw in enumerate(lines, start=2):
+        row = raw.strip()
+        if not row:
+            continue
+        parts = row.split(",")
+        if len(parts) != n_fields:
+            raise ParseError(
+                line_no, f"expected {n_fields} fields for variant {variant}, got {len(parts)}"
+            )
+        frame = _int(parts[0], line_no, "frame")
+        if frame < 1:
+            raise ParseError(line_no, "frame must be positive")
+        cx = _float(parts[1], line_no, "cx")
+        cy = _float(parts[2], line_no, "cy")
+        w = _float(parts[3], line_no, "w")
+        h = _float(parts[4], line_no, "h")
+        conf = _float(parts[5], line_no, "conf")
+        class_id = _int(parts[6], line_no, "class")
+        dx = _float(parts[7], line_no, "dx")
+        dy = _float(parts[8], line_no, "dy")
+        ts_vals = [_float(p, line_no, "tracked_size") for p in parts[9 : 9 + n_ts]]
+        iou_pred = _float(parts[9 + n_ts], line_no, "iou_pred")
+        if not 0.0 <= iou_pred <= 1.0:
+            raise ParseError(line_no, f"iou_pred outside [0, 1]: {iou_pred}")
+        ts: Union[TrackedSizeWH, TrackedSizeLTRB]
+        if variant == VARIANT_WH:
+            ts = TrackedSizeWH(ts_vals[0], ts_vals[1])
+        else:
+            ts = TrackedSizeLTRB(*ts_vals)
+        try:
+            det = Detection(
+                frame=frame,
+                center=Point2(cx, cy),
+                size=Size2(w, h),
+                confidence=conf,
+                class_id=class_id,
+                disp=Displacement(dx, dy),
+                tracked_size=ts,
+                iou_pred=iou_pred,
+            )
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        # Detection.box and geometry.tracked_box_wh put edges at center -/+ size / 2. Those
+        # overflow exactly when the edge farther from zero, |center| + size / 2, does.
+        if math.isinf(abs(cx) + w / 2.0) or math.isinf(abs(cy) + h / 2.0):
+            raise ParseError(line_no, f"box edge overflows: center ({cx}, {cy}), size ({w}, {h})")
+        if variant == VARIANT_WH:
+            px, py = cx - dx, cy - dy
+            pw, ph = max(0.0, w - ts_vals[0]), max(0.0, h - ts_vals[1])
+            if math.isinf(abs(px) + pw / 2.0) or math.isinf(abs(py) + ph / 2.0):
+                raise ParseError(
+                    line_no, f"tracked box edge overflows: center ({px}, {py}), size ({pw}, {ph})"
+                )
+            tracked = tracked_box_wh(det.center, det.size, det.disp, ts)
+        else:
+            tracked = tracked_box_ltrb(ts)
+        check_area(det.box(), line_no, "box")
+        check_area(tracked, line_no, "tracked box")
+        by_frame.setdefault(frame, []).append(det)
+    return dict(sorted(by_frame.items()))

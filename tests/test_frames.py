@@ -3,7 +3,7 @@
 ``parse_predictions`` converts a whole file column by column and hands out
 one ``DetectionFrame`` per frame; association and the tracker read those
 columns. These tests hold that path to the per-object forms it replaced:
-the row parser (``formats._prediction_rows``), the scalar geometry functions
+the row parser (``oracles.prediction_rows``), the scalar geometry functions
 and the object-by-object cost loops in ``oracles``.
 """
 
@@ -20,7 +20,7 @@ from motkit.formats import DetectionFrame, ParseError, parse_predictions, write_
 from motkit.geometry import ltrb, size_gate
 from motkit.simulator import MODERATE_NOISE, AgentSpec, ScenarioConfig, generate, perturb, random_scenario
 from motkit.tracker import TrackerConfig, run_sequence
-from oracles import displacement_cost_loop, iou_cost_loop
+from oracles import displacement_cost_loop, iou_cost_loop, prediction_rows
 from test_association import cutover, mixed_case  # noqa: F401 (cutover is a fixture)
 
 N_TS = {"wh": 2, "ltrb": 4}
@@ -31,7 +31,7 @@ def bits(values) -> bytes:
 
 
 def row_parse(text: str, variant: str):
-    return formats._prediction_rows(text.splitlines()[1:], variant)
+    return prediction_rows(text.splitlines()[1:], variant)
 
 
 # -- (a) every column equals its scalar function ---------------------------------------------
@@ -70,8 +70,8 @@ class TestColumnsEqualScalarFunctions:
                 parse_predictions(text)
             assert str(got.value) == str(exc)
             return
-        # a file the row parser accepts never needs it: the columns take it whole
-        with mock.patch.object(formats, "_prediction_rows", side_effect=AssertionError):
+        # a file the row parser accepts never reaches the error finder: the columns take it whole
+        with mock.patch.object(formats, "_first_error", side_effect=AssertionError):
             preds = parse_predictions(text)
         assert list(preds.by_frame) == list(want)
         for f, frame in preds.by_frame.items():
