@@ -20,6 +20,7 @@ as :class:`DetectionFrame` columns, which association and the tracker read.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -349,9 +350,13 @@ def _edges_ok(key: str) -> Callable[[dict], np.ndarray]:
     return lambda v: np.isfinite(v[key]).all(axis=1)
 
 
+# The largest box area (BoxLTRB.area) kept: finite edges can span an infinite area, whose IOU is
+# NaN, and two finite areas above it can sum to an infinite union, whose IOU is 0.
+_MAX_AREA = sys.float_info.max / 2
+
+
 def _area_ok(key: str) -> Callable[[dict], np.ndarray]:
-    # Finite edges can still span an infinite area (BoxLTRB.area), whose IOU is NaN.
-    return lambda v: np.isfinite((v[key][:, 2] - v[key][:, 0]) * (v[key][:, 3] - v[key][:, 1]))
+    return lambda v: (v[key][:, 2] - v[key][:, 0]) * (v[key][:, 3] - v[key][:, 1]) <= _MAX_AREA
 
 
 _MOT = (
@@ -496,8 +501,9 @@ def parse_mot(source: Union[str, Iterable[str]]) -> list[GtEntry]:
     ``bb_left``/``bb_top`` are the top-left corner; width and height convert
     to edge coordinates. Negative sizes and malformed rows raise
     :class:`ParseError` with the line number, as do boxes whose right or
-    bottom edge or whose area overflows to infinity. The conf column is read as the
-    MOT consider flag (0 means ignore for evaluation).
+    bottom edge overflows to infinity or whose area exceeds half the float
+    limit. The conf column is read as the MOT consider flag (0 means ignore
+    for evaluation).
     """
     v = _parse(_GT, _lines(source), 1)
     return [
@@ -565,7 +571,7 @@ def parse_predictions(source: Union[str, Iterable[str]]) -> Predictions:
     Malformed rows raise :class:`ParseError` with the line number, as do rows
     whose detection box or ``wh`` tracked box has an edge that overflows to
     infinity (``ltrb`` tracked edges are the parsed values themselves), or
-    whose detection or tracked box has an area that does.
+    whose detection or tracked box has an area above half the float limit.
     """
     lines = _lines(source)
     if not lines:

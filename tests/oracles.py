@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import defaultdict
 from typing import Iterable, Iterator, Union
 
@@ -281,6 +282,10 @@ def displacement_cost_loop(dets, tracks):
     return cost
 
 
+#: The file referees refuse a box area above this, so that the union of two stays finite.
+MAX_AREA = sys.float_info.max / 2
+
+
 def mot_rows(
     source: Union[str, Iterable[str]], n_fields: int
 ) -> Iterator[tuple[int, list[str], int, int, BoxLTRB, float]]:
@@ -311,14 +316,15 @@ def mot_rows(
         right, bottom = left + w, top + h
         if math.isinf(right) or math.isinf(bottom):
             raise ParseError(line_no, f"box edge overflows: ({left}, {top}, {right}, {bottom})")
-        # Finite edges can still span an infinite area (BoxLTRB.area), whose IOU is NaN.
-        if not math.isfinite((right - left) * (bottom - top)):
+        # Finite edges can still span an infinite area (BoxLTRB.area), whose IOU is NaN, and
+        # two areas above MAX_AREA an infinite union.
+        if not (right - left) * (bottom - top) <= MAX_AREA:
             raise ParseError(line_no, f"box area overflows: ({left}, {top}, {right}, {bottom})")
         yield line_no, parts, frame, track_id, BoxLTRB(left, top, right, bottom), conf
 
 
 def check_area(box: BoxLTRB, line_no: int, name: str) -> None:
-    if not math.isfinite(box.area):
+    if not box.area <= MAX_AREA:
         raise ParseError(
             line_no, f"{name} area overflows: ({box.left}, {box.top}, {box.right}, {box.bottom})"
         )

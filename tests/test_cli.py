@@ -187,6 +187,14 @@ class TestTrack:
         assert "line 2" in err and "area overflows" in err
         assert not (tmp_path / "tracks.txt").exists()
 
+    def test_box_area_above_half_the_float_limit_exits_2_with_line(self, tmp_path, capsys):
+        # a finite area, but the union of two such boxes overflows
+        bad = tmp_path / "bad.csv"
+        bad.write_text("variant: wh\n1,10,10,4,4,0.9,1,2,0,0,0,0.7\n1,0,0,1.3e154,1.3e154,0.9,1,0,0,0,0,0.5\n")
+        assert main(["track", str(bad), "--out", str(tmp_path / "tracks.txt")]) == 2
+        assert "line 3: box area overflows: (-6.5e+153, -6.5e+153, 6.5e+153, 6.5e+153)" in capsys.readouterr().err
+        assert not (tmp_path / "tracks.txt").exists()
+
     def test_every_strategy_flag_accepted(self, tmp_path):
         sim = self._simulate(tmp_path)
         for strategy in ("dis", "iou", "combined", "iou-dis", "dis-iou"):
@@ -264,6 +272,28 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 2" in captured.err and "area overflows" in captured.err
+
+    @pytest.mark.parametrize("bad_file", ["gt", "hyp"])
+    def test_box_area_above_half_the_float_limit_exits_2_with_line(self, tmp_path, capsys, bad_file):
+        # two identical boxes whose areas are finite but sum to an infinite union, which
+        # scored IOU 0: one FP and one FN
+        rows = {"gt": "1,1,0,0,{0},{0},1,1,1\n", "hyp": "1,1,0,0,{0},{0},1,-1,-1,-1\n"}
+        paths = {}
+        for name, row in rows.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(row.format("1.3e154" if name == bad_file else "10"))
+        assert main(["eval", str(paths["gt"]), str(paths["hyp"]), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 1: box area overflows: (0.0, 0.0, 1.3e+154, 1.3e+154)" in captured.err
+
+    def test_identical_boxes_just_under_the_area_bound_match(self, tmp_path, capsys):
+        rows = {"gt": "1,1,0,0,9e153,9e153,1,1,1\n", "hyp": "1,1,0,0,9e153,9e153,1,-1,-1,-1\n"}
+        for name, row in rows.items():
+            (tmp_path / f"{name}.txt").write_text(row)
+        assert main(["eval", str(tmp_path / "gt.txt"), str(tmp_path / "hyp.txt"), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["mota"], payload["idf1"], payload["fp"], payload["fn"]) == (1.0, 1.0, 0, 0)
 
     @pytest.mark.parametrize("name, kind", [("gt", "ground-truth"), ("hyp", "hypothesis")])
     def test_repeated_row_exits_2_with_line(self, tmp_path, capsys, name, kind):

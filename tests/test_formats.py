@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,11 +128,11 @@ class TestOverflowingEdges:
             parse(text)
 
     def test_large_finite_edges_accepted(self):
-        # edges near the float limit, on boxes whose areas stay finite
+        # edges near the float limit, on boxes whose areas stay under half of it
         assert parse_mot("1,1,1e308,10,7e307,1,1,1,1")[0].box.right == 1.7e308
-        assert parse_track_file("1,1,-1.7e308,10,1.7e308,1,1,-1,-1,-1")[0].box.right == 0.0
+        assert parse_track_file("1,1,-1.7e308,10,1.7e308,0.5,1,-1,-1,-1")[0].box.right == 0.0
         assert parse_predictions("variant: wh\n1,1.7e308,10,1e307,4,0.9,1,0,0,0,0,0.5").by_frame[1]
-        huge_ltrb = "variant: ltrb\n1,10,10,4,4,0.9,1,0,0,-1.7e308,0,0,1,0.5"
+        huge_ltrb = "variant: ltrb\n1,10,10,4,4,0.9,1,0,0,-1.7e308,0,0,0.5,0.5"
         assert parse_predictions(huge_ltrb).by_frame[1]
 
     @settings(max_examples=400, deadline=None)
@@ -144,9 +145,9 @@ class TestOverflowingEdges:
         size = TrackedSizeWH(*ts[:2]) if variant == "wh" else TrackedSizeLTRB(*ts)
         det = _det(cx=cx, cy=cy, w=w, h=h, dx=dx, dy=dy, ts=size)
         boxes = (det.box(), tracked_box(det, variant))
-        derived = [v for box in boxes for v in ltrb(box)] + [box.area for box in boxes]
+        edges = [v for box in boxes for v in ltrb(box)]
         text = write_predictions(variant, [(1, [det])])
-        if all(map(math.isfinite, derived)):
+        if all(map(math.isfinite, edges)) and all(box.area <= sys.float_info.max / 2 for box in boxes):
             assert parse_predictions(text).by_frame[1][0] == det
         else:
             with pytest.raises(ParseError, match="line 2: .*(edge|area) overflows"):
