@@ -89,8 +89,11 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -
         return _displacement_cost_loop(frame.values("back"), gates, frame.values("cls"), tracks)
     back = frame.column("back")
     centers = np.array([(t.last_center.x, t.last_center.y) for t in tracks])
-    dx = back[:, 0:1] - centers[:, 0]
-    dy = back[:, 1:2] - centers[:, 1]
+    # Centers near the float limit overflow these differences to +-inf, which the prefilter
+    # and math.hypot then reject as the scalar loop's Python floats do, without a warning.
+    with np.errstate(over="ignore"):
+        dx = back[:, 0:1] - centers[:, 0]
+        dy = back[:, 1:2] - centers[:, 1]
     # hypot >= max(|dx|, |dy|), so this box prefilter keeps every admissible
     # pair; math.hypot then decides the few survivors exactly as the loop does.
     gate_col = frame.column("gate")[:, None]

@@ -142,9 +142,13 @@ def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every cell takes the scalar function's float operations in the same
     order, so it equals ``iou`` of the same two boxes bit for bit.
     """
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = iw * ih
+    # Far-apart boxes near the float limit overflow these differences to -inf, and a cell
+    # with iw = -inf and ih = 0 multiplies to NaN. Python floats do the same without a
+    # warning; either way the scalar's iw <= 0 test, kept below, scores the cell 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        inter = iw * ih
     union = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1]) + (b[..., 2] - b[..., 0]) * (
         b[..., 3] - b[..., 1]
     ) - inter

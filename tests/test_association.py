@@ -464,6 +464,25 @@ class TestKernelPaths:
         assert cost[1, 3:5].tolist() == [5.0, 5.0]
         assert cost[1, 5] == INADMISSIBLE and cost[1, 7] == 5.0
 
+    @pytest.mark.parametrize("variant", ["ltrb", "wh"])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_boxes_at_the_float_limit_equal_loop(self, cutover, variant, side):
+        # 4 tracklets near one float limit, 4 detections near the other: the kernels'
+        # differences overflow to +-inf, as the loops' do, without a RuntimeWarning. Each
+        # detection's tracked box touches its tracklet's edge, so iw is -inf where ih is 0.
+        far = side * 1e308
+        tracks = [track(j + 1, -far, 10.0 * j, 4, 4) for j in range(4)]
+        dets = []
+        for k in range(4):
+            box = box_from_center_size(Point2(far, 10.0 * k + 4), Size2(4, 4))
+            ts = ltrb_of(box) if variant == "ltrb" else TrackedSizeWH(0.0, 0.0)
+            dets.append(det(far, 10.0 * k + 4, 4, 4, ts=ts, o=0.0))
+        for form in FILTER_FORMS:
+            assert same_bits(iou_cost(dets, tracks, variant, form), iou_cost_loop(dets, tracks, variant, form))
+        assert same_bits(displacement_cost(dets, tracks), displacement_cost_loop(dets, tracks))
+        for strategy in Strategy:
+            assert associate(strategy, dets, tracks, variant).matches == []
+
     def test_greedy_match_equals_oracle_with_ties(self, cutover):
         rng = np.random.default_rng(33)
         sides = set()

@@ -195,6 +195,20 @@ class TestTrack:
         assert "line 3: box area overflows: (-6.5e+153, -6.5e+153, 6.5e+153, 6.5e+153)" in capsys.readouterr().err
         assert not (tmp_path / "tracks.txt").exists()
 
+    @pytest.mark.parametrize("strategy", ["iou", "dis"])
+    def test_detections_at_the_float_limit_track_without_warnings(self, tmp_path, capsys, strategy):
+        # 4 + 4 ltrb rows at x = -1e308 and 1e308: the second frame's 16-cell matrices take
+        # the kernels, whose differences overflow
+        rows = ["variant: ltrb"]
+        for frame, x in ((1, -1e308), (2, 1e308)):
+            rows += [f"{frame},{x},{10 * k},4,4,0.9,1,0,0,{x},{10 * k - 2},{x},{10 * k + 2},0.5" for k in range(4)]
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "tracks.txt"
+        assert main(["track", str(preds), "--strategy", strategy, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "frames=2 detections=8 tracks=8\n"
+        assert len(parse_track_file(out.read_text())) == 8
+
     def test_every_strategy_flag_accepted(self, tmp_path):
         sim = self._simulate(tmp_path)
         for strategy in ("dis", "iou", "combined", "iou-dis", "dis-iou"):

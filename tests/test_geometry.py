@@ -133,6 +133,14 @@ class TestIouArray:
         p = np.array([ltrb(BoxLTRB(3, 3, 3, 3))])
         assert iou_array(p, p).tolist() == [0.0]
 
+    def test_far_apart_boxes_at_the_float_limit(self):
+        # iw overflows to -inf; where the boxes also touch (ih = 0), iw * ih is NaN
+        a = [BoxLTRB(-1.7e308, 0, -1.6e308, 1), BoxLTRB(-1.7e308, 0, -1.6e308, 2)]
+        b = [BoxLTRB(1.6e308, 1, 1.7e308, 2), BoxLTRB(1.6e308, 0, 1.7e308, 3)]
+        matrix = iou_array(np.array([ltrb(p) for p in a])[:, None], np.array([ltrb(q) for q in b])[None])
+        assert np.array_equal(bits(matrix), bits([[iou(p, q) for q in b] for p in a]))
+        assert matrix.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
     def test_pairwise_shapes_including_empty(self):
         a = np.array([ltrb(BoxLTRB(0, 0, 2, 2))] * 3)
         assert iou_array(a[:, None], a[None]).shape == (3, 3)
