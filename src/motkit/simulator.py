@@ -11,7 +11,9 @@ prediction, random misses, and random false alarms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +32,14 @@ from .geometry import (
 OCCLUSION_IOU = 0.7
 
 FrameDetections = list[tuple[int, list[Detection]]]
+
+
+def _check_finite(config: object, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of the fields that is NaN or infinite."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +61,12 @@ class AgentSpec:
     def __post_init__(self) -> None:
         if not self.waypoints:
             raise ValueError("agent needs at least one waypoint")
+        _check_finite(self, "width", "height")
         if self.width < 0 or self.height < 0:
             raise ValueError(f"negative agent size: ({self.width}, {self.height})")
+        for _, x, y in self.waypoints:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"non-finite waypoint position: ({x}, {y})")
         frames = [w[0] for w in self.waypoints]
         if frames != sorted(frames) or len(set(frames)) != len(frames):
             raise ValueError("waypoint frames must be strictly ascending")
@@ -87,6 +101,11 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
+        for name in ("width", "height"):
+            # an image under a pixel shows no agent; one past the float limit compares with no edge
+            if not 1 <= getattr(self, name) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite and >= 1, got {getattr(self, name)}")
+        _check_finite(self, "occlusion_iou")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant!r}")
 
@@ -102,6 +121,7 @@ class NoiseConfig:
     fn_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_finite(self, *(f.name for f in fields(self)))
         for name in ("center_noise_sigma", "size_noise_sigma", "disp_noise_sigma", "ts_noise_sigma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -120,6 +120,34 @@ class TestSimulate:
         config.write_text("scenario = crossing\nbogus = 1\n")
         assert main(["simulate", str(config), "--out-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "settings, named",
+        [
+            ("size_noise = inf", "size_noise_sigma"),  # was an OverflowError traceback
+            ("ts_noise = inf", "ts_noise_sigma"),
+            ("center_noise = nan", "center_noise_sigma"),  # acted as 0
+            ("disp_noise = nan", "disp_noise_sigma"),
+            ("iou_bias = inf", "iou_pred_bias"),  # clamped
+            ("iou_bias = -inf", "iou_pred_bias"),
+            ("agent = 0 nan 12 1:30:50", "width"),  # the agent vanished
+            ("agent = 0 10 inf 1:30:50", "height"),
+            ("agent = 0 10 12 1:nan:50", "waypoint"),
+            ("agent = 0 10 12 1:30:50 5:30:-inf", "waypoint"),
+            ("width = -5", "width"),  # wrote an empty scene
+            ("height = 0", "height"),
+            pytest.param("width = 1" + "0" * 400, "width", id="width-401-digits"),  # was a traceback
+        ],
+    )
+    def test_non_finite_or_empty_scene_settings_exit_2(self, tmp_path, capsys, settings, named):
+        config = tmp_path / "scene.cfg"
+        agent = "" if settings.startswith("agent") else "agent = 0 10 12 1:30:50 5:38:50\n"
+        config.write_text(f"scenario = custom\nframes = 5\nwidth = 100\nheight = 100\n{agent}{settings}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: " in err and named in err
+        assert not out.exists()
+
     def test_bad_scenario_exits_2(self, tmp_path):
         config = tmp_path / "scene.cfg"
         config.write_text("scenario = flying\n")
