@@ -41,7 +41,7 @@ from .simulator import (
     occluded_crossing_scenario,
     perturb,
 )
-from .tracker import DEFAULT_LIFETIME, TrackerConfig, run_sequence
+from .tracker import DEFAULT_LIFETIME, TrackerConfig, run_frames
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -87,12 +87,13 @@ def cmd_track(args: argparse.Namespace) -> int:
         out_threshold=args.theta,
         iou_filter_form=args.iou_filter_form,
     )
-    frames = preds.dense_frames()
-    records = run_sequence(frames, cfg)
+    records = run_frames(preds.by_frame, cfg)
     text = write_mot(records)
-    n_dets = sum(len(dets) for _, dets in frames)
+    numbers = preds.by_frame.keys()
+    n_frames = max(numbers) - min(numbers) + 1 if numbers else 0
+    n_dets = sum(map(len, preds.by_frame.values()))
     n_tracks = len({r.track_id for r in records})
-    summary = f"frames={len(frames)} detections={n_dets} tracks={n_tracks}"
+    summary = f"frames={n_frames} detections={n_dets} tracks={n_tracks}"
     if args.out:
         _atomic_write(Path(args.out), text)
         print(summary)

@@ -8,7 +8,7 @@ is what lets an identity survive short occlusions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy, associate
 from .formats import Detection, DetectionFrame, TrackRecord, VARIANTS
@@ -128,4 +128,25 @@ def run_sequence(
             kept = kept.take([i for i, c in enumerate(confs) if c > cfg.out_threshold])
         state, recs = step(state, kept, cfg)
         records.extend(recs)
+    return records
+
+
+def run_frames(by_frame: Mapping[int, Sequence[Detection]], cfg: TrackerConfig) -> list[TrackRecord]:
+    """:func:`run_sequence` over every frame from the first to the last key, a missing one empty.
+
+    ``lifetime`` empty frames in a row retire every tracklet, so such a gap
+    is not stepped through: the frames after it run as a new sequence whose
+    ids continue the last one's. The work is bounded by the number of keys
+    times ``lifetime``, however far apart the frame numbers lie.
+    """
+    numbers = sorted(by_frame)
+    starts = [k for k in range(len(numbers)) if k == 0 or numbers[k] - numbers[k - 1] > cfg.lifetime]
+    records: list[TrackRecord] = []
+    spawned = 0
+    for a, b in zip(starts, [*starts[1:], len(numbers)]):
+        frames = ((f, by_frame.get(f, [])) for f in range(numbers[a], numbers[b - 1] + 1))
+        run = run_sequence(frames, cfg)
+        # every spawn emits a record, so the run's ids are 1 .. its largest
+        records += [TrackRecord(r.frame, r.track_id + spawned, r.box, r.confidence) for r in run] if spawned else run
+        spawned += max((r.track_id for r in run), default=0)
     return records

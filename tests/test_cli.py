@@ -237,6 +237,15 @@ class TestTrack:
         assert capsys.readouterr().out == "frames=2 detections=8 tracks=8\n"
         assert len(parse_track_file(out.read_text())) == 8
 
+    def test_frame_numbers_far_apart(self, tmp_path, capsys):
+        # the gap between the frames is never stepped through
+        preds = tmp_path / "preds.csv"
+        preds.write_text(f"variant: wh\n1,10,10,4,4,0.9,1,0,0,0,0,0.7\n{2**63},10,10,4,4,0.9,1,0,0,0,0,0.7\n")
+        out = tmp_path / "tracks.txt"
+        assert main(["track", str(preds), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"frames={2**63} detections=2 tracks=2\n"
+        assert [(r.frame, r.track_id) for r in parse_track_file(out.read_text())] == [(1, 1), (2**63, 2)]
+
     def test_every_strategy_flag_accepted(self, tmp_path):
         sim = self._simulate(tmp_path)
         for strategy in ("dis", "iou", "combined", "iou-dis", "dis-iou"):

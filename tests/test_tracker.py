@@ -12,7 +12,7 @@ from motkit.geometry import (
 )
 from motkit.geometry import KERNEL_MIN_CELLS
 from motkit.simulator import AgentSpec, NoiseConfig, ScenarioConfig, generate, perturb
-from motkit.tracker import TrackerConfig, TrackerState, run_sequence, step
+from motkit.tracker import TrackerConfig, TrackerState, run_frames, run_sequence, step
 
 
 def oracle_det(frame, cx, cy, w=10.0, h=14.0, prev=None, conf=1.0, cls=1):
@@ -231,3 +231,29 @@ class TestInvariantsOnRandomStreams:
                 assert all(t.age < cfg.lifetime for t in state.live)
         # two objects stay on the scalar loops; forty reach the kernel paths
         assert (max_cells >= KERNEL_MIN_CELLS) == (n_objects == 40)
+
+
+class TestRunFrames:
+    @pytest.mark.parametrize("lifetime", [1, 2, 3, 5])
+    def test_equals_run_sequence_over_the_dense_frames(self, lifetime):
+        rng = np.random.default_rng(lifetime)
+        cut = 0
+        for seed in range(8):
+            variant = ("ltrb", "wh")[seed % 2]
+            cfg = TrackerConfig(strategy=list(Strategy)[seed % len(Strategy)], variant=variant, lifetime=lifetime)
+            # empty runs of lifetime - 1 to lifetime + 1 frames, at random places
+            dropped = set()
+            for start in rng.integers(1, 40, size=4).tolist():
+                dropped.update(range(start, start + int(rng.integers(lifetime - 1, lifetime + 2))))
+            by_frame = {f: dets for f, dets in random_stream(seed, 10, variant) if dets and f not in dropped}
+            dense = [(f, by_frame.get(f, [])) for f in range(min(by_frame), max(by_frame) + 1)]
+            assert repr(run_frames(by_frame, cfg)) == repr(run_sequence(dense, cfg))
+            numbers = sorted(by_frame)
+            cut += any(b - a > lifetime for a, b in zip(numbers, numbers[1:]))
+        assert cut >= 4
+
+    def test_frames_far_apart_are_not_stepped_through(self):
+        by_frame = {1: [oracle_det(1, 50, 50)], 2**63: [oracle_det(2**63, 50, 50)], 2**70: []}
+        records = run_frames(by_frame, CFG)
+        assert [(r.frame, r.track_id) for r in records] == [(1, 1), (2**63, 2)]
+        assert run_frames({}, CFG) == []
