@@ -7,6 +7,9 @@ the row parser (``oracles.prediction_rows``), the scalar geometry functions
 and the object-by-object cost loops in ``oracles``.
 """
 
+import contextlib
+import io
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -16,11 +19,25 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from motkit import formats
 from motkit.association import FILTER_FORMS, Strategy, associate, displacement_cost, iou_cost, tracked_box
-from motkit.formats import DetectionFrame, ParseError, parse_predictions, write_predictions
+from motkit.cli import main
+from motkit.formats import (
+    DetectionFrame,
+    ParseError,
+    parse_mot,
+    parse_predictions,
+    parse_track_file,
+    write_predictions,
+)
 from motkit.geometry import ltrb, size_gate
 from motkit.simulator import MODERATE_NOISE, AgentSpec, ScenarioConfig, generate, perturb, random_scenario
 from motkit.tracker import TrackerConfig, run_sequence
-from oracles import displacement_cost_loop, iou_cost_loop, prediction_rows
+from oracles import (
+    displacement_cost_loop,
+    iou_cost_loop,
+    parse_mot_rows,
+    parse_track_file_rows,
+    prediction_rows,
+)
 from test_association import cutover, mixed_case  # noqa: F401 (cutover is a fixture)
 
 N_TS = {"wh": 2, "ltrb": 4}
@@ -169,6 +186,198 @@ def test_malformed_file_raises_the_row_parsers_error(variant, position):
         assert got.value.line_no == position + 2
         checked += 1
     assert checked == len(FIELD_FAULTS) + 3 + len(OVERFLOW_ROWS[variant])
+
+
+# two faults in one row: the first in the row's order of checks names it
+PREDICTION_PAIR_FAULTS = [
+    ((0, "0"), (1, "x")), ((1, "x"), (0, "0")), ((3, "-4"), (5, "1.5")), ((-1, "1.5"), (3, "-4")),
+    ((5, "2"), (6, "x")), ((-1, "nan"), (3, "-4")), ((1, "1.7e308"), (3, "1.7e308"), (-1, "1.5")),
+]
+
+
+@pytest.mark.parametrize("variant", ["wh", "ltrb"])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_row_with_two_faults_raises_the_row_parsers_first(variant, position):
+    for faults in PREDICTION_PAIR_FAULTS:
+        fields = GOOD[variant].split(",")
+        for index, text in faults:
+            fields[index] = text
+        rows = [GOOD[variant]] * 5
+        rows[position] = ",".join(fields)
+        text = f"variant: {variant}\n" + "\n".join(rows) + "\n"
+        with pytest.raises(ParseError) as want:
+            row_parse(text, variant)
+        with pytest.raises(ParseError) as got:
+            parse_predictions(text)
+        assert (str(got.value), got.value.line_no) == (str(want.value), position + 2)
+
+
+MOT = {"gt": (parse_mot, parse_mot_rows), "track": (parse_track_file, parse_track_file_rows)}
+MOT_GOOD = {"gt": "1,1,10,20,4,2,1,1,1", "track": "1,1,10,20,4,2,0.9,-1,-1,-1"}
+# (field index, replacement text), for both MOT formats
+MOT_FIELD_FAULTS = [
+    (1, "0"), (0, "0"), (1, "-3"), (4, "-4"), (5, "-0.5"), (0, "2.5"), (1, "1e3"), (2, "oops"), (3, ""),
+    (2, "1_0"), (0, "1_0"), (2, "nan"), (5, "inf"), (6, "-inf"), (6, "1e309"),
+]
+GT_FIELD_FAULTS = [(7, "1.5"), (8, "nan"), (7, "x"), (8, "")]
+# two faults in one row: the first in the row's order of checks names it
+MOT_PAIR_FAULTS = [
+    ((1, "0"), (2, "oops")), ((0, "x"), (1, "0")), ((4, "-4"), (6, "nan")), ((3, "nan"), (5, "-1")),
+    ((2, "1e308"), (4, "1.7e308"), (6, "x")), ((4, "1e200"), (5, "1e200"), (6, "inf")),
+]
+GT_PAIR_FAULTS = [((4, "1e200"), (5, "1e200"), (7, "1.5")), ((2, "1e308"), (4, "1.7e308"), (8, "nan"))]
+MOT_OVERFLOW_BOXES = [
+    "1e308,20,1.7e308,2",        # right edge
+    "10,-1.7e308,1e-300,1.7e308",  # accepted: edges near the limit, a small area
+    "10,1.7e308,4,1.7e308",      # bottom edge
+    "0,0,1e200,1e200",           # area
+    "-1e308,0,1.5e308,2",        # area, the width overflowing
+    "0,0,1.3e154,1.3e154",       # area above half the float limit
+]
+
+
+def mot_faulty_rows(name):
+    good = MOT_GOOD[name].split(",")
+    singles = [(fault,) for fault in MOT_FIELD_FAULTS + (GT_FIELD_FAULTS if name == "gt" else [])]
+    for faults in singles + MOT_PAIR_FAULTS + (GT_PAIR_FAULTS if name == "gt" else []):
+        fields = list(good)
+        for index, text in faults:
+            fields[index] = text
+        yield ",".join(fields)
+    for box in MOT_OVERFLOW_BOXES:
+        yield ",".join(good[:2] + box.split(",") + good[6:])
+    yield MOT_GOOD[name] + ",1"                       # a field too many
+    yield MOT_GOOD[name].rsplit(",", 1)[0]            # a field too few
+    yield MOT_GOOD[name].replace(",", "_", 1)         # an underscore that also merges two fields
+
+
+@pytest.mark.parametrize("name", ["gt", "track"])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_malformed_mot_file_raises_the_row_parsers_error(name, position):
+    parse, referee = MOT[name]
+    checked = 0
+    for bad in mot_faulty_rows(name):
+        rows = [MOT_GOOD[name]] * 5
+        rows[position] = bad
+        text = "\n".join(rows) + "\n"
+        try:
+            want = referee(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse(text)
+            assert (str(got.value), got.value.line_no) == (str(exc), position + 1)
+            checked += 1
+        else:
+            assert repr(parse(text)) == repr(want)
+    faults = len(MOT_FIELD_FAULTS + MOT_PAIR_FAULTS) + (len(GT_FIELD_FAULTS + GT_PAIR_FAULTS) if name == "gt" else 0)
+    assert checked == faults + len(MOT_OVERFLOW_BOXES) - 1 + 3
+
+
+def test_unread_track_columns_take_any_text():
+    text = "1,1,10,20,4,2,0.9,x,1_0,\n"
+    assert repr(parse_track_file(text)) == repr(parse_track_file_rows(text))
+    assert parse_track_file(text)[0].frame == 1
+
+
+# -- (d) every format against its referee, on mutated files ---------------------------------
+
+FORMATS = ("gt", "track", "wh", "ltrb")
+TOKENS = ["nan", "inf", "-inf", "1e309", "-0", "_", "1_0", "3.0", "3.", "1.5e3", "1e3", "2.5", "-4", "1.5", "", "x"]
+HUGE = [str(2**63), str(2**63 - 1), str(2**70), "9.3e18", "-1"]
+value = st.sampled_from(["0", "1", "-2.5", "12.25", "0.5", "40"]) | st.floats(-50, 50).map(repr)
+
+
+@st.composite
+def mutated_file(draw):
+    """A valid file of one of the four formats, with up to four faults of the kinds files show."""
+    name = draw(st.sampled_from(FORMATS))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        frame = str(draw(st.integers(1, 5)))
+        size = [repr(draw(st.floats(0, 40))) for _ in range(2)]
+        unit = repr(draw(st.floats(0, 1)))
+        if name in ("gt", "track"):
+            head = [frame, str(draw(st.integers(1, 4))), draw(value), draw(value), *size]
+            tail = ["1", str(draw(st.integers(1, 3))), unit] if name == "gt" else [unit, "-1", "-1", "-1"]
+            rows.append(head + tail)
+        else:
+            ts = [draw(value) for _ in range(N_TS[name])]
+            rows.append([frame, draw(value), draw(value), *size, unit, "1", draw(value), draw(value), *ts, unit])
+    # faults gather in one row often enough that the order of a row's checks shows
+    focus = draw(st.integers(0, 5))
+    for _ in range(draw(st.integers(0, 4))):
+        if not rows:
+            break
+        fields = rows[draw(st.sampled_from([focus % len(rows)] * 2 + [draw(st.integers(0, len(rows) - 1))]))]
+        k = draw(st.integers(0, len(fields) - 1))
+        kind = draw(st.sampled_from(["delete", "duplicate", "token", "huge"]))
+        if kind == "delete":
+            del fields[k]
+        elif kind == "duplicate":
+            fields.insert(k, fields[k])
+        elif kind == "token":
+            fields[k] = draw(st.sampled_from(TOKENS))
+        else:  # a frame, or a MOT id
+            fields[draw(st.integers(0, 1 if name in ("gt", "track") else 0))] = draw(st.sampled_from(HUGE))
+    lines = [",".join(fields) for fields in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    if name in N_TS:
+        lines.insert(0, f"variant: {name}")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return name, end.join(lines) + end * draw(st.booleans())
+
+
+def parse_by(name, text, referee):
+    """A file's parse by the package or by the referee, as text: its repr, or its error and line."""
+    try:
+        if name in N_TS and referee:
+            return repr(prediction_rows(text.splitlines()[1:], name))
+        if name in N_TS:
+            return repr({f: list(frame) for f, frame in parse_predictions(text).by_frame.items()})
+        return repr(MOT[name][referee](text))
+    except ParseError as exc:
+        return f"ParseError {exc.line_no}: {exc}"
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_file())
+def test_every_format_gives_its_referees_result(case):
+    name, text = case
+    assert parse_by(name, text, referee=False) == parse_by(name, text, referee=True)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+GOOD_FILE = {"gt": "1,1,10,20,4,2,1,1,1\n2,1,11,20,4,2,1,1,1\n", "track": "1,1,10,20,4,2,0.9,-1,-1,-1\n"}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_file())
+def test_cli_on_mutated_files_exits_0_2_or_3(workdir, case):
+    name, text = case
+    path = workdir / f"{name}.txt"
+    path.write_text(text, newline="")
+    if name in N_TS:
+        argv = ["track", str(path), "--out", str(workdir / "tracks.txt")]
+    else:
+        files = {**{k: workdir / f"good-{k}.txt" for k in GOOD_FILE}, name: path}
+        for k, good in GOOD_FILE.items():
+            if k != name:
+                files[k].write_text(good)
+        argv = ["eval", str(files["gt"]), str(files["track"])]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert re.search(r"line \d+: ", err), err
+    else:
+        assert "line" not in err
 
 
 def test_rows_the_screen_refuses_but_the_row_parser_accepts_are_framed():
