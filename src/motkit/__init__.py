@@ -87,6 +87,6 @@ from .simulator import (
     perturb,
     random_scenario,
 )
-from .tracker import Tracklet, TrackerConfig, TrackerState, run_frames, run_sequence, step
+from .tracker import Tracklet, TrackerConfig, TrackerState, run_sequence, step
 
 __version__ = "0.1.0"

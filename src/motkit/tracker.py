@@ -147,6 +147,8 @@ def run_frames(by_frame: Mapping[int, Sequence[Detection]], cfg: TrackerConfig) 
         frames = ((f, by_frame.get(f, [])) for f in range(numbers[a], numbers[b - 1] + 1))
         run = run_sequence(frames, cfg)
         # every spawn emits a record, so the run's ids are 1 .. its largest
-        records += [TrackRecord(r.frame, r.track_id + spawned, r.box, r.confidence) for r in run] if spawned else run
-        spawned += max((r.track_id for r in run), default=0)
+        if spawned:
+            run = [TrackRecord(r.frame, r.track_id + spawned, r.box, r.confidence) for r in run]
+        records += run
+        spawned = max((r.track_id for r in run), default=spawned)
     return records
