@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .formats import VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame
+from .formats import VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, _int_column
 from .geometry import (
     KERNEL_MIN_CELLS,
     BoxLTRB,
@@ -122,7 +122,7 @@ def _displacement_cost_loop(
 
 
 def _same_class(frame: DetectionFrame, tracks: Sequence["Tracklet"]) -> np.ndarray:
-    return frame.column("cls")[:, None] == np.array([t.class_id for t in tracks])
+    return frame.column("cls")[:, None] == _int_column([t.class_id for t in tracks])
 
 
 def iou_cost(

@@ -13,13 +13,14 @@ full text. Decimal points only, UTF-8, ``\\n`` endings with optional ``\\r``.
 Each format is a table of fields with their range and derived-box checks.
 One column path converts and screens a whole file by that table, as
 py-motmetrics' ``motmetrics.io.loadtxt`` reads MOT files column-wise; one
-error finder names a refused file's first bad row. Parsed predictions come back
-as :class:`DetectionFrame` columns, which association and the tracker read.
+error finder names a refused file's first bad row. Parsed and simulated predictions
+are :class:`DetectionFrame` columns, which association, the tracker and the writer read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
@@ -99,8 +100,20 @@ class TrackRecord:
     confidence: float
 
 
+#: The input columns of a detection table, in a prediction row's field order.
+_INPUTS = ("frame", "cls", "center", "size", "conf", "disp", "ts", "iou_pred")
 #: The columns association and the tracker read as Python lists.
 _LOOP_COLUMNS = ("frame", "cls", "conf", "iou_pred", "center", "box", "tracked", "back", "gate")
+#: The columns :func:`write_predictions` reads as Python lists, in its row order.
+_WRITTEN = ("center", "size", "conf", "cls", "disp", "ts", "iou_pred")
+
+
+def _int_column(values) -> np.ndarray:
+    """Integers as an int64 column when every value fits, else as Python ints (``object``)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # frames, ids and classes of 2**63 and above
+        return np.array(values, dtype=object)
 
 
 class _DetectionTable:
@@ -116,7 +129,9 @@ class _DetectionTable:
     ``gate`` (``geometry.size_gate``).
     """
 
-    def __init__(self, variant, frame, cls, center, size, conf, disp, ts, iou_pred, objects=None):
+    def __init__(
+        self, variant, frame, cls, center, size, conf, disp, ts, iou_pred, objects=None, lists=_LOOP_COLUMNS
+    ):
         self.variant: Optional[str] = variant
         self.frame, self.cls, self.conf, self.iou_pred = frame, cls, conf, iou_pred
         self.center, self.size, self.disp, self.ts = center, size, disp, ts
@@ -140,9 +155,9 @@ class _DetectionTable:
                 self.tracked = np.concatenate((np.where(swap, hi, lo), np.where(swap, lo, hi)), axis=1)
             else:  # no rows, or rows of mixed variants
                 self.tracked = None if len(center) else np.empty((0, 4))
-        # The lists the frame loop reads, made here so that no frame pays for them.
+        # The lists its frames are read by, made here so that no frame pays for them; others on demand.
         self.lists: dict[str, list] = {
-            name: getattr(self, name).tolist() for name in _LOOP_COLUMNS if getattr(self, name) is not None
+            name: getattr(self, name).tolist() for name in lists if getattr(self, name) is not None
         }
 
     @classmethod
@@ -156,8 +171,8 @@ class _DetectionTable:
         ts = np.array([_ts_fields(d) for d in dets], dtype=float) if variant else None
         return cls(
             variant,
-            np.array([d.frame for d in dets]),
-            np.array([d.class_id for d in dets]),
+            _int_column([d.frame for d in dets]),
+            _int_column([d.class_id for d in dets]),
             pairs(lambda d: (d.center.x, d.center.y)),
             pairs(lambda d: (d.size.w, d.size.h)),
             np.array([d.confidence for d in dets], dtype=float),
@@ -167,33 +182,32 @@ class _DetectionTable:
             objects=dets,
         )
 
+    def values(self, name: str) -> list:
+        """A column as a Python list, made once per table."""
+        got = self.lists.get(name)
+        if got is None:
+            got = self.lists[name] = getattr(self, name).tolist()
+        return got
+
     def detection(self, row: int) -> Detection:
         if self.objects is not None:
             return self.objects[row]
-        lists = self.lists
-        ts_type = TrackedSizeWH if self.variant == VARIANT_WH else TrackedSizeLTRB
-        return Detection(
-            frame=lists["frame"][row],
-            center=Point2(*lists["center"][row]),
-            size=Size2(*self.size[row].tolist()),
-            confidence=lists["conf"][row],
-            class_id=lists["cls"][row],
-            disp=Displacement(*self.disp[row].tolist()),
-            tracked_size=ts_type(*self.ts[row].tolist()),
-            iou_pred=lists["iou_pred"][row],
-        )
+        frame, cls, center, size, conf, disp, ts, iou_pred = (self.values(name)[row] for name in _INPUTS)
+        ts = (TrackedSizeWH if self.variant == VARIANT_WH else TrackedSizeLTRB)(*ts)
+        return Detection(frame, Point2(*center), Size2(*size), conf, cls, Displacement(*disp), ts, iou_pred)
 
 
 class DetectionFrame(Sequence[Detection]):
     """One frame's detections, read as columns.
 
     A frame is a set of rows of a table of detection columns (see
-    :class:`_DetectionTable` for the names). :func:`parse_predictions` makes one
-    table per file and each frame a slice of it, so every column is derived
-    once per file. :meth:`column` reads a column as a numpy array and
-    :meth:`values` as a Python list, sliced when the frame is made from the
-    lists the table makes once; the scalar loops read those. Indexing and
-    iteration yield :class:`Detection` objects equal to the rows.
+    :class:`_DetectionTable` for the names). :func:`parse_predictions` and the
+    simulator make one table each and every frame a slice of it, so every
+    column is derived once per table. :meth:`column` reads a column as a numpy
+    array and :meth:`values` as a Python list, sliced from the list the table
+    makes once; the scalar loops read those. Indexing and iteration yield
+    :class:`Detection` objects equal to the rows, and a frame equals any
+    sequence of equal detections.
     """
 
     def __init__(self, table: _DetectionTable, rows: Union[slice, list[int]]):
@@ -203,7 +217,7 @@ class DetectionFrame(Sequence[Detection]):
             self._values = {name: whole[rows] for name, whole in table.lists.items()}
         else:
             self._values = {name: [whole[r] for r in rows] for name, whole in table.lists.items()}
-        self._len = len(self._values["frame"])
+        self._len = rows.stop - rows.start if isinstance(rows, slice) else len(rows)
         self._columns: dict[str, np.ndarray] = {}
 
     @classmethod
@@ -226,7 +240,12 @@ class DetectionFrame(Sequence[Detection]):
         return col
 
     def values(self, name: str) -> list:
-        return self._values[name]
+        try:
+            return self._values[name]
+        except KeyError:
+            whole, rows = self._table.values(name), self._rows
+            got = self._values[name] = whole[rows] if isinstance(rows, slice) else [whole[r] for r in rows]
+            return got
 
     def take(self, indices: Iterable[int]) -> "DetectionFrame":
         """The frame of the given rows of this one, in the given order."""
@@ -249,6 +268,11 @@ class DetectionFrame(Sequence[Detection]):
 
     def __iter__(self) -> Iterator[Detection]:
         return map(self._table.detection, self._table_rows())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __repr__(self) -> str:
         return f"DetectionFrame({list(self)!r})"
@@ -439,10 +463,7 @@ def _read(field: _Field, texts: list[str], fast: bool) -> tuple[np.ndarray, np.n
     if field.kind is float:
         column = np.array(values, dtype=float)
         return column, refused | ~np.isfinite(column)
-    try:
-        return np.array(values, dtype=np.int64), refused
-    except OverflowError:  # frames and ids of 2**63 and above stay Python ints
-        return np.array(values, dtype=object), refused
+    return _int_column(values), refused
 
 
 def _screen(fmt: _Format, texts: list[list[str]], fast: bool) -> tuple[dict, list[tuple]]:
@@ -550,18 +571,22 @@ def _ts_fields(det: Detection) -> tuple[float, ...]:
     return (ts.left, ts.top, ts.right, ts.bottom)
 
 
-def write_predictions(variant: str, frames: Iterable[tuple[int, list[Detection]]]) -> str:
-    """Prediction file text: header line plus one row per detection."""
+def write_predictions(variant: str, frames: Iterable[tuple[int, Sequence[Detection]]]) -> str:
+    """Prediction file text: header line plus one row per detection, formatted from its frame's columns."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant!r}")
     out = [f"variant: {variant}\n"]
     for frame_no, dets in frames:
-        for d in dets:
-            if d.variant != variant:
-                raise ValueError(f"detection variant {d.variant} does not match file variant {variant}")
-            head = map(_fmt, (d.center.x, d.center.y, d.size.w, d.size.h, d.confidence))
-            rest = map(_fmt, (d.disp.dx, d.disp.dy, *_ts_fields(d), d.iou_pred))
-            out.append(f"{frame_no},{','.join(head)},{d.class_id},{','.join(rest)}\n")
+        if not len(dets):  # framing an empty list would build a table for nothing
+            continue
+        frame = DetectionFrame.of(dets)
+        if frame.variant != variant:
+            other = VARIANT_WH if variant == VARIANT_LTRB else VARIANT_LTRB
+            raise ValueError(f"detection variant {other} does not match file variant {variant}")
+        for (cx, cy), (w, h), conf, cls, (dx, dy), ts, o in zip(*map(frame.values, _WRITTEN)):
+            head = map(_fmt, (cx, cy, w, h, conf))
+            rest = map(_fmt, (dx, dy, *ts, o))
+            out.append(f"{frame_no},{','.join(head)},{cls},{','.join(rest)}\n")
     return "".join(out)
 
 

@@ -6,7 +6,8 @@ oracle detection whose displacement, tracked-size, and adjacent-IOU channels
 are computed from the true motion, so a tracker driven by unperturbed output
 has zero-cost true pairs. A perturbation pass then adds the controllable
 imperfections a real detector would have: channel noise, a biased IOU
-prediction, random misses, and random false alarms.
+prediction, random misses, and random false alarms. Both passes work on
+detection columns: each frame is a slice of one table, as a parsed file's is.
 """
 
 from __future__ import annotations
@@ -14,24 +15,17 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
-from .formats import Detection, GtEntry, VARIANT_LTRB, VARIANT_WH, VARIANTS
-from .geometry import (
-    BoxLTRB,
-    Displacement,
-    Point2,
-    Size2,
-    TrackedSizeLTRB,
-    TrackedSizeWH,
-    box_from_center_size,
-    iou_array,
-)
+from .formats import _INPUTS, VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, GtEntry
+from .formats import _WRITTEN, _DetectionTable, _int_column
+from .geometry import BoxLTRB, Point2, Size2, box_from_center_size, iou_array
 
 OCCLUSION_IOU = 0.7
 
-FrameDetections = list[tuple[int, list[Detection]]]
+FrameDetections = list[tuple[int, Sequence[Detection]]]
 
 
 def _check_finite(config: object, *names: str) -> None:
@@ -156,10 +150,11 @@ def generate(cfg: ScenarioConfig) -> tuple[list[GtEntry], FrameDetections]:
     config.
 
     Works on arrays: every agent's path is boxed once, and the channels are
-    computed as columns of the visible agent-frames only. Each value takes
-    the float operations of :meth:`AgentSpec.box` and the scalar box
-    properties in the same order, so the rows equal an object-by-object
-    build bit for bit.
+    computed as columns of the visible agent-frames only. They form one
+    detection table, of which each frame is a :class:`DetectionFrame` slice.
+    Each value takes the float operations of :meth:`AgentSpec.box` and the
+    scalar box properties in the same order, so the rows equal an
+    object-by-object build bit for bit.
     """
     boxes = _paths(cfg)
     visible = _visibility(cfg, boxes)
@@ -169,40 +164,19 @@ def generate(cfg: ScenarioConfig) -> tuple[list[GtEntry], FrameDetections]:
     prev = boxes[ag, np.maximum(fr - 1, 0)]
     l, t, r, b = cur.T
     pl, pt, pr, pb = prev.T
-    cx, cy = (l + r) / 2.0, (t + b) / 2.0
-    w, h = r - l, b - t
-    dx, dy = cx - (pl + pr) / 2.0, cy - (pt + pb) / 2.0
-    tracked_sizes: list[TrackedSizeWH] | list[TrackedSizeLTRB]
-    if cfg.variant == VARIANT_WH:
-        dw, dh = w - (pr - pl), h - (pb - pt)
-        tracked_sizes = [TrackedSizeWH(*d) for d in zip(dw.tolist(), dh.tolist())]
-    else:
-        tracked_sizes = [TrackedSizeLTRB(*edges) for edges in prev.tolist()]
-    ious = iou_array(prev, cur)
-
-    classes = [a.class_id for a in cfg.agents]
-    gt: list[GtEntry] = []
-    per_frame: list[list[Detection]] = [[] for _ in range(cfg.frames)]
-    for f, k, edges, x, y, bw, bh, ddx, ddy, ts, o in zip(
-        fr.tolist(), ag.tolist(), cur.tolist(), cx.tolist(), cy.tolist(), w.tolist(), h.tolist(),
-        dx.tolist(), dy.tolist(), tracked_sizes, ious.tolist(),
-    ):
-        gt.append(
-            GtEntry(frame=f + 1, track_id=k + 1, box=BoxLTRB(*edges), class_id=classes[k], visibility=1.0)
-        )
-        per_frame[f].append(
-            Detection(
-                frame=f + 1,
-                center=Point2(x, y),
-                size=Size2(bw, bh),
-                confidence=1.0,
-                class_id=classes[k],
-                disp=Displacement(ddx, ddy),
-                tracked_size=ts,
-                iou_pred=o,
-            )
-        )
-    return gt, [(f + 1, dets) for f, dets in enumerate(per_frame)]
+    center = np.column_stack(((l + r) / 2.0, (t + b) / 2.0))
+    size = np.column_stack((r - l, b - t))
+    disp = center - np.column_stack(((pl + pr) / 2.0, (pt + pb) / 2.0))
+    ts = size - np.column_stack((pr - pl, pb - pt)) if cfg.variant == VARIANT_WH else prev
+    classes, ious = _int_column([a.class_id for a in cfg.agents])[ag], iou_array(prev, cur)
+    # perturb reads the columns as arrays: no lists
+    table = _DetectionTable(cfg.variant, fr + 1, classes, center, size, np.ones(len(fr)), disp, ts, ious, lists=())
+    gt = [
+        GtEntry(frame=f, track_id=k + 1, box=BoxLTRB(*edges), class_id=c, visibility=1.0)
+        for f, k, edges, c in zip((fr + 1).tolist(), ag.tolist(), cur.tolist(), classes.tolist())
+    ]
+    bounds = np.searchsorted(fr, np.arange(cfg.frames + 1)).tolist()
+    return gt, [(f + 1, DetectionFrame(table, slice(a, b))) for f, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def _paths(cfg: ScenarioConfig) -> np.ndarray:
@@ -261,72 +235,8 @@ def _visibility(cfg: ScenarioConfig, boxes: np.ndarray) -> np.ndarray:
     return visible
 
 
-def _jitter(det: Detection, noise: NoiseConfig, rng: np.random.Generator) -> Detection:
-    cx, cy = det.center.x, det.center.y
-    if noise.center_noise_sigma > 0:
-        cx += rng.normal(0, noise.center_noise_sigma)
-        cy += rng.normal(0, noise.center_noise_sigma)
-    w, h = det.size.w, det.size.h
-    if noise.size_noise_sigma > 0:
-        w = max(0.0, w + rng.normal(0, noise.size_noise_sigma))
-        h = max(0.0, h + rng.normal(0, noise.size_noise_sigma))
-    dx, dy = det.disp.dx, det.disp.dy
-    if noise.disp_noise_sigma > 0:
-        dx += rng.normal(0, noise.disp_noise_sigma)
-        dy += rng.normal(0, noise.disp_noise_sigma)
-    ts = det.tracked_size
-    if noise.ts_noise_sigma > 0:
-        if isinstance(ts, TrackedSizeWH):
-            ts = TrackedSizeWH(
-                ts.dw + rng.normal(0, noise.ts_noise_sigma),
-                ts.dh + rng.normal(0, noise.ts_noise_sigma),
-            )
-        else:
-            ts = TrackedSizeLTRB(
-                ts.left + rng.normal(0, noise.ts_noise_sigma),
-                ts.top + rng.normal(0, noise.ts_noise_sigma),
-                ts.right + rng.normal(0, noise.ts_noise_sigma),
-                ts.bottom + rng.normal(0, noise.ts_noise_sigma),
-            )
-    o = det.iou_pred
-    if noise.iou_pred_bias != 0:
-        o = min(max(o + noise.iou_pred_bias, 0.0), 1.0)
-    return Detection(
-        frame=det.frame,
-        center=Point2(cx, cy),
-        size=Size2(w, h),
-        confidence=det.confidence,
-        class_id=det.class_id,
-        disp=Displacement(dx, dy),
-        tracked_size=ts,
-        iou_pred=o,
-    )
-
-
-def _false_positive(
-    frame: int, variant: str, image_size: tuple[float, float], rng: np.random.Generator
-) -> Detection:
-    width, height = image_size
-    cx = float(rng.uniform(0, width))
-    cy = float(rng.uniform(0, height))
-    w = float(rng.uniform(8, 48))
-    h = float(rng.uniform(8, 48))
-    box = box_from_center_size(Point2(cx, cy), Size2(w, h))
-    ts: TrackedSizeWH | TrackedSizeLTRB
-    if variant == VARIANT_WH:
-        ts = TrackedSizeWH(0.0, 0.0)
-    else:
-        ts = TrackedSizeLTRB(box.left, box.top, box.right, box.bottom)
-    return Detection(
-        frame=frame,
-        center=Point2(cx, cy),
-        size=Size2(w, h),
-        confidence=float(rng.uniform(0.5, 1.0)),
-        class_id=1,
-        disp=Displacement(0.0, 0.0),
-        tracked_size=ts,
-        iou_pred=float(rng.uniform(0.0, 1.0)),
-    )
+#: The jittered columns in the order their noise is drawn; each one's sigma is ``<name>_noise_sigma``.
+_JITTERED = ("center", "size", "disp", "ts")
 
 
 def perturb(
@@ -342,23 +252,82 @@ def perturb(
     one uniform-random false detection with probability ``fp_rate`` (so the
     injected count over N frames is Binomial(N, fp_rate)). False alarms are
     of class 1; they need ``image_size`` for placement and the scene's
-    ``variant`` for their tracked-size channel. With an all-zero config the input is
-    returned bit-identically. Deterministic per seed.
+    ``variant`` for their tracked-size channel. The detections must share one
+    variant, and ``variant``, if given, must be it. With an all-zero config
+    the output equals the input bit for bit. Deterministic per seed.
+
+    Works on the detection columns; a plain list is framed once. The random
+    stream is that of a detection-by-detection pass: per detection the miss
+    draw, then one standard normal per jittered channel, scaled as
+    ``Generator.normal`` scales it; per frame the false-alarm draw, then its
+    six uniforms. The output is one table, and each frame is a slice of it.
+    Raises ``ValueError`` if a jittered value is not finite.
     """
     if noise.fp_rate > 0 and (image_size is None or variant is None):
         raise ValueError("image_size and variant are required when fp_rate > 0")
+    if variant not in (None, *VARIANTS):
+        raise ValueError(f"unknown variant: {variant!r}")
+    framed = [(frame_no, DetectionFrame.of(dets) if len(dets) else ()) for frame_no, dets in frames]
+    full = [frame for _, frame in framed if len(frame)]
+    found = {frame.variant for frame in full}
+    if None in found or len(found) > 1:
+        raise ValueError("detections mix tracked-size variants")
+    if found and variant not in (None, *found):
+        raise ValueError(f"variant {variant!r} differs from the detections' variant {found.pop()!r}")
+    variant = found.pop() if found else variant
+    n_ts = 2 if variant == VARIANT_WH else 4
+    names = [f"{name}_noise_sigma" for name, width in zip(_JITTERED, (2, 2, 2, n_ts)) for _ in range(width)]
+    sigmas = np.array([getattr(noise, name) for name in names])
+    jittered = np.flatnonzero(sigmas > 0)
+    if noise.fp_rate > 0:
+        low, high = np.array([0.0, 0.0, 8, 8, 0.5, 0.0]), np.array([*image_size, 48, 48, 1.0, 1.0], dtype=float)
+
     rng = np.random.default_rng(seed)
-    out: FrameDetections = []
-    for frame_no, dets in frames:
-        kept: list[Detection] = []
-        for d in dets:
+    n = sum(map(len, full))
+    # order: the output rows, as source rows (below n) and false alarms (n and up)
+    order, draws, alarms, alarm_frames, bounds = [], [], [], [], [0]
+    start = 0
+    for frame_no, frame in framed:
+        for row in range(start, start + len(frame)):
             if noise.fn_rate > 0 and rng.random() < noise.fn_rate:
                 continue
-            kept.append(_jitter(d, noise, rng))
+            order.append(row)
+            if len(jittered):
+                draws.append(rng.standard_normal(len(jittered)))
+        start += len(frame)
         if noise.fp_rate > 0 and rng.random() < noise.fp_rate:
-            kept.append(_false_positive(frame_no, variant, image_size, rng))
-        out.append((frame_no, kept))
-    return out
+            order.append(n + len(alarms))
+            alarms.append(rng.uniform(low, high))
+            alarm_frames.append(frame_no)
+        bounds.append(len(order))
+
+    fp = np.array(alarms).reshape(-1, 6)  # center, size, confidence, iou_pred
+    half, zeros = fp[:, 2:4] / 2.0, np.zeros((len(fp), 2))
+    alarm = dict(
+        frame=_int_column(alarm_frames), cls=np.ones(len(fp), dtype=np.int64), center=fp[:, :2], size=fp[:, 2:4],
+        conf=fp[:, 4], disp=zeros, iou_pred=fp[:, 5],
+        ts=zeros if variant == VARIANT_WH else np.concatenate((fp[:, :2] - half, fp[:, :2] + half), axis=1),
+    )
+    col = {name: np.concatenate([frame.column(name) for frame in full] + [alarm[name]]) for name in _INPUTS}
+    channels = np.concatenate([col[name] for name in _JITTERED], axis=1)
+    take = np.array(order, dtype=np.intp)
+    if draws:
+        block = np.ix_(take[take < n], jittered)
+        with np.errstate(over="ignore", invalid="ignore"):
+            channels[block] = channels[block] + (0.0 + sigmas[jittered] * np.array(draws))
+        if noise.size_noise_sigma > 0:  # max(0.0, w); false alarms are 8 px or more
+            channels[:, 2:4] = np.where(channels[:, 2:4] > 0.0, channels[:, 2:4], 0.0)
+        bad = ~np.isfinite(channels[block]).all(axis=0)
+        if bad.any():
+            name = names[jittered[bad.argmax()]]
+            raise ValueError(f"{name} = {getattr(noise, name)} jitters a detection value past the float range")
+    col.update(zip(_JITTERED, np.split(channels, [2, 4, 6], axis=1)))
+    if noise.iou_pred_bias != 0:  # min(max(o + bias, 0.0), 1.0) on the source rows
+        shifted = col["iou_pred"][:n] + noise.iou_pred_bias
+        floored = np.where(0.0 > shifted, 0.0, shifted)
+        col["iou_pred"][:n] = np.where(1.0 < floored, 1.0, floored)
+    table = _DetectionTable(variant, *(col[name][take] for name in _INPUTS), lists=_WRITTEN)
+    return [(f, DetectionFrame(table, slice(a, b))) for (f, _), a, b in zip(framed, bounds, bounds[1:])]
 
 
 def crossing_scenario(

@@ -11,7 +11,12 @@ matrix referees likewise read ``Detection`` objects one at a time through
 the form the column-reading ``iou_cost`` and ``displacement_cost`` must equal.
 The file referees parse one row at a time with ``formats._int`` and
 ``formats._float``, checking each row's fields in order: the column parsers
-must give the same entries, or the same first ``ParseError``.
+must give the same entries, or the same first ``ParseError``. The
+simulator's noise referee ``perturb_scalar`` jitters one ``Detection`` at a
+time with a scalar ``Generator.normal`` draw per channel, the form the
+column-wise ``perturb`` must equal by ``repr``; ``write_predictions_objects``
+formats one ``Detection`` attribute at a time, the bytes the column writer
+``write_predictions`` must equal.
 """
 
 from __future__ import annotations
@@ -25,7 +30,19 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from motkit.association import FILTER_RATIONALE, INADMISSIBLE, tracked_box
-from motkit.formats import VARIANT_WH, Detection, GtEntry, ParseError, TrackRecord, _float, _int, _lines
+from motkit.formats import (
+    VARIANT_WH,
+    VARIANTS,
+    Detection,
+    GtEntry,
+    ParseError,
+    TrackRecord,
+    _float,
+    _fmt,
+    _int,
+    _lines,
+    _ts_fields,
+)
 from motkit.geometry import (
     BoxLTRB,
     Displacement,
@@ -33,11 +50,13 @@ from motkit.geometry import (
     Size2,
     TrackedSizeLTRB,
     TrackedSizeWH,
+    box_from_center_size,
     iou,
     size_gate,
     tracked_box_ltrb,
     tracked_box_wh,
 )
+from motkit.simulator import NoiseConfig
 
 
 def raster_iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> tuple[int, int, float]:
@@ -428,3 +447,118 @@ def prediction_rows(lines: Iterable[str], variant: str) -> dict[int, list[Detect
         check_area(tracked, line_no, "tracked box")
         by_frame.setdefault(frame, []).append(det)
     return dict(sorted(by_frame.items()))
+
+
+def _jitter(det: Detection, noise: NoiseConfig, rng: np.random.Generator) -> Detection:
+    cx, cy = det.center.x, det.center.y
+    if noise.center_noise_sigma > 0:
+        cx += rng.normal(0, noise.center_noise_sigma)
+        cy += rng.normal(0, noise.center_noise_sigma)
+    w, h = det.size.w, det.size.h
+    if noise.size_noise_sigma > 0:
+        w = max(0.0, w + rng.normal(0, noise.size_noise_sigma))
+        h = max(0.0, h + rng.normal(0, noise.size_noise_sigma))
+    dx, dy = det.disp.dx, det.disp.dy
+    if noise.disp_noise_sigma > 0:
+        dx += rng.normal(0, noise.disp_noise_sigma)
+        dy += rng.normal(0, noise.disp_noise_sigma)
+    ts = det.tracked_size
+    if noise.ts_noise_sigma > 0:
+        if isinstance(ts, TrackedSizeWH):
+            ts = TrackedSizeWH(
+                ts.dw + rng.normal(0, noise.ts_noise_sigma),
+                ts.dh + rng.normal(0, noise.ts_noise_sigma),
+            )
+        else:
+            ts = TrackedSizeLTRB(
+                ts.left + rng.normal(0, noise.ts_noise_sigma),
+                ts.top + rng.normal(0, noise.ts_noise_sigma),
+                ts.right + rng.normal(0, noise.ts_noise_sigma),
+                ts.bottom + rng.normal(0, noise.ts_noise_sigma),
+            )
+    o = det.iou_pred
+    if noise.iou_pred_bias != 0:
+        o = min(max(o + noise.iou_pred_bias, 0.0), 1.0)
+    return Detection(
+        frame=det.frame,
+        center=Point2(cx, cy),
+        size=Size2(w, h),
+        confidence=det.confidence,
+        class_id=det.class_id,
+        disp=Displacement(dx, dy),
+        tracked_size=ts,
+        iou_pred=o,
+    )
+
+
+def _false_positive(
+    frame: int, variant: str, image_size: tuple[float, float], rng: np.random.Generator
+) -> Detection:
+    width, height = image_size
+    cx = float(rng.uniform(0, width))
+    cy = float(rng.uniform(0, height))
+    w = float(rng.uniform(8, 48))
+    h = float(rng.uniform(8, 48))
+    box = box_from_center_size(Point2(cx, cy), Size2(w, h))
+    ts: TrackedSizeWH | TrackedSizeLTRB
+    if variant == VARIANT_WH:
+        ts = TrackedSizeWH(0.0, 0.0)
+    else:
+        ts = TrackedSizeLTRB(box.left, box.top, box.right, box.bottom)
+    return Detection(
+        frame=frame,
+        center=Point2(cx, cy),
+        size=Size2(w, h),
+        confidence=float(rng.uniform(0.5, 1.0)),
+        class_id=1,
+        disp=Displacement(0.0, 0.0),
+        tracked_size=ts,
+        iou_pred=float(rng.uniform(0.0, 1.0)),
+    )
+
+
+def perturb_scalar(
+    frames: list[tuple[int, list[Detection]]],
+    noise: NoiseConfig,
+    seed: int,
+    image_size: tuple[float, float] | None = None,
+    variant: str | None = None,
+) -> list[tuple[int, list[Detection]]]:
+    """``simulator.perturb`` one detection object and one scalar draw at a time.
+
+    Each detection is dropped with probability ``fn_rate``; each frame gains
+    one uniform-random false detection with probability ``fp_rate`` (so the
+    injected count over N frames is Binomial(N, fp_rate)). False alarms are
+    of class 1; they need ``image_size`` for placement and the scene's
+    ``variant`` for their tracked-size channel. With an all-zero config the input is
+    returned bit-identically. Deterministic per seed.
+    """
+    if noise.fp_rate > 0 and (image_size is None or variant is None):
+        raise ValueError("image_size and variant are required when fp_rate > 0")
+    rng = np.random.default_rng(seed)
+    out: list[tuple[int, list[Detection]]] = []
+    for frame_no, dets in frames:
+        kept: list[Detection] = []
+        for d in dets:
+            if noise.fn_rate > 0 and rng.random() < noise.fn_rate:
+                continue
+            kept.append(_jitter(d, noise, rng))
+        if noise.fp_rate > 0 and rng.random() < noise.fp_rate:
+            kept.append(_false_positive(frame_no, variant, image_size, rng))
+        out.append((frame_no, kept))
+    return out
+
+
+def write_predictions_objects(variant: str, frames: Iterable[tuple[int, list[Detection]]]) -> str:
+    """``formats.write_predictions`` one detection object and one attribute at a time."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant: {variant!r}")
+    out = [f"variant: {variant}\n"]
+    for frame_no, dets in frames:
+        for d in dets:
+            if d.variant != variant:
+                raise ValueError(f"detection variant {d.variant} does not match file variant {variant}")
+            head = map(_fmt, (d.center.x, d.center.y, d.size.w, d.size.h, d.confidence))
+            rest = map(_fmt, (d.disp.dx, d.disp.dy, *_ts_fields(d), d.iou_pred))
+            out.append(f"{frame_no},{','.join(head)},{d.class_id},{','.join(rest)}\n")
+    return "".join(out)

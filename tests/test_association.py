@@ -483,6 +483,24 @@ class TestKernelPaths:
         for strategy in Strategy:
             assert associate(strategy, dets, tracks, variant).matches == []
 
+    @pytest.mark.parametrize(
+        "det_classes, track_classes",
+        [
+            ([2**63] * 4, [1, 2**63 + 1, 1, 2**63 + 1]),
+            ([1, 2**63 + 1, 1, 2**63 + 1], [2**63] * 4),
+            ([2**64 + 1, 2**63 - 1, 2**64, -(2**63) - 1], [2**64, 2**63 - 1, 2**64 + 1, -(2**63) - 1]),
+        ],
+    )
+    def test_class_ids_past_int64_equal_loop(self, cutover, det_classes, track_classes):
+        # 4 x 4 identical boxes at the shipped cutover: only the class ids keep pairs apart
+        box = box_from_center_size(Point2(10.0, 10.0), Size2(4, 4))
+        tracks = [track(j + 1, 10.0, 10.0, 4, 4, cls=c) for j, c in enumerate(track_classes)]
+        for variant, ts in (("ltrb", ltrb_of(box)), ("wh", TrackedSizeWH(0.0, 0.0))):
+            dets = [det(10.0, 10.0, 4, 4, cls=c, ts=ts, o=0.5) for c in det_classes]
+            for form in FILTER_FORMS:
+                assert same_bits(iou_cost(dets, tracks, variant, form), iou_cost_loop(dets, tracks, variant, form))
+        assert same_bits(displacement_cost(dets, tracks), displacement_cost_loop(dets, tracks))
+
     def test_greedy_match_equals_oracle_with_ties(self, cutover):
         rng = np.random.default_rng(33)
         sides = set()

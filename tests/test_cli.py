@@ -1,15 +1,18 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import motkit
 from motkit.cli import main
-from motkit.formats import parse_track_file, write_gt, write_mot, write_predictions
+from motkit.formats import Detection, parse_track_file, write_gt, write_mot, write_predictions
 from motkit.geometry import BoxLTRB
 from motkit.formats import GtEntry, TrackRecord
 
@@ -148,6 +151,27 @@ class TestSimulate:
         assert f"error: {config}: " in err and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["center_noise", "size_noise", "disp_noise", "ts_noise"])
+    @pytest.mark.parametrize("variant", ["ltrb", "wh"])
+    def test_noise_past_the_float_range_exits_2_without_files(self, tmp_path, capsys, setting, variant):
+        # was an OverflowError traceback from the writer, after gt.txt had been written
+        config = tmp_path / "scene.cfg"
+        config.write_text(f"scenario = crossing\nframes = 20\nvariant = {variant}\n{setting} = 1.7e308\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out-dir", str(out)]) == 2
+        assert f"error: {setting}_sigma = 1.7e+308 jitters" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["ltrb", "wh"])
+    def test_simulate_builds_no_detection_objects(self, tmp_path, variant):
+        config = tmp_path / "scene.cfg"
+        noise = "center_noise = 0.8\nsize_noise = 0.4\ndisp_noise = 2.2\nts_noise = 0.7\niou_bias = -0.3\n"
+        config.write_text(f"scenario = crossing\nvariant = {variant}\n{noise}fp_rate = 0.5\nfn_rate = 0.2\n")
+        with mock.patch.object(Detection, "__post_init__", side_effect=AssertionError("Detection built")):
+            assert main(["simulate", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+        preds = (tmp_path / "out" / "preds.csv").read_text()
+        assert preds.startswith(f"variant: {variant}\n") and preds.count("\n") > 60
+
     def test_bad_scenario_exits_2(self, tmp_path):
         config = tmp_path / "scene.cfg"
         config.write_text("scenario = flying\n")
@@ -245,6 +269,20 @@ class TestTrack:
         assert main(["track", str(preds), "--out", str(out)]) == 0
         assert capsys.readouterr().out == f"frames={2**63} detections=2 tracks=2\n"
         assert [(r.frame, r.track_id) for r in parse_track_file(out.read_text())] == [(1, 1), (2**63, 2)]
+
+    @pytest.mark.parametrize("strategy", ["iou", "dis"])
+    def test_class_ids_past_int64_stay_apart(self, tmp_path, capsys, strategy):
+        # frame 2's class 2**63 matches none of frame 1's classes; 4 x 4 cells take the kernels
+        rows = ["variant: ltrb"]
+        for frame, classes in ((1, [1, 2**63 + 1, 1, 2**63 + 1]), (2, [2**63] * 4)):
+            rows += [f"{frame},{20 * k},10,4,4,0.9,{c},0,0,{20 * k - 2},8,{20 * k + 2},12,0.5"
+                     for k, c in enumerate(classes)]
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "tracks.txt"
+        assert main(["track", str(preds), "--strategy", strategy, "--out", str(out)]) == 0
+        records = parse_track_file(out.read_text())
+        assert sorted(r.track_id for r in records if r.frame == 2) == [5, 6, 7, 8]
 
     def test_every_strategy_flag_accepted(self, tmp_path):
         sim = self._simulate(tmp_path)
@@ -413,6 +451,24 @@ class TestPipeline:
                 (file_hash(sim / "gt.txt"), file_hash(sim / "preds.csv"), file_hash(tracks))
             )
         assert digests[0] == digests[1]
+
+    def test_readme_quick_start(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+        (config,) = re.findall(r"```ini\n(.*?)```", section, re.S)
+        commands = [
+            shlex.split(line)
+            for block in re.findall(r"```sh\n(.*?)```", section, re.S)
+            for line in block.splitlines()
+            if line.startswith("motkit ")
+        ]
+        assert [c[1] for c in commands] == ["simulate", "track", "eval"]
+        monkeypatch.chdir(tmp_path)
+        Path("scene.cfg").write_text(config)
+        for command in commands + [commands[-1] + ["--json"]]:
+            assert main(command[1:]) == 0, command
+        scores = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert scores["num_gt"] == len(Path("out/gt.txt").read_text().splitlines()) > 0
 
     def test_console_entry_point(self):
         src = Path(motkit.__file__).resolve().parents[1]

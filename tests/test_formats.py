@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from motkit.formats import (
     Detection,
+    DetectionFrame,
     GtEntry,
     ParseError,
     TrackRecord,
@@ -26,6 +27,7 @@ from motkit.geometry import (
     TrackedSizeWH,
     ltrb,
 )
+from oracles import write_predictions_objects
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 unit = st.floats(0, 1, allow_nan=False, allow_infinity=False)
@@ -354,3 +356,53 @@ class TestPredictions:
     def test_variant_mismatch_on_write_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             write_predictions("ltrb", [(1, [_det()])])
+
+
+# Integral values on both sides of _fmt's 1e15 limit, signed zeros, and decimals.
+WRITTEN = [0.0, -0.0, 3.0, 0.5, 1e15 - 1, 1e15, 1e15 + 2, 999999999999999.9, 2.0**60, 5e-324, 1.7e308]
+written = st.sampled_from(WRITTEN + [-v for v in WRITTEN]) | any_finite
+written_size = st.sampled_from(WRITTEN) | positive_size
+written_unit = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324]) | unit
+
+
+@st.composite
+def prediction_frames(draw):
+    variant = draw(st.sampled_from(["wh", "ltrb"]))
+    n_ts = 2 if variant == "wh" else 4
+    frames = []
+    for frame_no in draw(st.lists(st.sampled_from([1, 2, 7, 2**63, 2**64 + 1]), max_size=4)):
+        dets = []
+        for _ in range(draw(st.integers(0, 4))):
+            v = [draw(written), draw(written), draw(written_size), draw(written_size)]
+            v += [draw(written) for _ in range(2 + n_ts)]
+            ts = TrackedSizeWH(*v[6:]) if variant == "wh" else TrackedSizeLTRB(*v[6:])
+            cls = draw(st.sampled_from([1, 2, 2**63, 2**64 + 3]))
+            conf, iou_pred = draw(written_unit), draw(written_unit)
+            dets.append(
+                Detection(frame_no, Point2(*v[:2]), Size2(*v[2:4]), conf, cls, Displacement(*v[4:6]), ts, iou_pred)
+            )
+        frames.append((frame_no, dets))
+    return variant, frames
+
+
+class TestWritePredictionsEqualsReferee:
+    """The column writer against the object-by-object writer it replaced, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(prediction_frames())
+    def test_plain_lists_and_frames(self, case):
+        variant, frames = case
+        want = write_predictions_objects(variant, frames)
+        assert write_predictions(variant, frames) == want
+        assert write_predictions(variant, [(f, DetectionFrame.of(dets)) for f, dets in frames]) == want
+
+    def test_formats_at_the_integral_limit(self):
+        dets = [_det(cx=1e15 - 1, cy=-1e15 + 1, w=1e15, h=-0.0, dx=1e15 + 2, dy=999999999999999.9)]
+        want = "variant: wh\n1,999999999999999,-999999999999999,1000000000000000.0,0,0.9,1,1000000000000002.0,999999999999999.9,0,0,0.7\n"
+        assert write_predictions("wh", [(1, dets)]) == write_predictions_objects("wh", [(1, dets)]) == want
+
+    @pytest.mark.parametrize("dets", [[_det()], [_det(ts=TrackedSizeLTRB(0, 0, 1, 1)), _det()]])
+    def test_variant_mismatch_names_the_other_variant(self, dets):
+        for write in (write_predictions, write_predictions_objects):
+            with pytest.raises(ValueError, match="^detection variant wh does not match file variant ltrb$"):
+                write("ltrb", [(1, []), (2, dets)])

@@ -130,6 +130,13 @@ class TestColumnsEqualScalarFunctions:
         plain = DetectionFrame.of(dets)
         assert DetectionFrame.of(plain) is plain and plain[2] is dets[2]
 
+    def test_equals_any_sequence_of_equal_detections(self):
+        dets, _ = mixed_case(np.random.default_rng(4), "ltrb", 4, 0)
+        frame = parse_predictions(write_predictions("ltrb", [(1, dets)])).by_frame[1]
+        assert frame == dets and dets == frame and frame == tuple(dets) and frame == DetectionFrame.of(dets)
+        assert frame != dets[:3] and frame != dets[::-1] and frame != [*dets, dets[0]]
+        assert frame.take([]) == [] and frame != 4 and frame != "abcd"
+
 
 # -- (b) malformed files fail with the row parser's message ---------------------------------
 

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from motkit.association import Strategy
-from motkit.formats import TrackRecord
-from motkit.geometry import BoxLTRB, iou
+from motkit.formats import Detection, DetectionFrame, TrackRecord, write_predictions
+from motkit.geometry import BoxLTRB, Displacement, Point2, Size2, TrackedSizeLTRB, TrackedSizeWH, iou
 from motkit.metrics import clear_mot
 from motkit.simulator import (
     MODERATE_NOISE,
@@ -18,7 +20,7 @@ from motkit.simulator import (
     random_scenario,
 )
 from motkit.tracker import TrackerConfig, run_sequence
-from oracles import generate_scalar
+from oracles import generate_scalar, perturb_scalar, write_predictions_objects
 
 
 def static_config(frames=10, variant="ltrb"):
@@ -98,7 +100,8 @@ def referee_config(seed):
 def assert_matches_referee(cfg):
     """``repr`` equality with the object-by-object build: exact to the bit, and -0.0 differs from 0.0."""
     # A bare assert on the two strings would have pytest diff them, which takes minutes.
-    equal = repr(generate(cfg)) == repr(generate_scalar(cfg))
+    gt, frames = generate(cfg)
+    equal = repr((gt, [(f, list(dets)) for f, dets in frames])) == repr(generate_scalar(cfg))
     assert equal, cfg
 
 
@@ -309,6 +312,111 @@ class TestPerturb:
             NoiseConfig(center_noise_sigma=-1)
         with pytest.raises(ValueError):
             NoiseConfig(fn_rate=1.5)
+
+
+def as_lists(frames):
+    return [(f, list(dets)) for f, dets in frames]
+
+
+#: Each setting on its own, then all of them together.
+REFEREE_NOISE = [
+    NoiseConfig(),
+    NoiseConfig(center_noise_sigma=1.5),
+    NoiseConfig(size_noise_sigma=20.0),  # large enough to clamp sizes at 0
+    NoiseConfig(disp_noise_sigma=2.0),
+    NoiseConfig(ts_noise_sigma=3.0),
+    NoiseConfig(iou_pred_bias=-0.4),
+    NoiseConfig(iou_pred_bias=0.3),
+    NoiseConfig(fn_rate=0.5),
+    NoiseConfig(fn_rate=1.0),
+    NoiseConfig(fp_rate=0.5),
+    NoiseConfig(fp_rate=1.0),
+    MODERATE_NOISE,
+    NoiseConfig(1.0, 2.0, 3.0, 4.0, 0.2, 0.5, 0.5),
+]
+
+
+class TestPerturbEqualsReferee:
+    """``perturb`` on columns against the detection-by-detection pass it replaced, by ``repr``."""
+
+    def scenes(self):
+        scenes = [random_scenario(seed, variant) for seed in range(6) for variant in ("ltrb", "wh")]
+        offscreen = AgentSpec(width=16, height=20, waypoints=((1, -100.0, -100.0),))
+        for variant in ("ltrb", "wh"):  # every frame empty
+            scenes.append(ScenarioConfig(width=200, height=200, frames=5, agents=(offscreen,), variant=variant))
+        return scenes
+
+    @pytest.mark.parametrize("noise", REFEREE_NOISE, ids=repr)
+    def test_generated_and_plain_list_input(self, noise):
+        empty_frames = 0
+        for k, cfg in enumerate(self.scenes()):
+            _, frames = generate(cfg)
+            plain = as_lists(frames)
+            empty_frames += sum(not dets for _, dets in plain)
+            scalar = perturb_scalar(plain, noise, k, image_size=(cfg.width, cfg.height), variant=cfg.variant)
+            for source in (frames, plain):
+                got = perturb(source, noise, k, image_size=(cfg.width, cfg.height), variant=cfg.variant)
+                assert repr(as_lists(got)) == repr(scalar), (k, cfg.variant)
+                assert write_predictions(cfg.variant, got) == write_predictions_objects(cfg.variant, scalar)
+        assert empty_frames >= 10
+
+    def test_no_frames(self):
+        assert perturb([], MODERATE_NOISE, 0, image_size=(10, 10), variant="wh") == []
+
+    def test_frames_are_slices_of_one_table(self):
+        cfg = random_scenario(4)
+        _, frames = generate(cfg)
+        out = perturb(frames, MODERATE_NOISE, 1, image_size=(cfg.width, cfg.height), variant=cfg.variant)
+        assert all(isinstance(dets, DetectionFrame) for _, dets in frames + out)
+        assert len({id(dets._table) for _, dets in frames}) == 1
+        assert len({id(dets._table) for _, dets in out}) == 1
+
+    def test_equal_frames_compare_equal(self):
+        cfg = random_scenario(5)
+        _, frames = generate(cfg)
+        assert frames == as_lists(frames) and as_lists(frames) == frames
+        assert perturb(frames, NoiseConfig(), 0) == frames
+        assert perturb(frames, NoiseConfig(fn_rate=0.5), 0) != frames
+
+
+def plain_det(variant, frame=1):
+    ts = TrackedSizeWH(0.0, 0.0) if variant == "wh" else TrackedSizeLTRB(0.0, 0.0, 4.0, 4.0)
+    return Detection(frame, Point2(2.0, 2.0), Size2(4.0, 4.0), 1.0, 1, Displacement(0.0, 0.0), ts, 0.5)
+
+
+class TestPerturbVariants:
+    def test_mixed_variants_rejected(self):
+        within = [(1, [plain_det("wh"), plain_det("ltrb")])]
+        across = [(1, [plain_det("wh")]), (2, [plain_det("ltrb", 2)])]
+        for frames in (within, across):
+            with pytest.raises(ValueError, match="mix"):
+                perturb(frames, NoiseConfig(), 0)
+
+    def test_variant_must_be_the_detections(self):
+        frames = [(1, [plain_det("wh")])]
+        with pytest.raises(ValueError, match="differs"):
+            perturb(frames, NoiseConfig(), 0, variant="ltrb")
+        with pytest.raises(ValueError, match="unknown variant"):
+            perturb(frames, NoiseConfig(), 0, variant="xywh")
+        assert perturb(frames, NoiseConfig(), 0, variant="wh") == frames
+
+
+class TestPerturbRange:
+    @pytest.mark.parametrize(
+        "field", ["center_noise_sigma", "size_noise_sigma", "disp_noise_sigma", "ts_noise_sigma"]
+    )
+    @pytest.mark.parametrize("variant", ["ltrb", "wh"])
+    def test_non_finite_jitter_raises_without_warnings(self, field, variant):
+        _, frames = generate(crossing_scenario(variant=variant))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{field} = 1.7e\\+308"):
+                perturb(frames, NoiseConfig(**{field: 1.7e308}), 0)
+
+    def test_huge_finite_jitter_is_kept(self):
+        _, frames = generate(crossing_scenario())
+        out = perturb(frames, NoiseConfig(center_noise_sigma=1e300), 0)
+        assert max(abs(d.center.x) for _, dets in out for d in dets) > 1e299
 
 
 class TestOracleConsistency:
