@@ -14,13 +14,10 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Sequence
 
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy
 from .formats import (
-    GtEntry,
     ParseError,
-    TrackRecord,
     parse_mot,
     parse_predictions,
     parse_track_file,
@@ -29,7 +26,7 @@ from .formats import (
     write_predictions,
 )
 from .heatmap import DEFAULT_OUTPUT_THRESHOLD
-from .metrics import DEFAULT_IOU_THRESHOLD, check_iou_threshold, clear_mot, idf1
+from .metrics import DEFAULT_IOU_THRESHOLD, _RepeatedRow, check_iou_threshold, clear_mot, idf1
 from .objectives import gradient_check_report
 from .simulator import (
     AgentSpec,
@@ -103,35 +100,23 @@ def cmd_track(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _reject_repeated_row(text: str, rows: Sequence[GtEntry | TrackRecord], kind: str) -> None:
-    """Raise :class:`ParseError` at the first scored row whose (frame, id) an earlier one has.
-
-    Rows are the file's non-blank lines, in order; ground-truth rows with the
-    consider flag 0 are not scored, so they repeat nothing.
-    """
-    line_nos = (n for n, raw in enumerate(text.splitlines(), start=1) if raw.strip())
-    seen: set[tuple[int, int]] = set()
-    for line_no, row in zip(line_nos, rows):
-        if not getattr(row, "consider", True):
-            continue
-        key = (row.frame, row.track_id)
-        if key in seen:
-            raise ParseError(line_no, f"duplicate {kind} entry for frame {row.frame}, id {row.track_id}")
-        seen.add(key)
+def _line_of(text: str, row: int) -> int:
+    """The 1-based line number of the ``row``-th non-blank line of ``text``."""
+    return [n for n, raw in enumerate(text.splitlines(), start=1) if raw.strip()][row]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     check_iou_threshold(args.iou_thresh)
-    gt_text, hyp_text = _read_text(args.gt), _read_text(args.hyp)
-    gt = parse_mot(gt_text)
-    hyp = parse_track_file(hyp_text)
+    texts = {"ground-truth": _read_text(args.gt), "hypothesis": _read_text(args.hyp)}
+    gt = parse_mot(texts["ground-truth"])
+    hyp = parse_track_file(texts["hypothesis"])
     try:
         clear = clear_mot(gt, hyp, args.iou_thresh)
+    except _RepeatedRow as exc:
+        # a repeated (frame, id) row is malformed input, so name its line;
+        # only other refusals mean there is no ground truth to score
+        raise ParseError(_line_of(texts[exc.kind], exc.row), str(exc)) from None
     except ValueError as exc:
-        # clear_mot also refuses repeated (frame, id) rows; those are malformed
-        # input, so name the line. Only then is it no ground truth to score.
-        _reject_repeated_row(gt_text, gt, "ground-truth")
-        _reject_repeated_row(hyp_text, hyp, "hypothesis")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL_DOMAIN
     ident = idf1(gt, hyp, args.iou_thresh)

@@ -14,7 +14,8 @@ Each format is a table of fields with their range and derived-box checks.
 One column path converts and screens a whole file by that table, as
 py-motmetrics' ``motmetrics.io.loadtxt`` reads MOT files column-wise; one
 error finder names a refused file's first bad row. Parsed and simulated predictions
-are :class:`DetectionFrame` columns, which association, the tracker and the writer read.
+are :class:`DetectionFrame` columns, which association, the tracker and the writer read;
+parsed ground truth and tracker output are tables of columns, which the scorers read.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .geometry import (
     TrackedSizeLTRB,
     TrackedSizeWH,
     box_from_center_size,
+    ltrb,
 )
 
 VARIANT_WH = "wh"
@@ -98,6 +100,66 @@ class TrackRecord:
     track_id: int
     box: BoxLTRB
     confidence: float
+
+
+class _MotTable(Sequence):
+    """Ground-truth or tracker-output rows as numpy columns, the rows the scorers read.
+
+    Columns: ``frame`` and ``id`` (integers), ``box`` (``(n, 4)`` edges),
+    ``conf`` (for ground truth the consider flag as read, else the
+    confidence), and for ground truth ``cls`` and ``visibility`` (None for
+    tracker output). Indexing and iteration yield :class:`GtEntry` (consider
+    is ``conf != 0``) or :class:`TrackRecord` objects, built on first use; the
+    table equals any sequence of equal rows and prints as their list.
+    """
+
+    def __init__(self, frame, ids, box, conf, cls=None, visibility=None, objects=None):
+        self.frame, self.id, self.box, self.conf = frame, ids, box, conf
+        self.cls, self.visibility = cls, visibility
+        self._objects: Optional[list] = objects
+
+    @classmethod
+    def of(cls, rows: Sequence[Union[GtEntry, TrackRecord]]) -> "_MotTable":
+        """``rows`` if it is a table already, else a table over its objects."""
+        if isinstance(rows, _MotTable):
+            return rows
+        rows = list(rows)
+        return cls(
+            _int_column([r.frame for r in rows]),
+            _int_column([r.track_id for r in rows]),
+            np.array([ltrb(r.box) for r in rows], dtype=float).reshape(-1, 4),
+            np.array([float(r.consider) if isinstance(r, GtEntry) else r.confidence for r in rows], dtype=float),
+            objects=rows,
+        )
+
+    def _rows(self) -> list:
+        if self._objects is None:
+            columns = (self.frame.tolist(), self.id.tolist(), self.box.tolist(), self.conf.tolist())
+            if self.cls is None:
+                self._objects = [TrackRecord(f, i, BoxLTRB(*b), c) for f, i, b, c in zip(*columns)]
+            else:
+                self._objects = [
+                    GtEntry(f, i, BoxLTRB(*b), k, v, c != 0)
+                    for f, i, b, c, k, v in zip(*columns, self.cls.tolist(), self.visibility.tolist())
+                ]
+        return self._objects
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, index):
+        return self._rows()[index]
+
+    def __iter__(self) -> Iterator[Union[GtEntry, TrackRecord]]:
+        return iter(self._rows())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(self._rows())
 
 
 #: The input columns of a detection table, in a prediction row's field order.
@@ -197,6 +259,9 @@ class _DetectionTable:
         return Detection(frame, Point2(*center), Size2(*size), conf, cls, Displacement(*disp), ts, iou_pred)
 
 
+_NO_DETECTIONS = _DetectionTable.of_detections([])
+
+
 class DetectionFrame(Sequence[Detection]):
     """One frame's detections, read as columns.
 
@@ -226,6 +291,8 @@ class DetectionFrame(Sequence[Detection]):
         if isinstance(dets, DetectionFrame):
             return dets
         dets = list(dets)
+        if not dets:  # a gap frame: the shared empty table, not a new one per frame
+            return cls(_NO_DETECTIONS, slice(0, 0))
         return cls(_DetectionTable.of_detections(dets), slice(0, len(dets)))
 
     @property
@@ -516,8 +583,8 @@ def _first_error(fmt: _Format, lines: list[str], first_line: int, index: int, va
     raise ParseError(line_no, step.message.format_map(shown))
 
 
-def parse_mot(source: Union[str, Iterable[str]]) -> list[GtEntry]:
-    """Parse ground-truth rows into entries, in file order.
+def parse_mot(source: Union[str, Iterable[str]]) -> Sequence[GtEntry]:
+    """Parse ground-truth rows into a table of entries, in file order.
 
     ``bb_left``/``bb_top`` are the top-left corner; width and height convert
     to edge coordinates. Negative sizes and malformed rows raise
@@ -527,21 +594,13 @@ def parse_mot(source: Union[str, Iterable[str]]) -> list[GtEntry]:
     for evaluation).
     """
     v = _parse(_GT, _lines(source), 1)
-    return [
-        GtEntry(frame, track_id, BoxLTRB(*edges), class_id, visibility, conf != 0)
-        for frame, track_id, edges, class_id, visibility, conf in zip(
-            *(v[c].tolist() for c in ("frame", "id", "box", "class", "visibility", "conf"))
-        )
-    ]
+    return _MotTable(v["frame"], v["id"], v["box"], v["conf"], v["class"], v["visibility"])
 
 
-def parse_track_file(source: Union[str, Iterable[str]]) -> list[TrackRecord]:
-    """Parse tracker output rows (the :func:`write_mot` format) back into records."""
+def parse_track_file(source: Union[str, Iterable[str]]) -> Sequence[TrackRecord]:
+    """Parse tracker output rows (the :func:`write_mot` format) into a table of records, in file order."""
     v = _parse(_TRACK, _lines(source), 1)
-    return [
-        TrackRecord(frame, track_id, BoxLTRB(*edges), conf)
-        for frame, track_id, edges, conf in zip(*(v[c].tolist() for c in ("frame", "id", "box", "conf")))
-    ]
+    return _MotTable(v["frame"], v["id"], v["box"], v["conf"])
 
 
 def _mot_row(frame: int, track_id: int, box: BoxLTRB, rest: str) -> str:
@@ -577,7 +636,7 @@ def write_predictions(variant: str, frames: Iterable[tuple[int, Sequence[Detecti
         raise ValueError(f"unknown variant: {variant!r}")
     out = [f"variant: {variant}\n"]
     for frame_no, dets in frames:
-        if not len(dets):  # framing an empty list would build a table for nothing
+        if not len(dets):  # no rows, and no variant to check
             continue
         frame = DetectionFrame.of(dets)
         if frame.variant != variant:

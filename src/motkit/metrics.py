@@ -6,21 +6,25 @@ then the remaining boxes are paired by minimum-cost optimal assignment. An
 identity switch is counted when a ground-truth track's matched hypothesis id
 differs from the most recent id it ever matched, so losing a track and
 reacquiring it under the same id is not a switch. IDF1 instead scores one
-global trajectory-level assignment.
+global trajectory-level assignment. Within a frame, rows keep their order in
+the file, and assignment ties go to the earlier row: swapping two tied rows
+of a frame can change the switches counted.
+
+Both scorers read the rows as the columns of the parsers' tables (a plain
+list of rows is framed as one first), sorted once on frame.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .formats import GtEntry, TrackRecord
-from .geometry import KERNEL_MIN_CELLS, iou, iou_array, ltrb
+from .formats import GtEntry, TrackRecord, _MotTable
+from .geometry import KERNEL_MIN_CELLS, iou_array, iou_ltrb
 
 DEFAULT_IOU_THRESHOLD = 0.5  # overlap a pair needs to count as a match
 
@@ -44,16 +48,49 @@ class IdResult:
     idfn: int
 
 
-def _by_frame(rows: Iterable[GtEntry | TrackRecord], kind: str) -> dict[int, list]:
-    seen: set[tuple[int, int]] = set()
-    frames: dict[int, list] = defaultdict(list)
-    for r in rows:
-        key = (r.frame, r.track_id)
-        if key in seen:
-            raise ValueError(f"duplicate {kind} entry for frame {r.frame}, id {r.track_id}")
-        seen.add(key)
-        frames[r.frame].append(r)
-    return frames
+class _RepeatedRow(ValueError):
+    """A scored row repeats an earlier one's (frame, id); ``row`` is its index in its table."""
+
+    def __init__(self, kind: str, frame: int, track_id: int, row: int):
+        super().__init__(f"duplicate {kind} entry for frame {frame}, id {track_id}")
+        self.kind, self.row = kind, row
+
+
+class _Scored(NamedTuple):
+    """A table's scored rows, sorted stably on frame: each frame keeps its file order."""
+
+    id: np.ndarray
+    box: np.ndarray
+    frames: list  # the frame numbers, ascending
+    bounds: list[int]  # frame k's rows are bounds[k]:bounds[k + 1]
+
+
+def _run_bounds(values: np.ndarray) -> list[int]:
+    """The start of each run of equal neighbours in ``values``, then its length."""
+    cuts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return [0, *cuts.tolist(), len(values)] if len(values) else [0]
+
+
+def _scored(rows: Sequence[GtEntry | TrackRecord], kind: str) -> _Scored:
+    """The rows :func:`clear_mot` and :func:`idf1` score, grouped by frame.
+
+    Ground-truth rows flagged as ignored are dropped. Raises
+    :class:`_RepeatedRow` at the first scored row, in file order, whose
+    (frame, id) an earlier scored row has.
+    """
+    table = _MotTable.of(rows)
+    kept = np.flatnonzero(table.conf != 0) if kind == "ground-truth" else np.arange(len(table))
+    frame, ids = table.frame[kept], table.id[kept]
+    by_key = np.lexsort((ids, frame))  # stable: each key's rows in file order
+    f, i = frame[by_key], ids[by_key]
+    repeats = by_key[1:][(f[1:] == f[:-1]) & (i[1:] == i[:-1])]
+    if len(repeats):
+        first = repeats.min()
+        raise _RepeatedRow(kind, frame[first], ids[first], int(kept[first]))
+    order = kept[np.argsort(frame, kind="stable")]
+    frame, ids, box = table.frame[order], table.id[order], table.box[order]
+    bounds = _run_bounds(frame)
+    return _Scored(ids, box, frame[bounds[:-1]].tolist(), bounds)
 
 
 def check_iou_threshold(iou_thresh: float) -> None:
@@ -71,44 +108,48 @@ def clear_mot(
 ) -> ClearResult:
     """CLEAR metrics: MOTA with its FP, FN, and identity-switch counts.
 
-    Ground-truth entries flagged as ignored are removed entirely. Raises if
-    no considered ground truth remains, since MOTA is undefined then, or if
+    Ground-truth entries flagged as ignored are removed entirely. Raises
+    ``ValueError`` if a (frame, id) repeats among the scored rows, if no
+    considered ground truth remains, since MOTA is undefined then, or if
     the threshold fails :func:`check_iou_threshold`.
     """
     check_iou_threshold(iou_thresh)
-    gt_frames = _by_frame((e for e in gt if e.consider), "ground-truth")
-    hyp_frames = _by_frame(hyp, "hypothesis")
-    num_gt = sum(len(v) for v in gt_frames.values())
+    gt, hyp = _scored(gt, "ground-truth"), _scored(hyp, "hypothesis")
+    num_gt = len(gt.id)
     if num_gt == 0:
         raise ValueError("no considered ground truth; MOTA is undefined")
 
+    gt_ids, gt_boxes, hyp_ids, hyp_boxes = gt.id.tolist(), gt.box.tolist(), hyp.id.tolist(), hyp.box.tolist()
+
+    gt_span = {f: (a, b) for f, a, b in zip(gt.frames, gt.bounds, gt.bounds[1:])}
+    hyp_span = {f: (a, b) for f, a, b in zip(hyp.frames, hyp.bounds, hyp.bounds[1:])}
     fp = fn = ids = 0
     last_matched: dict[int, int] = {}
     prev_corr: dict[int, int] = {}
 
-    for frame in sorted(set(gt_frames) | set(hyp_frames)):
-        gtf = gt_frames.get(frame, [])
-        hypf = hyp_frames.get(frame, [])
-        gt_boxes = {e.track_id: e.box for e in gtf}
-        hyp_boxes = {r.track_id: r.box for r in hypf}
+    for frame in sorted(gt_span.keys() | hyp_span.keys()):
+        a, b = gt_span.get(frame, (0, 0))
+        c, d = hyp_span.get(frame, (0, 0))
+        gt_row = dict(zip(gt_ids[a:b], range(a, b)))  # id -> its row, in file order
+        hyp_row = dict(zip(hyp_ids[c:d], range(c, d)))
 
-        corr: dict[int, int] = {}
-        for g, h in prev_corr.items():
-            if g in gt_boxes and h in hyp_boxes and iou(gt_boxes[g], hyp_boxes[h]) >= iou_thresh:
-                corr[g] = h
+        kept = [(g, h) for g, h in prev_corr.items() if g in gt_row and h in hyp_row]
+        if len(kept) >= KERNEL_MIN_CELLS:
+            g_rows, h_rows = [gt_row[g] for g, _ in kept], [hyp_row[h] for _, h in kept]
+            holds = (iou_array(gt.box[g_rows], hyp.box[h_rows]) >= iou_thresh).tolist()
+        else:
+            holds = [iou_ltrb(gt_boxes[gt_row[g]], hyp_boxes[hyp_row[h]]) >= iou_thresh for g, h in kept]
+        corr = {g: h for (g, h), ok in zip(kept, holds) if ok}
 
-        rem_g = [g for g in gt_boxes if g not in corr]
+        rem_g = [g for g in gt_row if g not in corr]
         used_h = set(corr.values())
-        rem_h = [h for h in hyp_boxes if h not in used_h]
+        rem_h = [h for h in hyp_row if h not in used_h]
         if rem_g and rem_h:
+            g_rows, h_rows = [gt_row[g] for g in rem_g], [hyp_row[h] for h in rem_h]
             if len(rem_g) * len(rem_h) < KERNEL_MIN_CELLS:
-                overlap = np.array(
-                    [[iou(gt_boxes[g], hyp_boxes[h]) for h in rem_h] for g in rem_g]
-                )
+                overlap = np.array([[iou_ltrb(gt_boxes[r], hyp_boxes[c]) for c in h_rows] for r in g_rows])
             else:
-                g_boxes = np.array([ltrb(gt_boxes[g]) for g in rem_g])
-                h_boxes = np.array([ltrb(hyp_boxes[h]) for h in rem_h])
-                overlap = iou_array(g_boxes[:, None], h_boxes[None])
+                overlap = iou_array(gt.box[g_rows][:, None], hyp.box[h_rows][None])
             cost = np.where(overlap >= iou_thresh, 1.0 - overlap, _BIG_COST)
             rows, cols = linear_sum_assignment(cost)
             for r, c in zip(rows, cols):
@@ -120,8 +161,8 @@ def clear_mot(
                 ids += 1
             last_matched[g] = h
 
-        fn += len(gt_boxes) - len(corr)
-        fp += len(hyp_boxes) - len(corr)
+        fn += len(gt_row) - len(corr)
+        fp += len(hyp_row) - len(corr)
         prev_corr = corr
 
     mota = 1.0 - (fp + fn + ids) / num_gt
@@ -136,18 +177,17 @@ def idf1(
     Counts, per (ground-truth track, hypothesis track) pair, the frames where
     both are present with IOU at or above the threshold; the assignment
     maximizing the total matched frames defines IDTP. Empty ground truth and
-    hypothesis score 1.0 by convention (vacuous perfection). Raises if the
-    threshold fails :func:`check_iou_threshold`.
+    hypothesis score 1.0 by convention (vacuous perfection). Raises if a
+    (frame, id) repeats among the scored rows, or if the threshold fails
+    :func:`check_iou_threshold`.
     """
     check_iou_threshold(iou_thresh)
-    gt_frames = _by_frame((e for e in gt if e.consider), "ground-truth")
-    hyp_frames = _by_frame(hyp, "hypothesis")
-    total_gt = sum(len(v) for v in gt_frames.values())
-    total_hyp = sum(len(v) for v in hyp_frames.values())
+    gt, hyp = _scored(gt, "ground-truth"), _scored(hyp, "hypothesis")
+    total_gt, total_hyp = len(gt.id), len(hyp.id)
     if total_gt == 0 and total_hyp == 0:
         return IdResult(idf1=1.0, idtp=0, idfp=0, idfn=0)
 
-    mat = _id_overlap_counts(gt_frames, hyp_frames, iou_thresh)
+    mat = _id_overlap_counts(gt, hyp, iou_thresh)
     idtp = 0
     if mat.any():
         mat = mat[mat.any(axis=1)][:, mat.any(axis=0)]
@@ -160,9 +200,7 @@ def idf1(
     return IdResult(idf1=score, idtp=idtp, idfp=idfp, idfn=idfn)
 
 
-def _id_overlap_counts(
-    gt_frames: dict[int, list[GtEntry]], hyp_frames: dict[int, list[TrackRecord]], iou_thresh: float
-) -> np.ndarray:
+def _id_overlap_counts(gt: _Scored, hyp: _Scored, iou_thresh: float) -> np.ndarray:
     """Frames each (ground-truth id, hypothesis id) pair overlaps at the threshold.
 
     Hypothesis boxes are laid out once as a (frame, slot) grid whose unused
@@ -170,27 +208,25 @@ def _id_overlap_counts(
     call against the grid rows of its frames. One call per track, not per
     sequence, keeps the working set to one track's frames.
     """
-    frame_row = {f: k for k, f in enumerate(sorted(hyp_frames))}
-    hyp_ids = sorted({r.track_id for rows in hyp_frames.values() for r in rows})
-    hyp_col = {h: k for k, h in enumerate(hyp_ids)}
-    slots = max((len(rows) for rows in hyp_frames.values()), default=0)
-    grid = np.zeros((len(frame_row), slots, 4))
-    grid_ids = np.full((len(frame_row), slots), -1)
-    for f, rows in hyp_frames.items():
-        k = frame_row[f]
-        grid[k, : len(rows)] = [ltrb(r.box) for r in rows]
-        grid_ids[k, : len(rows)] = [hyp_col[r.track_id] for r in rows]
+    hyp_ids, hyp_col = np.unique(hyp.id, return_inverse=True)
+    sizes = np.diff(hyp.bounds)
+    at_frame = np.repeat(np.arange(len(sizes)), sizes)
+    slot = np.arange(len(at_frame)) - np.repeat(hyp.bounds[:-1], sizes).astype(int)
+    grid = np.zeros((len(sizes), sizes.max(initial=0), 4))
+    grid_ids = np.full(grid.shape[:2], -1)
+    grid[at_frame, slot] = hyp.box
+    grid_ids[at_frame, slot] = hyp_col
 
-    tracks: dict[int, list[GtEntry]] = defaultdict(list)
-    for f in sorted(gt_frames):
-        if f in frame_row:
-            for e in gt_frames[f]:
-                tracks[e.track_id].append(e)
-    counts = np.zeros((len(tracks), len(hyp_ids)), dtype=int)
-    for row, entries in enumerate(tracks.values()):
-        k = [frame_row[e.frame] for e in entries]
-        boxes = np.array([ltrb(e.box) for e in entries])
+    frame_row = {f: k for k, f in enumerate(hyp.frames)}
+    grid_row = np.repeat([frame_row.get(f, -1) for f in gt.frames], np.diff(gt.bounds)).astype(int)
+    inside = np.flatnonzero(grid_row >= 0)
+    by_track = inside[np.argsort(gt.id[inside], kind="stable")]  # each track's rows in frame order
+    bounds = _run_bounds(gt.id[by_track])
+    counts = np.zeros((len(bounds) - 1, len(hyp_ids)), dtype=int)
+    for row, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        rows = by_track[a:b]
+        k = grid_row[rows]
         ids = grid_ids[k]
-        hit = (iou_array(boxes[:, None], grid[k]) >= iou_thresh) & (ids >= 0)
+        hit = (iou_array(gt.box[rows][:, None], grid[k]) >= iou_thresh) & (ids >= 0)
         counts[row] = np.bincount(ids[hit], minlength=len(hyp_ids))
     return counts

@@ -15,6 +15,7 @@ from motkit.cli import main
 from motkit.formats import Detection, parse_track_file, write_gt, write_mot, write_predictions
 from motkit.geometry import BoxLTRB
 from motkit.formats import GtEntry, TrackRecord
+from oracles import clear_mot_objects, idf1_objects, parse_mot_rows, parse_track_file_rows
 
 
 CROSSING_CONFIG = """
@@ -484,3 +485,62 @@ class TestPipeline:
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
         assert 'motkit = "motkit.cli:entry"' in scripts.splitlines()
+
+
+class TestEvalOnColumns:
+    def eval_json(self, tmp_path, capsys, gt_text, hyp_text):
+        (tmp_path / "gt.txt").write_text(gt_text)
+        (tmp_path / "hyp.txt").write_text(hyp_text)
+        code = main(["eval", str(tmp_path / "gt.txt"), str(tmp_path / "hyp.txt"), "--json"])
+        captured = capsys.readouterr()
+        return code, captured
+
+    def test_builds_no_row_objects(self, tmp_path, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("eval built a box object")
+
+        monkeypatch.setattr(BoxLTRB, "__post_init__", refuse)
+        gt_text = "".join(f"{f},{i},{10 * i},10,20,40,1,1,1\n" for f in range(1, 30) for i in range(1, 6))
+        hyp_text = "".join(f"{f},{i},{10 * i + 1},10,20,40,1,-1,-1,-1\n" for f in range(1, 30) for i in range(1, 6))
+        code, captured = self.eval_json(tmp_path, capsys, gt_text, hyp_text)
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["num_gt"] == 145
+
+    def test_frames_and_ids_past_int64(self, tmp_path, capsys):
+        big = 2**63
+        gt_text = f"{big},{big + 1},0,0,10,10,1,1,1\n{big + 1},{big + 1},0,0,10,10,1,1,1\n1,{2**64},50,50,10,10,1,1,1\n"
+        hyp_text = (f"{big + 1},7,0,0,10,10,1,-1,-1,-1\n{big},{2**70},0,0,10,10,1,-1,-1,-1\n"
+                    f"1,{2**70},50,50,10,10,1,-1,-1,-1\n")
+        code, captured = self.eval_json(tmp_path, capsys, gt_text, hyp_text)
+        assert code == 0, captured.err
+        gt, hyp = parse_mot_rows(gt_text), parse_track_file_rows(hyp_text)
+        clear, ident = clear_mot_objects(gt, hyp), idf1_objects(gt, hyp)
+        payload = json.loads(captured.out)
+        got = (payload["mota"], payload["ids"], payload["fp"], payload["fn"])
+        assert got == (clear.mota, clear.ids, clear.fp, clear.fn)
+        assert (payload["idf1"], payload["idtp"]) == (ident.idf1, ident.idtp) and clear.ids == 1
+
+        code, captured = self.eval_json(tmp_path, capsys, gt_text, hyp_text + f"\n{big},{2**70},5,5,10,10,1,-1,-1,-1\n")
+        assert code == 2 and captured.out == ""
+        assert f"line 5: duplicate hypothesis entry for frame {big}, id {2**70}" in captured.err
+
+    def test_repeat_after_an_ignored_row(self, tmp_path, capsys):
+        # the first (1, 2) row is ignored, so the third line is no repeat; line 6 is
+        gt_text = "1,2,10,10,20,40,0,1,1\n1,1,50,10,20,40,1,1,1\n1,2,10,10,20,40,1,1,1\n\n2,1,50,10,20,40,1,1,1\n" \
+                  "1,2,90,10,20,40,1,1,1\n"
+        code, captured = self.eval_json(tmp_path, capsys, gt_text, "1,1,50,10,20,40,1,-1,-1,-1\n")
+        assert code == 2 and captured.out == ""
+        assert "line 6: duplicate ground-truth entry for frame 1, id 2" in captured.err
+
+    def test_out_of_order_frames_and_hypothesis_frames_without_ground_truth(self, tmp_path, capsys):
+        gt_text = "3,1,10,10,20,40,1,1,1\n1,1,10,10,20,40,1,1,1\n2,2,50,10,20,40,1,1,1\n2,1,12,10,20,40,1,1,1\n"
+        hyp_text = ("9,4,10,10,20,40,1,-1,-1,-1\n2,4,12,10,20,40,1,-1,-1,-1\n1,3,10,10,20,40,1,-1,-1,-1\n"
+                    "3,3,10,10,20,40,1,-1,-1,-1\n2,5,50,10,20,40,1,-1,-1,-1\n")
+        code, captured = self.eval_json(tmp_path, capsys, gt_text, hyp_text)
+        assert code == 0, captured.err
+        gt, hyp = parse_mot_rows(gt_text), parse_track_file_rows(hyp_text)
+        clear, ident = clear_mot_objects(gt, hyp), idf1_objects(gt, hyp)
+        payload = json.loads(captured.out)
+        got = (payload["ids"], payload["fp"], payload["fn"], payload["idtp"])
+        assert got == (clear.ids, clear.fp, clear.fn, ident.idtp)
+        assert (clear.ids, clear.fp) == (2, 1)

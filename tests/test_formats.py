@@ -10,6 +10,7 @@ from motkit.formats import (
     GtEntry,
     ParseError,
     TrackRecord,
+    _MotTable,
     parse_mot,
     parse_predictions,
     parse_track_file,
@@ -406,3 +407,35 @@ class TestWritePredictionsEqualsReferee:
         for write in (write_predictions, write_predictions_objects):
             with pytest.raises(ValueError, match="^detection variant wh does not match file variant ltrb$"):
                 write("ltrb", [(1, []), (2, dets)])
+
+
+class TestMotTable:
+    GT = "2,1,10,20,4,2,1,1,1.0\n\n1,3,0,0,5,5,0,2,0.5\n"
+    TRACK = "1,1,0,0,10,10,0.9,-1,-1,-1\n1,2,5,5,10,10,0.25,-1,-1,-1\n"
+
+    def test_rows_index_as_entries_and_records(self):
+        gt, track = parse_mot(self.GT), parse_track_file(self.TRACK)
+        assert gt[1] == GtEntry(1, 3, BoxLTRB(0, 0, 5, 5), 2, 0.5, False) and gt[-2].consider
+        assert list(track) == [
+            TrackRecord(1, 1, BoxLTRB(0, 0, 10, 10), 0.9),
+            TrackRecord(1, 2, BoxLTRB(5, 5, 15, 15), 0.25),
+        ]
+        assert track[1:] == [track[1]] and len(gt) == 2
+        assert repr(gt) == repr(list(gt)) and track == tuple(track) and gt != track and gt != "not rows"
+
+    def test_columns_without_row_objects(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("built a box object")
+
+        monkeypatch.setattr(BoxLTRB, "__post_init__", refuse)
+        gt = parse_mot(self.GT)
+        assert gt.frame.tolist() == [2, 1] and gt.id.tolist() == [1, 3] and gt.conf.tolist() == [1.0, 0.0]
+        assert gt.box.tolist() == [[10, 20, 14, 22], [0, 0, 5, 5]] and gt.cls.tolist() == [1, 2]
+        assert parse_track_file(self.TRACK).cls is None and len(parse_track_file("")) == 0
+
+    def test_a_plain_list_is_framed_once(self):
+        rows = list(parse_mot(self.GT)) + [GtEntry(2**64, 2**63, BoxLTRB(1, 2, 3, 4), 1, 1.0)]
+        table = _MotTable.of(rows)
+        assert _MotTable.of(table) is table and all(a is b for a, b in zip(table, rows))
+        assert table.frame.tolist() == [2, 1, 2**64] and table.conf.tolist() == [1.0, 0.0, 1.0]
+        assert _MotTable.of([TrackRecord(1, 5, BoxLTRB(0, 0, 1, 1), 0.0)]).conf.tolist() == [0.0]

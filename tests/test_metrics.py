@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from motkit import metrics
-from motkit.formats import GtEntry, TrackRecord
+from motkit.formats import GtEntry, TrackRecord, _mot_row, parse_mot, parse_track_file
 from motkit.geometry import KERNEL_MIN_CELLS, BoxLTRB
 from motkit.metrics import clear_mot, idf1
-from oracles import clear_enumerate, idf1_enumerate
+from oracles import clear_enumerate, clear_mot_objects, idf1_enumerate, idf1_objects
 
 
 def gt_row(frame, tid, box, consider=True):
@@ -294,3 +294,102 @@ class TestAgainstOraclesAtThresholds:
             expected_f1, idtp, idfp, idfn = idf1_enumerate(rows_of(gt), rows_of(hyp), thresh)
             assert (res.idtp, res.idfp, res.idfn) == (idtp, idfp, idfn)
             assert res.idf1 == pytest.approx(expected_f1, abs=1e-12)
+
+
+def wide_sequence(rng):
+    """Twenty-four objects on a grid, nearly all tracked exactly, so most frames keep
+    at least ``KERNEL_MIN_CELLS`` pairs from the last frame, at every threshold."""
+    n_gt = 24
+    hyp_of = list(range(1, n_gt + 1))
+    gt, hyp = [], []
+    for f in range(1, int(rng.integers(3, 6)) + 1):
+        if rng.random() < 0.5:
+            a, b = rng.choice(n_gt, size=2, replace=False)
+            hyp_of[a], hyp_of[b] = hyp_of[b], hyp_of[a]
+        for g in range(n_gt):
+            x, y = 40.0 * (g % 6) + float(rng.uniform(0, 8)), 40.0 * (g // 6) + float(rng.uniform(0, 8))
+            box = BoxLTRB(x, y, x + 30, y + 30)
+            gt.append(gt_row(f, g + 1, box, consider=rng.random() >= 0.02))
+            if rng.random() < 0.03:
+                continue
+            if rng.random() < 0.05:
+                dx, dy = (float(v) for v in rng.normal(0, 4, size=2))
+                box = BoxLTRB(x + dx, y + dy, x + dx + 30, y + dy + 30)
+            hyp.append(hyp_row(f, hyp_of[g], box))
+    return gt, hyp
+
+
+def mot_texts(gt, hyp):
+    """Ground-truth and tracker-output file text of the rows, in the given order."""
+    return (
+        "".join(_mot_row(e.frame, e.track_id, e.box, f"{int(e.consider)},{e.class_id},{e.visibility}") for e in gt),
+        "".join(_mot_row(r.frame, r.track_id, r.box, f"{r.confidence},-1,-1,-1") for r in hyp),
+    )
+
+
+def scores(score_clear, score_idf1, gt, hyp, thresh):
+    return repr((score_clear(gt, hyp, thresh), score_idf1(gt, hyp, thresh)))
+
+
+class TestColumnsAgainstObjectScorers:
+    @pytest.mark.parametrize("thresh", [0.3, 0.5, 1.0])
+    def test_tables_and_lists_equal_the_object_scorers(self, thresh, metrics_cutover, monkeypatch):
+        continuity_calls = []  # elementwise kernel calls: the continuity check on (n, 4) rows
+        kernel = metrics.iou_array
+        monkeypatch.setattr(metrics, "iou_array", lambda a, b: continuity_calls.append(a.ndim == 2) or kernel(a, b))
+        rng = np.random.default_rng(43)
+        switches = 0
+        for k in range(40):
+            gt, hyp = wide_sequence(rng) if k % 4 == 0 else crowded_sequence(rng)
+            gt_text, hyp_text = mot_texts(gt, hyp)
+            for g, h in ((parse_mot(gt_text), parse_track_file(hyp_text)), (gt, hyp)):
+                expected = scores(clear_mot_objects, idf1_objects, list(g), list(h), thresh)
+                assert scores(clear_mot, idf1, g, h, thresh) == expected
+            switches += clear_mot(gt, hyp, thresh).ids
+        assert switches > 0 and any(continuity_calls)
+
+    @pytest.mark.parametrize("first, ids", [(("1,1", "1,2"), 0), (("1,2", "1,1"), 2)])
+    def test_tied_rows_go_to_the_earlier_row_in_the_file(self, first, ids):
+        # every frame-1 pair has IOU 1: the assignment takes the rows in file order
+        gt_text = "".join(f"{key},{box},1,1,1\n" for key, box in zip(
+            (*first, "2,1", "2,2"), ("0,0,10,10", "0,0,10,10", "0,0,10,10", "50,50,10,10")))
+        hyp_text = "1,10,0,0,10,10,1,-1,-1,-1\n1,20,0,0,10,10,1,-1,-1,-1\n" \
+                   "2,10,0,0,10,10,1,-1,-1,-1\n2,20,50,50,10,10,1,-1,-1,-1\n"
+        gt, hyp = parse_mot(gt_text), parse_track_file(hyp_text)
+        assert clear_mot(gt, hyp).ids == clear_mot(list(gt), list(hyp)).ids == ids
+        assert repr(clear_mot(gt, hyp)) == repr(clear_mot_objects(list(gt), list(hyp)))
+
+    def test_out_of_order_frames_and_frames_of_one_side_only(self):
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            gt, hyp = crowded_sequence(rng)
+            hyp += [hyp_row(f, 1, BOX) for f in (40, 41)]  # frames without ground truth
+            gt += [gt_row(f, 9, FAR_BOX) for f in (50, 51)]  # frames without hypotheses
+            order_gt, order_hyp = rng.permutation(len(gt)), rng.permutation(len(hyp))
+            gt, hyp = [gt[k] for k in order_gt], [hyp[k] for k in order_hyp]
+            g, h = (parse_mot(mot_texts(gt, [])[0]), parse_track_file(mot_texts([], hyp)[1]))
+            for thresh in (0.3, 1.0):
+                assert scores(clear_mot, idf1, g, h, thresh) == scores(
+                    clear_mot_objects, idf1_objects, list(g), list(h), thresh)
+
+    def test_repeat_after_an_ignored_row_names_the_scored_repeat(self):
+        gt = [gt_row(1, 2, BOX, consider=False), gt_row(1, 1, BOX), gt_row(1, 2, BOX), gt_row(2, 1, BOX),
+              gt_row(1, 2, FAR_BOX), gt_row(2, 1, FAR_BOX)]
+        for rows in (gt, parse_mot(mot_texts(gt, [])[0])):
+            with pytest.raises(ValueError) as got:
+                clear_mot(rows, [])
+            with pytest.raises(ValueError) as expected:
+                clear_mot_objects(list(rows), [])
+            assert str(got.value) == str(expected.value) == "duplicate ground-truth entry for frame 1, id 2"
+            assert got.value.row == 4  # the table row: the ignored row counts
+            assert clear_mot(rows[:4], []) == clear_mot_objects(list(rows[:4]), [])
+
+    def test_ids_and_frames_past_int64_stay_exact(self):
+        big = 2**63
+        gt = [gt_row(big + 1, big, BOX), gt_row(big + 1, big + 1, FAR_BOX), gt_row(2, 2**70, BOX)]
+        hyp = [hyp_row(big + 1, 5, BOX), hyp_row(big + 1, big + 2, FAR_BOX), hyp_row(2, 2**70, BOX)]
+        g, h = parse_mot(mot_texts(gt, hyp)[0]), parse_track_file(mot_texts(gt, hyp)[1])
+        assert g.frame.dtype == object and h.id.dtype == object
+        assert scores(clear_mot, idf1, g, h, 0.5) == scores(clear_mot_objects, idf1_objects, gt, hyp, 0.5)
+        with pytest.raises(ValueError, match=f"duplicate hypothesis entry for frame {big + 1}, id {big + 2}$"):
+            clear_mot(g, list(h) + [hyp_row(big + 1, big + 2, BOX)])

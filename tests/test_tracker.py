@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from motkit.association import Strategy, associate
-from motkit.formats import Detection
+from motkit import formats
+from motkit.formats import Detection, DetectionFrame, parse_predictions, write_mot
 from motkit.geometry import (
     Displacement,
     Point2,
@@ -257,3 +258,24 @@ class TestRunFrames:
         records = run_frames(by_frame, CFG)
         assert [(r.frame, r.track_id) for r in records] == [(1, 1), (2**63, 2)]
         assert run_frames({}, CFG) == []
+
+
+class TestGapFrames:
+    def test_empty_gap_frames_build_no_detection_table(self, monkeypatch):
+        row = "{},50,50,10,10,0.9,1,0,0,0,0,0.5\n"
+        preds = parse_predictions("variant: wh\n" + row.format(1) + row.format(5001))
+        built = []
+        init = formats._DetectionTable.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(formats._DetectionTable, "__init__", counted)
+        cfg = TrackerConfig(variant="wh", lifetime=10**6)
+        records = run_frames(preds.by_frame, cfg)
+        dense = run_sequence(preds.dense_frames(), cfg)
+        assert built == []
+        want = "1,1,45,45,10,10,0.9,-1,-1,-1\n5001,1,45,45,10,10,0.9,-1,-1,-1\n"
+        assert write_mot(records) == write_mot(dense) == want
+        assert repr(DetectionFrame.of([])) == "DetectionFrame([])" and DetectionFrame.of([]).variant is None
