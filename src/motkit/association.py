@@ -5,8 +5,10 @@ tracklets; cells that must never match hold :data:`INADMISSIBLE` (infinity).
 Matching is greedy per detection in confidence order, which is deliberately
 order-dependent; optimal assignment lives on the evaluation side only.
 
-Detections are read as :class:`~motkit.formats.DetectionFrame` columns; a
-plain list of :class:`~motkit.formats.Detection` is framed once on entry.
+Detections are read as :class:`~motkit.formats.DetectionFrame` columns and
+tracklets as the tracker's table of columns; a plain list of
+:class:`~motkit.formats.Detection` or :class:`~motkit.tracker.Tracklet` is
+framed once on entry.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .formats import VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, _int_column
+from .formats import VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame
 from .geometry import (
     KERNEL_MIN_CELLS,
     BoxLTRB,
@@ -26,13 +28,12 @@ from .geometry import (
     TrackedSizeWH,
     iou_array,
     iou_ltrb,
-    ltrb,
     tracked_box_ltrb,
     tracked_box_wh,
 )
 
 if TYPE_CHECKING:
-    from .tracker import Tracklet
+    from .tracker import Tracklet, _Tracklets
 
 INADMISSIBLE = math.inf
 
@@ -77,6 +78,15 @@ def tracked_box(det: Detection, variant: str) -> BoxLTRB:
     raise ValueError(f"unknown variant: {variant!r}")
 
 
+def _tracklets(tracks: Sequence["Tracklet"]) -> "_Tracklets":
+    """The tracker's table of ``tracks``: itself if it is one, else one framed over the objects."""
+    if hasattr(tracks, "ages"):  # read by attribute: the tracker module imports this one
+        return tracks
+    from .tracker import _Tracklets
+
+    return _Tracklets.of(tracks)
+
+
 def displacement_cost(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -> np.ndarray:
     """Euclidean distance between back-projected centers and tracklet centers.
 
@@ -84,11 +94,14 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -
     gate (sqrt of its box area) or the classes differ.
     """
     frame = DetectionFrame.of(dets)
+    tracks = _tracklets(tracks)
     gates = frame.values("gate")
     if len(frame) * len(tracks) < KERNEL_MIN_CELLS:
-        return _displacement_cost_loop(frame.values("back"), gates, frame.values("cls"), tracks)
+        return _displacement_cost_loop(
+            frame.values("back"), gates, frame.values("cls"), tracks.centers, tracks.classes
+        )
     back = frame.column("back")
-    centers = np.array([(t.last_center.x, t.last_center.y) for t in tracks])
+    centers = tracks.column("centers")
     # Centers near the float limit overflow these differences to +-inf, which the prefilter
     # and math.hypot then reject as the scalar loop's Python floats do, without a warning.
     with np.errstate(over="ignore"):
@@ -108,21 +121,21 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -
 
 
 def _displacement_cost_loop(
-    back: list, gates: list[float], classes: list[int], tracks: Sequence["Tracklet"]
+    back: list, gates: list[float], classes: list[int], centers: list, track_classes: list[int]
 ) -> np.ndarray:
-    cost = np.full((len(back), len(tracks)), INADMISSIBLE)
+    cost = np.full((len(back), len(centers)), INADMISSIBLE)
     for i, ((bx, by), gate, cls) in enumerate(zip(back, gates, classes)):
-        for j, t in enumerate(tracks):
-            if cls != t.class_id:
+        for j, ((tx, ty), track_cls) in enumerate(zip(centers, track_classes)):
+            if cls != track_cls:
                 continue
-            dist = math.hypot(bx - t.last_center.x, by - t.last_center.y)
+            dist = math.hypot(bx - tx, by - ty)
             if dist <= gate:
                 cost[i, j] = dist
     return cost
 
 
-def _same_class(frame: DetectionFrame, tracks: Sequence["Tracklet"]) -> np.ndarray:
-    return frame.column("cls")[:, None] == _int_column([t.class_id for t in tracks])
+def _same_class(frame: DetectionFrame, tracks: "_Tracklets") -> np.ndarray:
+    return frame.column("cls")[:, None] == tracks.column("classes")
 
 
 def iou_cost(
@@ -145,11 +158,13 @@ def iou_cost(
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant: {variant!r}")
         raise ValueError(f"detection does not carry {variant} tracked-size values")
+    tracks = _tracklets(tracks)
     if len(frame) * len(tracks) < KERNEL_MIN_CELLS:
         return _iou_cost_loop(
-            frame.values("tracked"), frame.values("iou_pred"), frame.values("cls"), tracks, filter_form
+            frame.values("tracked"), frame.values("iou_pred"), frame.values("cls"), tracks.boxes, tracks.classes,
+            filter_form,
         )
-    last = np.array([ltrb(t.last_box) for t in tracks])
+    last = tracks.column("boxes")
     overlap = iou_array(last[None], frame.column("tracked")[:, None])
     pred = frame.column("iou_pred")[:, None]
     if filter_form == FILTER_RATIONALE:
@@ -161,15 +176,14 @@ def iou_cost(
 
 
 def _iou_cost_loop(
-    tracked: list, preds: list[float], classes: list[int], tracks: Sequence["Tracklet"], filter_form: str
+    tracked: list, preds: list[float], classes: list[int], last: list, track_classes: list[int], filter_form: str
 ) -> np.ndarray:
-    cost = np.full((len(tracked), len(tracks)), INADMISSIBLE)
-    last = [ltrb(t.last_box) for t in tracks]
+    cost = np.full((len(tracked), len(last)), INADMISSIBLE)
     for i, (tb, pred, cls) in enumerate(zip(tracked, preds, classes)):
-        for j, t in enumerate(tracks):
-            if cls != t.class_id:
+        for j, (box, track_cls) in enumerate(zip(last, track_classes)):
+            if cls != track_cls:
                 continue
-            overlap = iou_ltrb(last[j], tb)
+            overlap = iou_ltrb(box, tb)
             if overlap <= 0.0:
                 continue
             if filter_form == FILTER_RATIONALE:
@@ -206,21 +220,26 @@ def greedy_match(cost: np.ndarray, det_order: Sequence[int]) -> AssociationResul
         raise ValueError("det_order is not a permutation of detection indices")
     if n_det * n_trk < KERNEL_MIN_CELLS:
         return _greedy_match_loop(cost, det_order)
-    # The loop never picks a NaN cell; as infinity, argmin never does either.
-    free = np.where(np.isnan(cost), INADMISSIBLE, cost)
+    # Only the admissible cells are visited (NaN < inf is false, so a NaN cell is none).
+    # np.nonzero lists them row by row; the stable sort orders each row's by cost, equal costs
+    # by lower column. A detection's first free candidate is then the loop's pick: the
+    # cheapest free tracklet, ties to the lowest index.
+    rows, cols = np.nonzero(cost < INADMISSIBLE)
+    candidates = cols[np.lexsort((cost[rows, cols], rows))].tolist()
+    bounds = np.searchsorted(rows, np.arange(n_det + 1)).tolist()
+    taken = [False] * n_trk
     matches: list[tuple[int, int]] = []
     unmatched_dets: list[int] = []
     for i in det_order:
-        row = free[i]
-        j = int(row.argmin())  # the first minimum: ties go to the lowest index
-        if row[j] < INADMISSIBLE:
-            free[:, j] = INADMISSIBLE
-            matches.append((i, j))
+        for j in candidates[bounds[i] : bounds[i + 1]]:
+            if not taken[j]:
+                taken[j] = True
+                matches.append((i, j))
+                break
         else:
             unmatched_dets.append(i)
     unmatched_dets.sort()
-    taken = {j for _, j in matches}
-    unmatched_trks = [j for j in range(n_trk) if j not in taken]
+    unmatched_trks = [j for j in range(n_trk) if not taken[j]]
     return AssociationResult(matches, unmatched_dets, unmatched_trks)
 
 
@@ -290,11 +309,12 @@ def associate(
     only, each matrix keeping its native admissibility gate.
     """
     frame = DetectionFrame.of(dets)
+    tracks = _tracklets(tracks)
     rounds = ROUNDS[strategy]
     result = _greedy_round(rounds[0], frame, tracks, variant, filter_form)
     for kinds in rounds[1:]:
         det_map, trk_map = result.unmatched_detections, result.unmatched_tracklets
-        sub_tracks = [tracks[j] for j in trk_map]
+        sub_tracks = tracks.take(trk_map)
         sub = _greedy_round(kinds, frame.take(det_map), sub_tracks, variant, filter_form)
         result = AssociationResult(
             matches=result.matches + [(det_map[i], trk_map[j]) for i, j in sub.matches],

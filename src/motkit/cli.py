@@ -89,7 +89,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     numbers = preds.by_frame.keys()
     n_frames = max(numbers) - min(numbers) + 1 if numbers else 0
     n_dets = sum(map(len, preds.by_frame.values()))
-    n_tracks = len({r.track_id for r in records})
+    n_tracks = len(set(records.values("id")))
     summary = f"frames={n_frames} detections={n_dets} tracks={n_tracks}"
     if args.out:
         _atomic_write(Path(args.out), text)

@@ -102,19 +102,34 @@ class TrackRecord:
     confidence: float
 
 
-class _MotTable(Sequence):
-    """Ground-truth or tracker-output rows as numpy columns, the rows the scorers read.
+class _Rows(Sequence):
+    """A sequence of rows that equals any sequence of equal rows."""
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+class _MotTable(_Rows):
+    """Ground-truth or tracker-output rows as columns, the rows the scorers and :func:`write_mot` read.
 
     Columns: ``frame`` and ``id`` (integers), ``box`` (``(n, 4)`` edges),
     ``conf`` (for ground truth the consider flag as read, else the
     confidence), and for ground truth ``cls`` and ``visibility`` (None for
-    tracker output). Indexing and iteration yield :class:`GtEntry` (consider
-    is ``conf != 0``) or :class:`TrackRecord` objects, built on first use; the
+    tracker output). The first four are all numpy arrays, or all Python lists
+    (the tracker's records, made without numpy per frame): a list is made an
+    array on first read as an attribute, and :meth:`values` reads a column as
+    a list. Indexing and iteration yield :class:`GtEntry` (consider is
+    ``conf != 0``) or :class:`TrackRecord` objects, built on first use; the
     table equals any sequence of equal rows and prints as their list.
     """
 
     def __init__(self, frame, ids, box, conf, cls=None, visibility=None, objects=None):
-        self.frame, self.id, self.box, self.conf = frame, ids, box, conf
+        self._len = len(frame)
+        columns = {"frame": frame, "id": ids, "box": box, "conf": conf}  # all lists or all arrays
+        self._lists: dict[str, list] = columns if isinstance(frame, list) else {}
+        self._arrays: dict[str, np.ndarray] = {} if isinstance(frame, list) else columns
         self.cls, self.visibility = cls, visibility
         self._objects: Optional[list] = objects
 
@@ -132,9 +147,32 @@ class _MotTable(Sequence):
             objects=rows,
         )
 
+    def _array(self, name: str) -> np.ndarray:
+        got = self._arrays.get(name)
+        if got is None:
+            values = self._lists[name]
+            if name == "box":
+                got = np.array(values, dtype=float).reshape(-1, 4)
+            else:
+                got = np.array(values, dtype=float) if name == "conf" else _int_column(values)
+            self._arrays[name] = got
+        return got
+
+    frame = property(lambda self: self._array("frame"))
+    id = property(lambda self: self._array("id"))
+    box = property(lambda self: self._array("box"))
+    conf = property(lambda self: self._array("conf"))
+
+    def values(self, name: str) -> list:
+        """One of the four record columns as a Python list, made once per table."""
+        got = self._lists.get(name)
+        if got is None:
+            got = self._lists[name] = self._arrays[name].tolist()
+        return got
+
     def _rows(self) -> list:
         if self._objects is None:
-            columns = (self.frame.tolist(), self.id.tolist(), self.box.tolist(), self.conf.tolist())
+            columns = map(self.values, _RECORD_COLUMNS)
             if self.cls is None:
                 self._objects = [TrackRecord(f, i, BoxLTRB(*b), c) for f, i, b, c in zip(*columns)]
             else:
@@ -145,7 +183,7 @@ class _MotTable(Sequence):
         return self._objects
 
     def __len__(self) -> int:
-        return len(self.frame)
+        return self._len
 
     def __getitem__(self, index):
         return self._rows()[index]
@@ -153,15 +191,12 @@ class _MotTable(Sequence):
     def __iter__(self) -> Iterator[Union[GtEntry, TrackRecord]]:
         return iter(self._rows())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
     def __repr__(self) -> str:
         return repr(self._rows())
 
 
+#: The columns of a MOT row table that every row has, in a row's field order.
+_RECORD_COLUMNS = ("frame", "id", "box", "conf")
 #: The input columns of a detection table, in a prediction row's field order.
 _INPUTS = ("frame", "cls", "center", "size", "conf", "disp", "ts", "iou_pred")
 #: The columns association and the tracker read as Python lists.
@@ -221,6 +256,7 @@ class _DetectionTable:
         self.lists: dict[str, list] = {
             name: getattr(self, name).tolist() for name in lists if getattr(self, name) is not None
         }
+        self.boxes_in_order: Optional[bool] = None  # BoxLTRB's edge order on every row, tested on demand
 
     @classmethod
     def of_detections(cls, dets: list[Detection]) -> "_DetectionTable":
@@ -262,7 +298,7 @@ class _DetectionTable:
 _NO_DETECTIONS = _DetectionTable.of_detections([])
 
 
-class DetectionFrame(Sequence[Detection]):
+class DetectionFrame(_Rows):
     """One frame's detections, read as columns.
 
     A frame is a set of rows of a table of detection columns (see
@@ -321,6 +357,18 @@ class DetectionFrame(Sequence[Detection]):
             return DetectionFrame(self._table, [rows.start + i for i in indices])
         return DetectionFrame(self._table, [rows[i] for i in indices])
 
+    def boxes_in_order(self) -> bool:
+        """Whether every row's box has ``left <= right`` and ``top <= bottom``, as ``BoxLTRB`` requires.
+
+        One test per table, made on first use; only a frame of a table that
+        fails it tests its own rows.
+        """
+        table = self._table
+        if table.boxes_in_order is None:
+            box = table.box
+            table.boxes_in_order = not ((box[:, 0] > box[:, 2]) | (box[:, 1] > box[:, 3])).any()
+        return table.boxes_in_order or not any(l > r or t > b for l, t, r, b in self.values("box"))
+
     def _table_rows(self) -> Sequence[int]:
         rows = self._rows
         return range(rows.start, rows.stop) if isinstance(rows, slice) else rows
@@ -336,11 +384,6 @@ class DetectionFrame(Sequence[Detection]):
     def __iter__(self) -> Iterator[Detection]:
         return map(self._table.detection, self._table_rows())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
     def __repr__(self) -> str:
         return f"DetectionFrame({list(self)!r})"
 
@@ -352,16 +395,40 @@ class Predictions:
     variant: str
     by_frame: dict[int, DetectionFrame] = field(default_factory=dict)
 
-    def dense_frames(self) -> list[tuple[int, Sequence[Detection]]]:
+    def dense_frames(self) -> Sequence[tuple[int, Sequence[Detection]]]:
         """Contiguous (frame, detections) pairs from the first to the last frame.
 
         Frames with no detections appear with an empty list, which is what the
-        tracker loop consumes. Empty input gives an empty list.
+        tracker loop consumes. Empty input gives an empty sequence. The pairs
+        are made as they are read, so a long gap costs no memory, and the
+        sequence can be iterated again.
         """
-        if not self.by_frame:
-            return []
-        first, last = min(self.by_frame), max(self.by_frame)
-        return [(f, self.by_frame.get(f, [])) for f in range(first, last + 1)]
+        numbers = range(min(self.by_frame), max(self.by_frame) + 1) if self.by_frame else range(0)
+        return _DenseFrames(self.by_frame, numbers)
+
+
+class _DenseFrames(_Rows):
+    """The (frame, detections) pairs of a range of frame numbers, an absent frame empty."""
+
+    def __init__(self, by_frame: dict[int, DetectionFrame], numbers: range):
+        self._by_frame, self._numbers = by_frame, numbers
+
+    def _pair(self, frame_no: int) -> tuple[int, Sequence[Detection]]:
+        return frame_no, self._by_frame.get(frame_no, [])
+
+    def __len__(self) -> int:
+        return len(self._numbers)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._pair, self._numbers[index]))
+        return self._pair(self._numbers[index])
+
+    def __iter__(self) -> Iterator[tuple[int, Sequence[Detection]]]:
+        return map(self._pair, self._numbers)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def _lines(source: Union[str, Iterable[str]]) -> list[str]:
@@ -604,7 +671,13 @@ def parse_track_file(source: Union[str, Iterable[str]]) -> Sequence[TrackRecord]
 
 
 def _mot_row(frame: int, track_id: int, box: BoxLTRB, rest: str) -> str:
-    return f"{frame},{track_id},{_fmt(box.left)},{_fmt(box.top)},{_fmt(box.width)},{_fmt(box.height)},{rest}\n"
+    return _mot_line(frame, track_id, ltrb(box), rest)
+
+
+def _mot_line(frame: int, track_id: int, edges: Sequence[float], rest: str) -> str:
+    # width and height as BoxLTRB's: right - left, bottom - top
+    left, top, right, bottom = edges
+    return f"{frame},{track_id},{_fmt(left)},{_fmt(top)},{_fmt(right - left)},{_fmt(bottom - top)},{rest}\n"
 
 
 def write_gt(entries: Iterable[GtEntry]) -> str:
@@ -616,10 +689,12 @@ def write_gt(entries: Iterable[GtEntry]) -> str:
 
 
 def write_mot(records: Iterable[TrackRecord]) -> str:
-    """Tracker output rows, sorted by (frame, id)."""
+    """Tracker output rows, sorted stably by (frame, id), formatted from the records' columns."""
+    table = _MotTable.of(records)
+    frames, ids, boxes, confs = map(table.values, _RECORD_COLUMNS)
     return "".join(
-        _mot_row(r.frame, r.track_id, r.box, f"{_fmt(r.confidence)},-1,-1,-1")
-        for r in sorted(records, key=lambda r: (r.frame, r.track_id))
+        _mot_line(frames[k], ids[k], boxes[k], f"{_fmt(confs[k])},-1,-1,-1")
+        for k in np.lexsort((table.id, table.frame)).tolist()
     )
 
 

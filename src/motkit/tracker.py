@@ -8,11 +8,13 @@ is what lets an identity survive short occlusions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy, associate
-from .formats import Detection, DetectionFrame, TrackRecord, VARIANTS
-from .geometry import BoxLTRB, Point2
+from .formats import _RECORD_COLUMNS, VARIANTS, Detection, DetectionFrame, TrackRecord, _int_column, _MotTable, _Rows
+from .geometry import BoxLTRB, Point2, ltrb
 from .heatmap import DEFAULT_OUTPUT_THRESHOLD
 
 DEFAULT_LIFETIME = 30
@@ -49,25 +51,96 @@ class TrackerConfig:
             raise ValueError(f"unknown filter form: {self.iou_filter_form!r}")
 
 
+class _Tracklets(_Rows):
+    """Live tracklets as columns: the state :func:`step` updates and association reads.
+
+    The columns are Python lists with one entry per tracklet: ``ids``,
+    ``centers`` (``[x, y]``), ``boxes`` (ltrb edges), ``classes``, ``confs``
+    and ``ages`` (Python ints, so any ``lifetime`` compares exactly).
+    :meth:`column` reads ``centers``, ``boxes`` or ``classes`` as a numpy
+    array, made once, for the kernel paths. Indexing and iteration yield :class:`Tracklet` objects, built on
+    first use; the table equals any sequence of equal tracklets and prints as
+    their tuple.
+    """
+
+    def __init__(self, ids, centers, boxes, classes, confs, ages, objects=None):
+        self.ids, self.centers, self.boxes = ids, centers, boxes
+        self.classes, self.confs, self.ages = classes, confs, ages
+        self._objects: Optional[tuple[Tracklet, ...]] = objects
+        self._columns: dict[str, np.ndarray] = {}
+
+    @classmethod
+    def of(cls, tracks: Sequence[Tracklet]) -> "_Tracklets":
+        """``tracks`` if it is a table already, else a table over its objects."""
+        if isinstance(tracks, _Tracklets):
+            return tracks
+        tracks = tuple(tracks)
+        return cls(
+            [t.track_id for t in tracks],
+            [(t.last_center.x, t.last_center.y) for t in tracks],
+            [ltrb(t.last_box) for t in tracks],
+            [t.class_id for t in tracks],
+            [t.last_confidence for t in tracks],
+            [t.age for t in tracks],
+            objects=tracks,
+        )
+
+    def column(self, name: str) -> np.ndarray:
+        col = self._columns.get(name)
+        if col is None:
+            values = getattr(self, name)
+            col = self._columns[name] = _int_column(values) if name == "classes" else np.array(values)
+        return col
+
+    def take(self, rows: Sequence[int]) -> "_Tracklets":
+        """The table of the given rows of this one, in the given order."""
+        columns = (self.ids, self.centers, self.boxes, self.classes, self.confs, self.ages)
+        return _Tracklets(*([column[j] for j in rows] for column in columns))
+
+    def _rows(self) -> tuple[Tracklet, ...]:
+        if self._objects is None:
+            self._objects = tuple(
+                Tracklet(i, Point2(*c), BoxLTRB(*b), k, f, a)
+                for i, c, b, k, f, a in zip(self.ids, self.centers, self.boxes, self.classes, self.confs, self.ages)
+            )
+        return self._objects
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        return self._rows()[index]
+
+    def __iter__(self) -> Iterator[Tracklet]:
+        return iter(self._rows())
+
+    def __hash__(self) -> int:
+        return hash(self._rows())
+
+    def __repr__(self) -> str:
+        return repr(self._rows())
+
+
 @dataclass(frozen=True)
 class TrackerState:
     """Live tracklets plus the id counter; ids are never reused."""
 
-    live: tuple[Tracklet, ...] = ()
+    live: Sequence[Tracklet] = ()
     next_id: int = 1
     frame_index: int = 0
 
 
 def step(
     state: TrackerState, dets: Sequence[Detection], cfg: TrackerConfig
-) -> tuple[TrackerState, list[TrackRecord]]:
+) -> tuple[TrackerState, Sequence[TrackRecord]]:
     """Advance one frame: associate, update, spawn, age, retire.
 
     ``dets`` must already be filtered to confidence above the output
     threshold and carry frame number ``state.frame_index + 1``. Matched
     tracklets take their detection's geometry with age reset; unmatched
     detections spawn fresh ids; unmatched tracklets age and are dropped at
-    ``lifetime``. One record is emitted per matched or spawned tracklet.
+    ``lifetime``. One record is emitted per matched or spawned tracklet. The
+    new state and the records are columns, updated from the frame's.
     """
     frame_no = state.frame_index + 1
     frame = DetectionFrame.of(dets)
@@ -76,44 +149,60 @@ def step(
         bad = next(f for f in numbers if f != frame_no)
         raise ValueError(f"detection frame {bad} does not match tracker frame {frame_no}")
 
-    result = associate(cfg.strategy, frame, state.live, cfg.variant, cfg.iou_filter_form)
-    det_for_track = {j: i for i, j in result.matches}
-    centers, boxes = frame.values("center"), frame.values("box")
-    confs, classes = frame.values("conf"), frame.values("cls")
+    live = _Tracklets.of(state.live)
+    result = associate(cfg.strategy, frame, live, cfg.variant, cfg.iou_filter_form)
+    centers, boxes, confs = frame.values("center"), frame.values("box"), frame.values("conf")
+    spawned = result.unmatched_detections
+    pairs = sorted((j, i) for i, j in result.matches)
+    # the detection rows the records are made from: matched tracklets in their order, then the spawns
+    emitted = [i for _, i in pairs] + spawned
+    if not frame.boxes_in_order():
+        for i in emitted:  # BoxLTRB's error for the first box out of order
+            BoxLTRB(*boxes[i])
+    new_ids = list(range(state.next_id, state.next_id + len(spawned)))
+    records = _MotTable(
+        [frame_no] * len(emitted),
+        [live.ids[j] for j, _ in pairs] + new_ids,
+        [boxes[i] for i in emitted],
+        [confs[i] for i in emitted],
+    )
 
-    new_live: list[Tracklet] = []
-    records: list[TrackRecord] = []
-    for j, trk in enumerate(state.live):
-        i = det_for_track.get(j)
-        if i is not None:
-            box = BoxLTRB(*boxes[i])
-            new_live.append(Tracklet(trk.track_id, Point2(*centers[i]), box, trk.class_id, confs[i], 0))
-            records.append(TrackRecord(frame_no, trk.track_id, box, confs[i]))
-        elif trk.age + 1 < cfg.lifetime:
-            aged = Tracklet(
-                trk.track_id, trk.last_center, trk.last_box, trk.class_id, trk.last_confidence, trk.age + 1
-            )
-            new_live.append(aged)
+    # Every tracklet ages, and a matched one takes its detection's geometry at age 0; then the
+    # ones at lifetime retire and the spawns join.
+    last_centers, last_boxes, last_confs = live.centers[:], live.boxes[:], live.confs[:]
+    ages = [age + 1 for age in live.ages]
+    for j, i in pairs:
+        last_centers[j], last_boxes[j], last_confs[j], ages[j] = centers[i], boxes[i], confs[i], 0
+    columns = [live.ids, last_centers, last_boxes, live.classes, last_confs, ages]
+    if ages and max(ages) >= cfg.lifetime:
+        kept = [j for j, age in enumerate(ages) if age < cfg.lifetime]
+        columns = [[column[j] for j in kept] for column in columns]
+    if spawned:
+        spawns = ([column[i] for i in spawned] for column in (centers, boxes, frame.values("cls"), confs))
+        columns = [old + new for old, new in zip(columns, [new_ids, *spawns, [0] * len(spawned)])]
+    next_live = _Tracklets(*columns)
+    return TrackerState(next_live, state.next_id + len(spawned), frame_no), records
 
-    next_id = state.next_id
-    for i in result.unmatched_detections:
-        box = BoxLTRB(*boxes[i])
-        new_live.append(Tracklet(next_id, Point2(*centers[i]), box, classes[i], confs[i], 0))
-        records.append(TrackRecord(frame_no, next_id, box, confs[i]))
-        next_id += 1
 
-    return TrackerState(tuple(new_live), next_id, frame_no), records
+def _joined(parts: Iterable[_MotTable]) -> _MotTable:
+    """One table of the rows of ``parts``, in order."""
+    columns: tuple[list, ...] = ([], [], [], [])
+    for part in parts:
+        for column, name in zip(columns, _RECORD_COLUMNS):
+            column += part.values(name)
+    return _MotTable(*columns)
 
 
 def run_sequence(
     frames: Iterable[tuple[int, Sequence[Detection]]], cfg: TrackerConfig
-) -> list[TrackRecord]:
+) -> Sequence[TrackRecord]:
     """Fold :func:`step` over contiguous frames starting from an empty state.
 
     Detections at or below the output threshold are dropped before
-    association. Output is deterministic for a fixed input and config.
+    association. Output is deterministic for a fixed input and config; the
+    records are one table of columns.
     """
-    records: list[TrackRecord] = []
+    parts: list[_MotTable] = []
     state: TrackerState | None = None
     prev_frame: int | None = None
     for frame_no, dets in frames:
@@ -127,11 +216,11 @@ def run_sequence(
         if confs and min(confs) <= cfg.out_threshold:
             kept = kept.take([i for i, c in enumerate(confs) if c > cfg.out_threshold])
         state, recs = step(state, kept, cfg)
-        records.extend(recs)
-    return records
+        parts.append(recs)
+    return _joined(parts)
 
 
-def run_frames(by_frame: Mapping[int, Sequence[Detection]], cfg: TrackerConfig) -> list[TrackRecord]:
+def run_frames(by_frame: Mapping[int, Sequence[Detection]], cfg: TrackerConfig) -> Sequence[TrackRecord]:
     """:func:`run_sequence` over every frame from the first to the last key, a missing one empty.
 
     ``lifetime`` empty frames in a row retire every tracklet, so such a gap
@@ -141,14 +230,16 @@ def run_frames(by_frame: Mapping[int, Sequence[Detection]], cfg: TrackerConfig) 
     """
     numbers = sorted(by_frame)
     starts = [k for k in range(len(numbers)) if k == 0 or numbers[k] - numbers[k - 1] > cfg.lifetime]
-    records: list[TrackRecord] = []
+    parts: list[_MotTable] = []
     spawned = 0
     for a, b in zip(starts, [*starts[1:], len(numbers)]):
         frames = ((f, by_frame.get(f, [])) for f in range(numbers[a], numbers[b - 1] + 1))
         run = run_sequence(frames, cfg)
         # every spawn emits a record, so the run's ids are 1 .. its largest
+        ids = run.values("id")
         if spawned:
-            run = [TrackRecord(r.frame, r.track_id + spawned, r.box, r.confidence) for r in run]
-        records += run
-        spawned = max((r.track_id for r in run), default=spawned)
-    return records
+            ids = [i + spawned for i in ids]
+            run = _MotTable(run.values("frame"), ids, run.values("box"), run.values("conf"))
+        parts.append(run)
+        spawned = max(ids, default=spawned)
+    return _joined(parts)

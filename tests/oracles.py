@@ -20,7 +20,13 @@ formats one ``Detection`` attribute at a time, the bytes the column writer
 and ``idf1_objects`` (with ``_by_frame`` and ``_id_overlap_counts``) group
 ``GtEntry`` and ``TrackRecord`` objects per frame in dicts and score pairs
 with the scalar ``geometry.iou``: the column-reading ``metrics.clear_mot``
-and ``metrics.idf1`` must equal them by ``repr``.
+and ``metrics.idf1`` must equal them by ``repr``. The tracker's referee
+``step_objects`` advances one frame as the tracker did before it kept its
+state as columns: a new ``Tracklet`` and ``TrackRecord`` (with its
+``BoxLTRB`` and ``Point2``) for every matched or spawned detection and a new
+``Tracklet`` for every aged one. Folded over a stream, it gives the states
+and records that the columnar ``tracker.step``, ``run_sequence`` and
+``run_frames`` must equal by ``repr``.
 """
 
 from __future__ import annotations
@@ -34,11 +40,12 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from motkit.association import FILTER_RATIONALE, INADMISSIBLE, tracked_box
+from motkit.association import FILTER_RATIONALE, INADMISSIBLE, associate, tracked_box
 from motkit.formats import (
     VARIANT_WH,
     VARIANTS,
     Detection,
+    DetectionFrame,
     GtEntry,
     ParseError,
     TrackRecord,
@@ -66,6 +73,7 @@ from motkit.geometry import (
 )
 from motkit.metrics import _BIG_COST, DEFAULT_IOU_THRESHOLD, ClearResult, IdResult, check_iou_threshold
 from motkit.simulator import NoiseConfig
+from motkit.tracker import Tracklet, TrackerConfig, TrackerState
 
 
 def raster_iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> tuple[int, int, float]:
@@ -713,3 +721,43 @@ def _id_overlap_counts(
         hit = (iou_array(boxes[:, None], grid[k]) >= iou_thresh) & (ids >= 0)
         counts[row] = np.bincount(ids[hit], minlength=len(hyp_ids))
     return counts
+
+
+def step_objects(
+    state: TrackerState, dets: Sequence[Detection], cfg: TrackerConfig
+) -> tuple[TrackerState, list[TrackRecord]]:
+    """``tracker.step`` one ``Tracklet`` and one ``TrackRecord`` object at a time."""
+    frame_no = state.frame_index + 1
+    frame = DetectionFrame.of(dets)
+    numbers = frame.values("frame")
+    if numbers.count(frame_no) != len(numbers):
+        bad = next(f for f in numbers if f != frame_no)
+        raise ValueError(f"detection frame {bad} does not match tracker frame {frame_no}")
+
+    result = associate(cfg.strategy, frame, state.live, cfg.variant, cfg.iou_filter_form)
+    det_for_track = {j: i for i, j in result.matches}
+    centers, boxes = frame.values("center"), frame.values("box")
+    confs, classes = frame.values("conf"), frame.values("cls")
+
+    new_live: list[Tracklet] = []
+    records: list[TrackRecord] = []
+    for j, trk in enumerate(state.live):
+        i = det_for_track.get(j)
+        if i is not None:
+            box = BoxLTRB(*boxes[i])
+            new_live.append(Tracklet(trk.track_id, Point2(*centers[i]), box, trk.class_id, confs[i], 0))
+            records.append(TrackRecord(frame_no, trk.track_id, box, confs[i]))
+        elif trk.age + 1 < cfg.lifetime:
+            aged = Tracklet(
+                trk.track_id, trk.last_center, trk.last_box, trk.class_id, trk.last_confidence, trk.age + 1
+            )
+            new_live.append(aged)
+
+    next_id = state.next_id
+    for i in result.unmatched_detections:
+        box = BoxLTRB(*boxes[i])
+        new_live.append(Tracklet(next_id, Point2(*centers[i]), box, classes[i], confs[i], 0))
+        records.append(TrackRecord(frame_no, next_id, box, confs[i]))
+        next_id += 1
+
+    return TrackerState(tuple(new_live), next_id, frame_no), records

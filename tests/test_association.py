@@ -520,3 +520,61 @@ class TestKernelPaths:
             cost = rng.choice([0.1, 0.2, math.nan, INADMISSIBLE], size=(n, m))
             order = [int(i) for i in rng.permutation(n)]
             assert greedy_match(cost, order) == association._greedy_match_loop(cost, order)
+
+
+class TestGreedyOverAdmissibleCells:
+    """The kernel visits only admissible cells: it must pick as the trace and the loop do."""
+
+    @staticmethod
+    def check(cost, order):
+        res = greedy_match(cost, order)
+        got = (res.matches, res.unmatched_detections, res.unmatched_tracklets)
+        assert got == greedy_trace(cost, order)
+        assert res == association._greedy_match_loop(cost, order)
+
+    def test_sparse_matrices(self, cutover):
+        rng = np.random.default_rng(35)
+        sides, admissible, cells = set(), 0, 0
+        for _ in range(60):
+            n, m = int(rng.integers(1, 60)), int(rng.integers(1, 60))
+            sides.add(n * m < cutover)
+            cost = np.full((n, m), INADMISSIBLE)
+            k = int(rng.integers(0, max(1, n * m // 100) + 1))  # at most 1% admissible
+            cost.flat[rng.choice(n * m, size=k, replace=False)] = rng.choice([0.1, 0.2, 0.3], size=k)
+            admissible, cells = admissible + k, cells + n * m
+            self.check(cost, [int(i) for i in rng.permutation(n)])
+        assert sides == ({True, False} if cutover > 1 else {False}) and 0 < admissible <= cells // 100
+
+    def test_rows_and_columns_without_an_admissible_cell(self, cutover):
+        rng = np.random.default_rng(36)
+        for n, m in [(1, 3), (3, 1), (2, 2), (4, 4), (5, 9), (12, 7)]:
+            for _ in range(20):
+                cost = rng.choice([0.1, 0.2, INADMISSIBLE], size=(n, m))
+                cost[int(rng.integers(n))] = INADMISSIBLE
+                cost[:, int(rng.integers(m))] = INADMISSIBLE
+                self.check(cost, [int(i) for i in rng.permutation(n)])
+        self.check(np.full((6, 5), INADMISSIBLE), list(range(6)))
+
+    def test_equal_costs_across_columns(self, cutover):
+        # every detection ties across its row: each takes the lowest free column
+        for n, m in [(3, 3), (4, 6), (8, 5)]:
+            cost = np.full((n, m), 0.25)
+            res = greedy_match(cost, list(range(n))[::-1])
+            assert res.matches == [(n - 1 - k, k) for k in range(min(n, m))]
+            self.check(cost, list(range(n))[::-1])
+        cost = np.array([[0.5, 0.2, 0.2, INADMISSIBLE, 0.2]] * 4)
+        assert greedy_match(cost, [0, 1, 2, 3]).matches == [(0, 1), (1, 2), (2, 4), (3, 0)]
+        self.check(cost, [2, 0, 3, 1])
+
+    def test_nan_cells_are_never_taken(self, cutover):
+        rng = np.random.default_rng(37)
+        sides = set()
+        for _ in range(200):
+            n, m = (int(v) for v in rng.integers(1, 10, size=2))
+            sides.add(n * m < cutover)
+            cost = rng.choice([0.1, 0.2, math.nan, math.nan, INADMISSIBLE], size=(n, m))
+            res = greedy_match(cost, [int(i) for i in rng.permutation(n)])
+            assert all(not math.isnan(cost[i, j]) for i, j in res.matches)
+            self.check(cost, [int(i) for i in rng.permutation(n)])
+        assert sides == ({True, False} if cutover > 1 else {False})
+        assert greedy_match(np.full((5, 5), math.nan), list(range(5))).matches == []

@@ -15,6 +15,7 @@ from motkit.cli import main
 from motkit.formats import Detection, parse_track_file, write_gt, write_mot, write_predictions
 from motkit.geometry import BoxLTRB
 from motkit.formats import GtEntry, TrackRecord
+from motkit.tracker import Tracklet
 from oracles import clear_mot_objects, idf1_objects, parse_mot_rows, parse_track_file_rows
 
 
@@ -544,3 +545,42 @@ class TestEvalOnColumns:
         got = (payload["ids"], payload["fp"], payload["fn"], payload["idtp"])
         assert got == (clear.ids, clear.fp, clear.fn, ident.idtp)
         assert (clear.ids, clear.fp) == (2, 1)
+
+
+class TestTrackOnColumns:
+    @pytest.fixture
+    def crowded(self, tmp_path):
+        """Predictions of 30 walkers crossing a 200x200 scene, with misses and false alarms."""
+        agents = "".join(
+            f"agent = {k} 14 20 1:{10 + 6 * k}:{20 + 5 * (k % 7)} 30:{190 - 6 * k}:{180 - 5 * (k % 5)}\n"
+            for k in range(30)
+        )
+        noise = "center_noise = 0.8\nsize_noise = 0.4\ndisp_noise = 2.2\nts_noise = 0.7\niou_bias = -0.3\n"
+        config = tmp_path / "scene.cfg"
+        noise += "fp_rate = 0.3\nfn_rate = 0.1\n"
+        config.write_text(f"scenario = custom\nframes = 30\nvariant = wh\n{noise}{agents}")
+        assert main(["simulate", str(config), "--out-dir", str(tmp_path / "sim")]) == 0
+        return tmp_path / "sim" / "preds.csv"
+
+    def test_builds_no_row_objects(self, tmp_path, capsys, crowded, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("track built a row object")
+
+        monkeypatch.setattr(BoxLTRB, "__post_init__", refuse)
+        monkeypatch.setattr(Tracklet, "__init__", refuse)
+        monkeypatch.setattr(TrackRecord, "__init__", refuse)
+        capsys.readouterr()
+        for strategy in ("dis", "iou", "combined", "iou-dis", "dis-iou"):
+            out = tmp_path / f"{strategy}.txt"
+            assert main(["track", str(crowded), "--strategy", strategy, "--out", str(out)]) == 0
+            ids = {line.split(",")[1] for line in out.read_text().splitlines()}
+            assert capsys.readouterr().out.endswith(f" tracks={len(ids)}\n") and len(ids) > 30
+
+    def test_lifetime_past_int64_tracks_as_a_long_one(self, tmp_path, crowded):
+        texts = []
+        for lifetime in (10**6, 2**70):
+            out = tmp_path / f"tracks-{lifetime}.txt"
+            assert main(["track", str(crowded), "--strategy", "iou-dis", "--lifetime", str(lifetime),
+                         "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1] and texts[0]

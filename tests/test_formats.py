@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from motkit.formats import (
     DetectionFrame,
     GtEntry,
     ParseError,
+    Predictions,
     TrackRecord,
     _MotTable,
     parse_mot,
@@ -353,6 +355,24 @@ class TestPredictions:
         dense = preds.dense_frames()
         assert [f for f, _ in dense] == [2, 3, 4, 5]
         assert [len(d) for _, d in dense] == [1, 0, 0, 1]
+
+    def test_dense_frames_are_made_as_they_are_read(self):
+        row = "{},10,10,4,4,0.9,1,0,0,0,0,0.5\n"
+        preds = parse_predictions("variant: wh\n" + row.format(1) + row.format(200_000))
+        tracemalloc.start()
+        try:
+            dense = preds.dense_frames()
+            n_frames = sum(1 for _ in dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_frames == len(dense) == 200_000 and peak < 2**20
+        assert list(dense) == list(dense)
+        want = [(f, preds.by_frame.get(f, [])) for f in range(1, 200_001)]
+        assert dense == want and repr(dense[:3]) == repr(want[:3])
+        assert dense[0] == (1, preds.by_frame[1]) and dense[-1] == (200_000, preds.by_frame[200_000])
+        assert dense[1] == (2, []) and dense[-2] == (199_999, []) and dense[5:7] == [(6, []), (7, [])]
+        assert parse_predictions("variant: wh\n").dense_frames() == [] and not len(Predictions("wh").dense_frames())
 
     def test_variant_mismatch_on_write_rejected(self):
         with pytest.raises(ValueError, match="variant"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from motkit.association import Strategy, associate
+from motkit.association import FILTER_FORMS, Strategy, associate, displacement_cost, iou_cost
 from motkit import formats
 from motkit.formats import Detection, DetectionFrame, parse_predictions, write_mot
 from motkit.geometry import (
@@ -14,6 +14,8 @@ from motkit.geometry import (
 from motkit.geometry import KERNEL_MIN_CELLS
 from motkit.simulator import AgentSpec, NoiseConfig, ScenarioConfig, generate, perturb
 from motkit.tracker import TrackerConfig, TrackerState, run_frames, run_sequence, step
+from oracles import step_objects
+from test_association import cutover, same_bits  # noqa: F401 (cutover is a fixture)
 
 
 def oracle_det(frame, cx, cy, w=10.0, h=14.0, prev=None, conf=1.0, cls=1):
@@ -279,3 +281,89 @@ class TestGapFrames:
         want = "1,1,45,45,10,10,0.9,-1,-1,-1\n5001,1,45,45,10,10,0.9,-1,-1,-1\n"
         assert write_mot(records) == write_mot(dense) == want
         assert repr(DetectionFrame.of([])) == "DetectionFrame([])" and DetectionFrame.of([]).variant is None
+
+
+def kept(dets, cfg):
+    """The detections :func:`run_sequence` steps with: confidence above the output threshold."""
+    frame = DetectionFrame.of(dets)
+    return frame.take([i for i, c in enumerate(frame.values("conf")) if c > cfg.out_threshold])
+
+
+class TestColumnsAgainstObjectStep:
+    """The columnar tracker against ``oracles.step_objects``, the object step it replaced."""
+
+    @pytest.mark.parametrize("lifetime", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n_objects", [2, 40])
+    def test_step_run_sequence_and_run_frames_equal_the_object_fold(self, n_objects, lifetime, cutover):
+        on_kernel = on_loops = 0
+        for k, (strategy, variant) in enumerate((s, v) for s in Strategy for v in ("ltrb", "wh")):
+            cfg = TrackerConfig(strategy=strategy, variant=variant, lifetime=lifetime)
+            stream = random_stream(k, n_objects, variant)
+            state = want_state = TrackerState()
+            want_records = []
+            for _, dets in stream:
+                dets = kept(dets, cfg)
+                if len(dets) * len(state.live) >= cutover:
+                    on_kernel += 1
+                else:
+                    on_loops += 1
+                state, records = step(state, dets, cfg)
+                want_state, want = step_objects(want_state, dets, cfg)
+                assert repr(records) == repr(want)
+                assert repr(state.live) == repr(want_state.live)
+                assert (state.next_id, state.frame_index) == (want_state.next_id, want_state.frame_index)
+                want_records += want
+            assert repr(run_sequence(stream, cfg)) == repr(want_records)
+            # without its empty frames, whose gaps are shorter than the stream: the same records
+            by_frame = {f: dets for f, dets in stream if len(dets)}
+            assert repr(run_frames(by_frame, cfg)) == repr(want_records)
+        # two objects keep most frames on the scalar loops; forty reach the kernel paths
+        assert on_loops > on_kernel if n_objects == 2 and cutover > 1 else on_kernel > 0
+
+    def test_plain_tracklet_lists_equal_the_table(self, cutover):
+        cfg = TrackerConfig(strategy=Strategy.IOU_THEN_DIS, variant="wh", lifetime=5)
+        state = TrackerState()
+        for frame_no, dets in random_stream(3, 40, "wh"):
+            dets = kept(dets, cfg)
+            plain = TrackerState(list(state.live), state.next_id, state.frame_index)
+            tracks = list(state.live)
+            for strategy in Strategy:
+                got = associate(strategy, dets, state.live, "wh")
+                assert repr(associate(strategy, dets, tracks, "wh")) == repr(got)
+            for form in FILTER_FORMS:
+                assert same_bits(iou_cost(dets, tracks, "wh", form), iou_cost(dets, state.live, "wh", form))
+            assert same_bits(displacement_cost(dets, tracks), displacement_cost(dets, state.live))
+            state, records = step(state, dets, cfg)
+            assert repr(step(plain, dets, cfg)) == repr((state, records))
+        assert len(state.live) > 4
+
+    def test_frame_mismatch_message_is_unchanged(self):
+        state, _ = step(TrackerState(), [oracle_det(1, 50, 50)], CFG)
+        dets = [oracle_det(2, 50, 50), oracle_det(5, 80, 50)]
+        with pytest.raises(ValueError) as got:
+            step(state, dets, CFG)
+        with pytest.raises(ValueError) as want:
+            step_objects(state, dets, CFG)
+        assert str(got.value) == str(want.value) == "detection frame 5 does not match tracker frame 2"
+
+    def test_box_edges_out_of_order_raise_the_box_error(self):
+        # no Detection has such a box (Size2 refuses a negative size), but a table can: the
+        # tracker keeps BoxLTRB's check, and names the box the object step names
+        def frame_of(sizes):
+            n = len(sizes)
+            table = formats._DetectionTable(
+                "wh", np.full(n, 2), np.ones(n, dtype=np.int64), np.array([[10.0 * k, 10.0] for k in range(n)]),
+                np.array(sizes), np.full(n, 0.9), np.zeros((n, 2)), np.zeros((n, 2)), np.full(n, 0.5),
+            )
+            return DetectionFrame(table, slice(0, n))
+
+        cfg = TrackerConfig(variant="wh")
+        state = TrackerState(frame_index=1)
+        frame = frame_of([(4.0, 4.0), (-2.0, -4.0), (-6.0, -2.0)])
+        assert not frame.boxes_in_order() and frame.take([0]).boxes_in_order()
+        with pytest.raises(ValueError) as got:
+            step(state, frame, cfg)
+        with pytest.raises(ValueError) as want:
+            step_objects(state, frame, cfg)
+        assert str(got.value) == str(want.value) == "box edges out of order: (11.0, 12.0, 9.0, 8.0)"
+        assert repr(step(state, frame.take([0]), cfg)) == repr(step_objects(state, frame.take([0]), cfg))
