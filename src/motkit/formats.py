@@ -256,7 +256,8 @@ class _DetectionTable:
         self.lists: dict[str, list] = {
             name: getattr(self, name).tolist() for name in lists if getattr(self, name) is not None
         }
-        self.boxes_in_order: Optional[bool] = None  # BoxLTRB's edge order on every row, tested on demand
+        # BoxLTRB's edge order on every row, tested once here rather than in a tracked frame's time
+        self.boxes_in_order = not ((self.box[:, 0] > self.box[:, 2]) | (self.box[:, 1] > self.box[:, 3])).any()
 
     @classmethod
     def of_detections(cls, dets: list[Detection]) -> "_DetectionTable":
@@ -360,14 +361,10 @@ class DetectionFrame(_Rows):
     def boxes_in_order(self) -> bool:
         """Whether every row's box has ``left <= right`` and ``top <= bottom``, as ``BoxLTRB`` requires.
 
-        One test per table, made on first use; only a frame of a table that
-        fails it tests its own rows.
+        The table tests all its rows once, when it is made; only a frame of a
+        table that fails that test tests its own rows.
         """
-        table = self._table
-        if table.boxes_in_order is None:
-            box = table.box
-            table.boxes_in_order = not ((box[:, 0] > box[:, 2]) | (box[:, 1] > box[:, 3])).any()
-        return table.boxes_in_order or not any(l > r or t > b for l, t, r, b in self.values("box"))
+        return self._table.boxes_in_order or not any(l > r or t > b for l, t, r, b in self.values("box"))
 
     def _table_rows(self) -> Sequence[int]:
         rows = self._rows

@@ -8,6 +8,7 @@ is what lets an identity survive short occlusions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -75,6 +76,8 @@ class _Tracklets(_Rows):
         if isinstance(tracks, _Tracklets):
             return tracks
         tracks = tuple(tracks)
+        if not tracks:  # a fresh state: the shared empty table, not a new one per sequence
+            return _NO_TRACKLETS
         return cls(
             [t.track_id for t in tracks],
             [(t.last_center.x, t.last_center.y) for t in tracks],
@@ -121,6 +124,9 @@ class _Tracklets(_Rows):
         return repr(self._rows())
 
 
+_NO_TRACKLETS = _Tracklets([], [], [], [], [], [], objects=())
+
+
 @dataclass(frozen=True)
 class TrackerState:
     """Live tracklets plus the id counter; ids are never reused."""
@@ -153,16 +159,16 @@ def step(
     result = associate(cfg.strategy, frame, live, cfg.variant, cfg.iou_filter_form)
     centers, boxes, confs = frame.values("center"), frame.values("box"), frame.values("conf")
     spawned = result.unmatched_detections
-    pairs = sorted((j, i) for i, j in result.matches)
+    pairs = sorted(result.matches, key=itemgetter(1))  # in tracklet order
     # the detection rows the records are made from: matched tracklets in their order, then the spawns
-    emitted = [i for _, i in pairs] + spawned
+    emitted = [i for i, _ in pairs] + spawned
     if not frame.boxes_in_order():
         for i in emitted:  # BoxLTRB's error for the first box out of order
             BoxLTRB(*boxes[i])
     new_ids = list(range(state.next_id, state.next_id + len(spawned)))
     records = _MotTable(
         [frame_no] * len(emitted),
-        [live.ids[j] for j, _ in pairs] + new_ids,
+        [live.ids[j] for _, j in pairs] + new_ids,
         [boxes[i] for i in emitted],
         [confs[i] for i in emitted],
     )
@@ -171,15 +177,17 @@ def step(
     # ones at lifetime retire and the spawns join.
     last_centers, last_boxes, last_confs = live.centers[:], live.boxes[:], live.confs[:]
     ages = [age + 1 for age in live.ages]
-    for j, i in pairs:
+    for i, j in pairs:
         last_centers[j], last_boxes[j], last_confs[j], ages[j] = centers[i], boxes[i], confs[i], 0
     columns = [live.ids, last_centers, last_boxes, live.classes, last_confs, ages]
     if ages and max(ages) >= cfg.lifetime:
         kept = [j for j, age in enumerate(ages) if age < cfg.lifetime]
         columns = [[column[j] for j in kept] for column in columns]
     if spawned:
-        spawns = ([column[i] for i in spawned] for column in (centers, boxes, frame.values("cls"), confs))
-        columns = [old + new for old, new in zip(columns, [new_ids, *spawns, [0] * len(spawned)])]
+        classes = frame.values("cls")
+        spawns = [new_ids, [centers[i] for i in spawned], [boxes[i] for i in spawned], [classes[i] for i in spawned],
+                  [confs[i] for i in spawned], [0] * len(spawned)]
+        columns = [old + new for old, new in zip(columns, spawns)]
     next_live = _Tracklets(*columns)
     return TrackerState(next_live, state.next_id + len(spawned), frame_no), records
 
