@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .formats import VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame
+from .formats import VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, _Table
 from .geometry import (
     KERNEL_MIN_CELLS,
     BoxLTRB,
@@ -80,9 +80,9 @@ def tracked_box(det: Detection, variant: str) -> BoxLTRB:
 
 def _tracklets(tracks: Sequence["Tracklet"]) -> "_Tracklets":
     """The tracker's table of ``tracks``: itself if it is one, else one framed over the objects."""
-    if hasattr(tracks, "ages"):  # read by attribute: the tracker module imports this one
+    if isinstance(tracks, _Table):
         return tracks
-    from .tracker import _Tracklets
+    from .tracker import _Tracklets  # at call time: the tracker module imports this one
 
     return _Tracklets.of(tracks)
 
@@ -98,7 +98,7 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -
     gates = frame.values("gate")
     if len(frame) * len(tracks) < KERNEL_MIN_CELLS:
         return _displacement_cost_loop(
-            frame.values("back"), gates, frame.values("cls"), tracks.centers, tracks.classes
+            frame.values("back"), gates, frame.values("cls"), tracks.values("centers"), tracks.values("classes")
         )
     back = frame.column("back")
     centers = tracks.column("centers")
@@ -161,8 +161,8 @@ def iou_cost(
     tracks = _tracklets(tracks)
     if len(frame) * len(tracks) < KERNEL_MIN_CELLS:
         return _iou_cost_loop(
-            frame.values("tracked"), frame.values("iou_pred"), frame.values("cls"), tracks.boxes, tracks.classes,
-            filter_form,
+            frame.values("tracked"), frame.values("iou_pred"), frame.values("cls"), tracks.values("boxes"),
+            tracks.values("classes"), filter_form,
         )
     last = tracks.column("boxes")
     overlap = iou_array(last[None], frame.column("tracked")[:, None])

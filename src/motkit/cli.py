@@ -156,8 +156,7 @@ def _parse_scenario_config(text: str, path: str) -> tuple[ScenarioConfig, NoiseC
         else:
             values[key] = value
 
-    def take(key: str, default: str) -> str:
-        return values.pop(key, default)
+    take = values.pop  # a setting's value, or its default; what is left is unknown
 
     try:
         scenario = take("scenario", "custom")

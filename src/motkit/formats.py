@@ -111,27 +111,126 @@ class _Rows(Sequence):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
-class _MotTable(_Rows):
-    """Ground-truth or tracker-output rows as columns, the rows the scorers and :func:`write_mot` read.
+class _Table(_Rows):
+    """Rows as named columns, each held as a Python list, a numpy array or both.
+
+    A table holds its columns, or is a view of another table's rows (a slice
+    or a list of row numbers) made by :meth:`take`, which reads that table's
+    columns and copies its rows of one only when the column is read.
+    :meth:`values` reads a column as a list and :meth:`column` as an array;
+    each form is made from the other once, on first read, an array by the
+    column's kind in ``_KINDS`` (``int``, ``float`` or a row width). Indexing
+    and iteration yield row objects, those the table was framed from or built
+    from the columns on first use by ``_build``; the table equals any sequence
+    of equal rows and prints as their list (or tuple).
+    """
+
+    _KINDS: dict = {}
+    _REPR = "{!r}"
+    _table: Optional["_Table"] = None  # the table a view reads, and its rows there
+    _index: Union[slice, list[int], None] = None
+
+    def __init__(self, n: int, lists: dict, arrays: dict, objects=None):
+        """A table of ``n`` rows and its own columns, by name; ``objects`` are its rows if it is framed from them."""
+        self._lists: dict[str, list] = lists
+        self._arrays: dict[str, np.ndarray] = arrays
+        self._built, self._len = objects, n
+
+    def _view_of(self, table: "_Table", rows: Union[slice, list[int]]) -> None:
+        """Make this table the view of ``table``'s ``rows``."""
+        self._table, self._index, self._built = table, rows, None
+        self._lists, self._arrays = {}, {}
+        self._len = rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+
+    def _has(self, name: str) -> bool:
+        root = self if self._table is None else self._table
+        return name in root._lists or name in root._arrays
+
+    def values(self, name: str) -> list:
+        """A column as a Python list, made once."""
+        try:
+            return self._lists[name]
+        except KeyError:
+            rows = self._index
+            if rows is None:
+                got = self._arrays[name].tolist()
+            else:
+                whole = self._table.values(name)
+                got = whole[rows] if isinstance(rows, slice) else [whole[r] for r in rows]
+            self._lists[name] = got
+            return got
+
+    def column(self, name: str) -> np.ndarray:
+        """A column as a numpy array, made once."""
+        got = self._arrays.get(name)
+        if got is None:
+            if self._table is not None and name in self._table._arrays:
+                got = self._table._arrays[name][self._index]
+            else:
+                kind, values = self._KINDS[name], self.values(name)
+                if kind is int:
+                    got = _int_column(values)
+                else:
+                    got = np.array(values, dtype=float)
+                    got = got if kind is float else got.reshape(-1, kind)
+            self._arrays[name] = got
+        return got
+
+    def take(self, rows: Iterable[int]) -> "_Table":
+        """The given rows of this table, in the given order: a view of the same columns."""
+        index = self._index
+        if index is None:
+            rows = list(rows)
+        elif isinstance(index, slice):
+            rows = [index.start + i for i in rows]
+        else:
+            rows = [index[i] for i in rows]
+        view = object.__new__(type(self))
+        view._view_of(self if index is None else self._table, rows)
+        return view
+
+    def _objects(self) -> Sequence:
+        if self._built is None:
+            table, rows = self._table, self._index
+            if table is not None and table._built is not None:
+                whole = table._built
+                self._built = whole[rows] if isinstance(rows, slice) else type(whole)(whole[r] for r in rows)
+            else:
+                self._built = self._build()
+        return self._built
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        return self._objects()[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._objects())
+
+    def __repr__(self) -> str:
+        return self._REPR.format(self._objects())
+
+
+class _MotTable(_Table):
+    """Ground-truth or tracker-output rows as columns, the rows the scorers and the writers read.
 
     Columns: ``frame`` and ``id`` (integers), ``box`` (``(n, 4)`` edges),
     ``conf`` (for ground truth the consider flag as read, else the
-    confidence), and for ground truth ``cls`` and ``visibility`` (None for
-    tracker output). The first four are all numpy arrays, or all Python lists
-    (the tracker's records, made without numpy per frame): a list is made an
-    array on first read as an attribute, and :meth:`values` reads a column as
-    a list. Indexing and iteration yield :class:`GtEntry` (consider is
-    ``conf != 0``) or :class:`TrackRecord` objects, built on first use; the
-    table equals any sequence of equal rows and prints as their list.
+    confidence), and for ground truth only ``cls`` and ``visibility``. They are
+    all numpy arrays (parsed or simulated) or all Python lists (the tracker's
+    records, made without numpy per frame, and a framed list of rows). Rows are
+    :class:`GtEntry` (consider is ``conf != 0``) or :class:`TrackRecord` objects.
     """
 
+    _KINDS = {"frame": int, "id": int, "box": 4, "conf": float, "cls": int, "visibility": float}
+
     def __init__(self, frame, ids, box, conf, cls=None, visibility=None, objects=None):
-        self._len = len(frame)
-        columns = {"frame": frame, "id": ids, "box": box, "conf": conf}  # all lists or all arrays
-        self._lists: dict[str, list] = columns if isinstance(frame, list) else {}
-        self._arrays: dict[str, np.ndarray] = {} if isinstance(frame, list) else columns
-        self.cls, self.visibility = cls, visibility
-        self._objects: Optional[list] = objects
+        columns = {"frame": frame, "id": ids, "box": box, "conf": conf}
+        if cls is not None:
+            columns.update(cls=cls, visibility=visibility)
+        lists = isinstance(frame, list)
+        super().__init__(len(frame), columns if lists else {}, {} if lists else columns, objects)
 
     @classmethod
     def of(cls, rows: Sequence[Union[GtEntry, TrackRecord]]) -> "_MotTable":
@@ -139,60 +238,31 @@ class _MotTable(_Rows):
         if isinstance(rows, _MotTable):
             return rows
         rows = list(rows)
+        gt = all(isinstance(r, GtEntry) for r in rows)
         return cls(
-            _int_column([r.frame for r in rows]),
-            _int_column([r.track_id for r in rows]),
-            np.array([ltrb(r.box) for r in rows], dtype=float).reshape(-1, 4),
-            np.array([float(r.consider) if isinstance(r, GtEntry) else r.confidence for r in rows], dtype=float),
+            [r.frame for r in rows],
+            [r.track_id for r in rows],
+            [ltrb(r.box) for r in rows],
+            [float(r.consider) if isinstance(r, GtEntry) else r.confidence for r in rows],
+            [r.class_id for r in rows] if gt else None,
+            [r.visibility for r in rows] if gt else None,
             objects=rows,
         )
 
-    def _array(self, name: str) -> np.ndarray:
-        got = self._arrays.get(name)
-        if got is None:
-            values = self._lists[name]
-            if name == "box":
-                got = np.array(values, dtype=float).reshape(-1, 4)
-            else:
-                got = np.array(values, dtype=float) if name == "conf" else _int_column(values)
-            self._arrays[name] = got
-        return got
+    frame = property(lambda self: self.column("frame"))
+    id = property(lambda self: self.column("id"))
+    box = property(lambda self: self.column("box"))
+    conf = property(lambda self: self.column("conf"))
+    cls = property(lambda self: self.column("cls") if self._has("cls") else None)
 
-    frame = property(lambda self: self._array("frame"))
-    id = property(lambda self: self._array("id"))
-    box = property(lambda self: self._array("box"))
-    conf = property(lambda self: self._array("conf"))
-
-    def values(self, name: str) -> list:
-        """One of the four record columns as a Python list, made once per table."""
-        got = self._lists.get(name)
-        if got is None:
-            got = self._lists[name] = self._arrays[name].tolist()
-        return got
-
-    def _rows(self) -> list:
-        if self._objects is None:
-            columns = map(self.values, _RECORD_COLUMNS)
-            if self.cls is None:
-                self._objects = [TrackRecord(f, i, BoxLTRB(*b), c) for f, i, b, c in zip(*columns)]
-            else:
-                self._objects = [
-                    GtEntry(f, i, BoxLTRB(*b), k, v, c != 0)
-                    for f, i, b, c, k, v in zip(*columns, self.cls.tolist(), self.visibility.tolist())
-                ]
-        return self._objects
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        return self._rows()[index]
-
-    def __iter__(self) -> Iterator[Union[GtEntry, TrackRecord]]:
-        return iter(self._rows())
-
-    def __repr__(self) -> str:
-        return repr(self._rows())
+    def _build(self) -> list:
+        columns = map(self.values, _RECORD_COLUMNS)
+        if not self._has("cls"):
+            return [TrackRecord(f, i, BoxLTRB(*b), c) for f, i, b, c in zip(*columns)]
+        return [
+            GtEntry(f, i, BoxLTRB(*b), k, v, c != 0)
+            for f, i, b, c, k, v in zip(*columns, self.values("cls"), self.values("visibility"))
+        ]
 
 
 #: The columns of a MOT row table that every row has, in a row's field order.
@@ -213,51 +283,50 @@ def _int_column(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-class _DetectionTable:
+class _DetectionTable(_Table):
     """Detection rows as numpy columns, plus the columns every consumer derives from them.
 
     Input columns: ``frame`` and ``cls`` (integers); ``center``, ``size`` and
     ``disp`` (``(n, 2)``); ``conf`` and ``iou_pred``; ``ts``, the tracked-size
-    values (``(n, 2)`` for ``wh``, ``(n, 4)`` for ``ltrb``, None when the rows
-    mix variants). Derived columns take their scalar function's float
+    values (``(n, 2)`` for ``wh``, ``(n, 4)`` for ``ltrb``, absent when the
+    rows mix variants). Derived columns take their scalar function's float
     operations in the same order, so each equals it bit for bit: ``box``
-    (``Detection.box``), ``tracked`` (``association.tracked_box``; None without
-    a variant), ``back`` (the back-projected center ``center - disp``) and
-    ``gate`` (``geometry.size_gate``).
+    (``Detection.box``), ``tracked`` (``association.tracked_box``; absent
+    without a variant), ``back`` (the back-projected center ``center - disp``),
+    ``gate`` (``geometry.size_gate``) and, for ``wh``, ``prev_size``. The
+    columns named in ``lists`` are also made lists here, so that no frame pays
+    for them. Its frames are :class:`DetectionFrame` views.
     """
 
     def __init__(
         self, variant, frame, cls, center, size, conf, disp, ts, iou_pred, objects=None, lists=_LOOP_COLUMNS
     ):
         self.variant: Optional[str] = variant
-        self.frame, self.cls, self.conf, self.iou_pred = frame, cls, conf, iou_pred
-        self.center, self.size, self.disp, self.ts = center, size, disp, ts
-        self.objects: Optional[list[Detection]] = objects  # the framed list, if any
+        columns = {"frame": frame, "cls": cls, "center": center, "size": size, "conf": conf, "disp": disp,
+                   "ts": ts, "iou_pred": iou_pred}
         # Finite inputs can derive infinite edges and areas: the prediction
         # parser screens these columns for exactly that overflow.
         with np.errstate(over="ignore"):
             half = size / 2.0
-            self.box = np.concatenate((center - half, center + half), axis=1)
-            self.back = center - disp
-            self.gate = np.sqrt(size[:, 0] * size[:, 1])
-            self.prev_size = None  # the wh tracked box's size, max(0.0, w - dw)
-            if variant == VARIANT_WH:
-                self.prev_size = np.where(size - ts > 0.0, size - ts, 0.0)
-                half = self.prev_size / 2.0
-                self.tracked = np.concatenate((self.back - half, self.back + half), axis=1)
+            columns["box"] = np.concatenate((center - half, center + half), axis=1)
+            columns["back"] = back = center - disp
+            columns["gate"] = np.sqrt(size[:, 0] * size[:, 1])
+            if variant == VARIANT_WH:  # the tracked box's size is max(0.0, w - dw)
+                columns["prev_size"] = prev = np.where(size - ts > 0.0, size - ts, 0.0)
+                columns["tracked"] = np.concatenate((back - prev / 2.0, back + prev / 2.0), axis=1)
             elif variant == VARIANT_LTRB:
                 # sorted((a, b)) swaps only where b < a; a mask keeps signed zeros in place
                 lo, hi = ts[:, :2], ts[:, 2:]
                 swap = hi < lo
-                self.tracked = np.concatenate((np.where(swap, hi, lo), np.where(swap, lo, hi)), axis=1)
-            else:  # no rows, or rows of mixed variants
-                self.tracked = None if len(center) else np.empty((0, 4))
-        # The lists its frames are read by, made here so that no frame pays for them; others on demand.
-        self.lists: dict[str, list] = {
-            name: getattr(self, name).tolist() for name in lists if getattr(self, name) is not None
-        }
+                columns["tracked"] = np.concatenate((np.where(swap, hi, lo), np.where(swap, lo, hi)), axis=1)
+            elif not len(center):
+                columns["tracked"] = np.empty((0, 4))
+        arrays = {name: column for name, column in columns.items() if column is not None}
+        lists = {name: arrays[name].tolist() for name in lists if name in arrays}
+        super().__init__(len(frame), lists, arrays, objects)
         # BoxLTRB's edge order on every row, tested once here rather than in a tracked frame's time
-        self.boxes_in_order = not ((self.box[:, 0] > self.box[:, 2]) | (self.box[:, 1] > self.box[:, 3])).any()
+        box = arrays["box"]
+        self.boxes_in_order = not ((box[:, 0] > box[:, 2]) | (box[:, 1] > box[:, 3])).any()
 
     @classmethod
     def of_detections(cls, dets: list[Detection]) -> "_DetectionTable":
@@ -281,46 +350,28 @@ class _DetectionTable:
             objects=dets,
         )
 
-    def values(self, name: str) -> list:
-        """A column as a Python list, made once per table."""
-        got = self.lists.get(name)
-        if got is None:
-            got = self.lists[name] = getattr(self, name).tolist()
-        return got
-
-    def detection(self, row: int) -> Detection:
-        if self.objects is not None:
-            return self.objects[row]
-        frame, cls, center, size, conf, disp, ts, iou_pred = (self.values(name)[row] for name in _INPUTS)
-        ts = (TrackedSizeWH if self.variant == VARIANT_WH else TrackedSizeLTRB)(*ts)
-        return Detection(frame, Point2(*center), Size2(*size), conf, cls, Displacement(*disp), ts, iou_pred)
-
 
 _NO_DETECTIONS = _DetectionTable.of_detections([])
 
 
-class DetectionFrame(_Rows):
+class DetectionFrame(_Table):
     """One frame's detections, read as columns.
 
-    A frame is a set of rows of a table of detection columns (see
-    :class:`_DetectionTable` for the names). :func:`parse_predictions` and the
-    simulator make one table each and every frame a slice of it, so every
-    column is derived once per table. :meth:`column` reads a column as a numpy
-    array and :meth:`values` as a Python list, sliced from the list the table
-    makes once; the scalar loops read those. Indexing and iteration yield
-    :class:`Detection` objects equal to the rows, and a frame equals any
-    sequence of equal detections.
+    A frame is a view of rows of a :class:`_DetectionTable` (see it for the
+    column names). :func:`parse_predictions` and the simulator make one table
+    each and every frame a slice of it, so every column is derived once per
+    table, and a frame made so takes its slice of each list the table made.
+    The scalar loops read :meth:`values`, the kernels :meth:`column`. Indexing
+    and iteration yield :class:`Detection` objects equal to the rows, and a
+    frame equals any sequence of equal detections.
     """
 
+    _REPR = "DetectionFrame({!r})"
+
     def __init__(self, table: _DetectionTable, rows: Union[slice, list[int]]):
-        self._table = table
-        self._rows = rows
+        self._view_of(table, rows)
         if isinstance(rows, slice):
-            self._values = {name: whole[rows] for name, whole in table.lists.items()}
-        else:
-            self._values = {name: [whole[r] for r in rows] for name, whole in table.lists.items()}
-        self._len = rows.stop - rows.start if isinstance(rows, slice) else len(rows)
-        self._columns: dict[str, np.ndarray] = {}
+            self._lists = {name: whole[rows] for name, whole in table._lists.items()}
 
     @classmethod
     def of(cls, dets: Sequence[Detection]) -> "DetectionFrame":
@@ -337,27 +388,6 @@ class DetectionFrame(_Rows):
         """The tracked-size variant of every row; None if they mix variants or there are none."""
         return self._table.variant
 
-    def column(self, name: str) -> np.ndarray:
-        col = self._columns.get(name)
-        if col is None:
-            col = self._columns[name] = getattr(self._table, name)[self._rows]
-        return col
-
-    def values(self, name: str) -> list:
-        try:
-            return self._values[name]
-        except KeyError:
-            whole, rows = self._table.values(name), self._rows
-            got = self._values[name] = whole[rows] if isinstance(rows, slice) else [whole[r] for r in rows]
-            return got
-
-    def take(self, indices: Iterable[int]) -> "DetectionFrame":
-        """The frame of the given rows of this one, in the given order."""
-        rows = self._rows
-        if isinstance(rows, slice):
-            return DetectionFrame(self._table, [rows.start + i for i in indices])
-        return DetectionFrame(self._table, [rows[i] for i in indices])
-
     def boxes_in_order(self) -> bool:
         """Whether every row's box has ``left <= right`` and ``top <= bottom``, as ``BoxLTRB`` requires.
 
@@ -366,23 +396,12 @@ class DetectionFrame(_Rows):
         """
         return self._table.boxes_in_order or not any(l > r or t > b for l, t, r, b in self.values("box"))
 
-    def _table_rows(self) -> Sequence[int]:
-        rows = self._rows
-        return range(rows.start, rows.stop) if isinstance(rows, slice) else rows
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(range(self._len)[index])
-        return self._table.detection(self._table_rows()[index])
-
-    def __iter__(self) -> Iterator[Detection]:
-        return map(self._table.detection, self._table_rows())
-
-    def __repr__(self) -> str:
-        return f"DetectionFrame({list(self)!r})"
+    def _build(self) -> list[Detection]:
+        ts_type = TrackedSizeWH if self.variant == VARIANT_WH else TrackedSizeLTRB
+        return [
+            Detection(frame, Point2(*center), Size2(*size), conf, cls, Displacement(*disp), ts_type(*ts), iou_pred)
+            for frame, cls, center, size, conf, disp, ts, iou_pred in zip(*map(self.values, _INPUTS))
+        ]
 
 
 @dataclass
@@ -536,7 +555,7 @@ def _prediction_table(variant: str, v: dict) -> dict:
         for keys in (("cx", "cy"), ("w", "h"), ("dx", "dy"), [k for k in v if k.startswith("ts")])
     )
     table = _DetectionTable(variant, v["frame"], v["class"], center, size, v["conf"], disp, ts, v["iou_pred"])
-    return {**vars(table), "table": table}  # its columns, derived ones too
+    return {**table._arrays, "table": table}  # its columns, derived ones too
 
 
 def _prediction_format(variant: str) -> _Format:
@@ -678,20 +697,23 @@ def _mot_line(frame: int, track_id: int, edges: Sequence[float], rest: str) -> s
 
 
 def write_gt(entries: Iterable[GtEntry]) -> str:
-    """Ground-truth rows, sorted by (frame, id)."""
-    return "".join(
-        _mot_row(e.frame, e.track_id, e.box, f"{1 if e.consider else 0},{e.class_id},{_fmt(e.visibility)}")
-        for e in sorted(entries, key=lambda e: (e.frame, e.track_id))
-    )
+    """Ground-truth rows, sorted stably by (frame, id), formatted from the entries' columns."""
+    table = _MotTable.of(entries)
+    flags, classes, visibility = map(table.values, ("conf", "cls", "visibility"))
+    return _write_rows(table, [f"{1 if c != 0 else 0},{k},{_fmt(v)}" for c, k, v in zip(flags, classes, visibility)])
 
 
 def write_mot(records: Iterable[TrackRecord]) -> str:
     """Tracker output rows, sorted stably by (frame, id), formatted from the records' columns."""
     table = _MotTable.of(records)
-    frames, ids, boxes, confs = map(table.values, _RECORD_COLUMNS)
+    return _write_rows(table, [f"{_fmt(c)},-1,-1,-1" for c in table.values("conf")])
+
+
+def _write_rows(table: _MotTable, rests: list[str]) -> str:
+    """The table's rows sorted stably by (frame, id), each ending in its ``rests`` entry."""
+    frames, ids, boxes = map(table.values, ("frame", "id", "box"))
     return "".join(
-        _mot_line(frames[k], ids[k], boxes[k], f"{_fmt(confs[k])},-1,-1,-1")
-        for k in np.lexsort((table.id, table.frame)).tolist()
+        _mot_line(frames[k], ids[k], boxes[k], rests[k]) for k in np.lexsort((table.id, table.frame)).tolist()
     )
 
 
@@ -740,9 +762,10 @@ def parse_predictions(source: Union[str, Iterable[str]]) -> Predictions:
         raise ParseError(1, f"unknown variant {variant!r}")
     table = _parse(_PREDICTIONS[variant], lines[1:], 2)["table"]
     # Frames are slices of the table; rows of a file out of frame order are listed instead.
-    ordered = not (table.frame[1:] < table.frame[:-1]).any()
-    order = np.argsort(table.frame, kind="stable")
-    frame = table.frame[order]
+    frame = table.column("frame")
+    ordered = not (frame[1:] < frame[:-1]).any()
+    order = np.argsort(frame, kind="stable")
+    frame = frame[order]
     bounds = [0, *(np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist(), len(frame)]
     numbers = frame.tolist()
     by_frame = {

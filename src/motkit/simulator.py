@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .formats import _INPUTS, VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, GtEntry
-from .formats import _WRITTEN, _DetectionTable, _int_column
+from .formats import _WRITTEN, _DetectionTable, _int_column, _MotTable
 from .geometry import BoxLTRB, Point2, Size2, box_from_center_size, iou_array
 
 OCCLUSION_IOU = 0.7
@@ -138,7 +138,7 @@ MODERATE_NOISE = NoiseConfig(
 )
 
 
-def generate(cfg: ScenarioConfig) -> tuple[list[GtEntry], FrameDetections]:
+def generate(cfg: ScenarioConfig) -> tuple[Sequence[GtEntry], FrameDetections]:
     """Ground truth and oracle detections for every frame of a scenario.
 
     An agent is visible when its box lies fully inside the image and no
@@ -151,7 +151,9 @@ def generate(cfg: ScenarioConfig) -> tuple[list[GtEntry], FrameDetections]:
 
     Works on arrays: every agent's path is boxed once, and the channels are
     computed as columns of the visible agent-frames only. They form one
-    detection table, of which each frame is a :class:`DetectionFrame` slice.
+    detection table, of which each frame is a :class:`DetectionFrame` slice,
+    and the ground truth is a table of the same rows' columns, built as
+    :class:`GtEntry` objects only when indexed.
     Each value takes the float operations of :meth:`AgentSpec.box` and the
     scalar box properties in the same order, so the rows equal an
     object-by-object build bit for bit.
@@ -168,13 +170,10 @@ def generate(cfg: ScenarioConfig) -> tuple[list[GtEntry], FrameDetections]:
     size = np.column_stack((r - l, b - t))
     disp = center - np.column_stack(((pl + pr) / 2.0, (pt + pb) / 2.0))
     ts = size - np.column_stack((pr - pl, pb - pt)) if cfg.variant == VARIANT_WH else prev
-    classes, ious = _int_column([a.class_id for a in cfg.agents])[ag], iou_array(prev, cur)
+    classes, ious, ones = _int_column([a.class_id for a in cfg.agents])[ag], iou_array(prev, cur), np.ones(len(fr))
     # perturb reads the columns as arrays: no lists
-    table = _DetectionTable(cfg.variant, fr + 1, classes, center, size, np.ones(len(fr)), disp, ts, ious, lists=())
-    gt = [
-        GtEntry(frame=f, track_id=k + 1, box=BoxLTRB(*edges), class_id=c, visibility=1.0)
-        for f, k, edges, c in zip((fr + 1).tolist(), ag.tolist(), cur.tolist(), classes.tolist())
-    ]
+    table = _DetectionTable(cfg.variant, fr + 1, classes, center, size, ones, disp, ts, ious, lists=())
+    gt = _MotTable(fr + 1, ag + 1, cur, ones, classes, ones)
     bounds = np.searchsorted(fr, np.arange(cfg.frames + 1)).tolist()
     return gt, [(f + 1, DetectionFrame(table, slice(a, b))) for f, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 

@@ -576,6 +576,26 @@ class TestTrackOnColumns:
             ids = {line.split(",")[1] for line in out.read_text().splitlines()}
             assert capsys.readouterr().out.endswith(f" tracks={len(ids)}\n") and len(ids) > 30
 
+    def test_pipeline_builds_no_row_objects(self, tmp_path, capsys, crowded, monkeypatch):
+        """simulate -> track (every strategy) -> eval on columns: every row constructor raises."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline built a row object")
+
+        monkeypatch.setattr(BoxLTRB, "__post_init__", refuse)
+        for row in (GtEntry, Detection, TrackRecord, Tracklet):
+            monkeypatch.setattr(row, "__init__", refuse)
+        sim = tmp_path / "sim-on-columns"
+        assert main(["simulate", str(tmp_path / "scene.cfg"), "--out-dir", str(sim)]) == 0
+        for name in ("gt.txt", "preds.csv"):  # the same files as the fixture's unpatched run
+            assert (sim / name).read_bytes() == (crowded.parent / name).read_bytes()
+        for strategy in ("dis", "iou", "combined", "iou-dis", "dis-iou"):
+            tracks = tmp_path / f"{strategy}.txt"
+            assert main(["track", str(sim / "preds.csv"), "--strategy", strategy, "--out", str(tracks)]) == 0
+            capsys.readouterr()
+            assert main(["eval", str(sim / "gt.txt"), str(tracks), "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["num_gt"] > 300 and payload["idtp"] > 0
+
     def test_lifetime_past_int64_tracks_as_a_long_one(self, tmp_path, crowded):
         texts = []
         for lifetime in (10**6, 2**70):

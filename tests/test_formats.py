@@ -459,3 +459,10 @@ class TestMotTable:
         assert _MotTable.of(table) is table and all(a is b for a, b in zip(table, rows))
         assert table.frame.tolist() == [2, 1, 2**64] and table.conf.tolist() == [1.0, 0.0, 1.0]
         assert _MotTable.of([TrackRecord(1, 5, BoxLTRB(0, 0, 1, 1), 0.0)]).conf.tolist() == [0.0]
+
+    def test_a_framed_ground_truth_list_keeps_class_and_visibility(self):
+        rows = [GtEntry(2, 1, BoxLTRB(0, 0, 4, 2), 7, 0.25, False), GtEntry(1, 3, BoxLTRB(1, 1, 2, 2), 2, 0.5)]
+        table = _MotTable.of(rows)
+        assert table.cls.tolist() == [7, 2] and table.column("visibility").tolist() == [0.25, 0.5]
+        assert write_gt(rows) == "1,3,1,1,1,1,1,2,0.5\n2,1,0,0,4,2,0,7,0.25\n"
+        assert parse_mot(write_gt(rows)) == [rows[1], rows[0]]

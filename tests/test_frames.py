@@ -23,6 +23,7 @@ from motkit.cli import main
 from motkit.formats import (
     DetectionFrame,
     ParseError,
+    _MotTable,
     parse_mot,
     parse_predictions,
     parse_track_file,
@@ -30,7 +31,7 @@ from motkit.formats import (
 )
 from motkit.geometry import ltrb, size_gate
 from motkit.simulator import MODERATE_NOISE, AgentSpec, ScenarioConfig, generate, perturb, random_scenario
-from motkit.tracker import TrackerConfig, run_sequence
+from motkit.tracker import TrackerConfig, TrackerState, _Tracklets, run_sequence, step
 from oracles import (
     displacement_cost_loop,
     iou_cost_loop,
@@ -467,3 +468,81 @@ def crowded(variant):
         agents.append(AgentSpec(width=w, height=h, waypoints=((1, x0, y0), (20, x1, y1)), depth=k))
     return ScenarioConfig(width=200, height=200, frames=20, agents=tuple(agents), variant=variant)
 
+
+
+# -- a take of a take, for every kind of column table ------------------------------------------
+
+
+def same_column(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bits (object columns, of Python ints, by value)."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    return a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()
+
+
+def column_tables(variant):
+    """A factory per table kind, and the objects it frames (None: it is made from columns).
+
+    Each call makes the table afresh, so that nothing is read before its
+    view. Parsed detections are the second frame of a file, a slice of its
+    table that starts past row 0; the other kinds are whole tables, their own
+    slice. A framed table is made from the same objects every time.
+    """
+    dets, _ = mixed_case(np.random.default_rng(11), variant, 9, 0)
+    text = write_predictions(variant, [(1, dets[:3]), (2, dets[3:])])
+    gt = "".join(
+        f"{f},{i},{i}.5,-0.0,{2 * i},3,{i % 2},{i % 3 + 1},0.{i}\n" for f, i in zip([2, 1, 1, 3, 2, 1], range(1, 7))
+    )
+    track = "".join(f"{f},{i},{i}.25,0,1,{i},0.{i},-1,-1,-1\n" for f, i in zip([1, 1, 2, 2, 3, 3], range(1, 7)))
+
+    def tracklets():
+        cfg = TrackerConfig(variant=variant, lifetime=3)
+        state, _ = step(TrackerState(), parse_predictions(text).by_frame[1], cfg)
+        frame = parse_predictions(text).by_frame[2]
+        state, _ = step(state, DetectionFrame(frame._table, list(range(3, 9))), cfg)
+        return state.live
+
+    objects = {"detections": list(parse_predictions(text).by_frame[2]), "ground truth": list(parse_mot(gt)),
+               "tracklets": tuple(tracklets())}
+    return {
+        "detections": (lambda: parse_predictions(text).by_frame[2], None),
+        "ground truth": (lambda: parse_mot(gt), None),
+        "tracker output": (lambda: parse_track_file(track), None),
+        "tracker records": (lambda: run_sequence(sorted(parse_predictions(text).by_frame.items()),
+                                                 TrackerConfig(variant=variant)), None),
+        "tracklets": (tracklets, None),
+        "framed detections": (lambda: DetectionFrame.of(objects["detections"]), objects["detections"]),
+        "framed ground truth": (lambda: _MotTable.of(objects["ground truth"]), objects["ground truth"]),
+        "framed tracklets": (lambda: _Tracklets.of(objects["tracklets"]), objects["tracklets"]),
+    }
+
+
+@pytest.mark.parametrize("variant", ["wh", "ltrb"])
+@pytest.mark.parametrize("kind", ["detections", "ground truth", "tracker output", "tracker records", "tracklets",
+                                  "framed detections", "framed ground truth", "framed tracklets"])
+def test_take_of_a_take_reads_the_parents_rows(kind, variant):
+    make, framed = column_tables(variant)[kind]
+    parent = make()
+    root = parent if parent._table is None else parent._table
+    names = sorted({*root._lists, *root._arrays})
+    assert len(parent) >= 6 and len(names) >= 4
+    for first, second in (([5, 1, 3, 0, 4], [2, 0, 4]), ([5, 1, 3, 0, 4], []), ([], [])):
+        rows = [first[i] for i in second]
+        for read in ("values", "column", "objects"):  # each read on fresh tables, its own first read
+            fresh, expect = make(), make()
+            inner = fresh.take(first)
+            outer = inner.take(second)
+            assert type(inner) is type(outer) is type(fresh) and len(outer) == len(rows)
+            for name in names if read != "objects" else ():
+                if read == "values":
+                    want = expect.values(name)
+                    assert repr(outer.values(name)) == repr([want[r] for r in rows]), name
+                    assert repr(inner.values(name)) == repr([want[r] for r in first]), name
+                else:
+                    assert same_column(outer.column(name), expect.column(name)[rows]), name
+                    assert same_column(inner.column(name), expect.column(name)[first]), name
+            if read == "objects":
+                assert repr(list(outer)) == repr([expect[r] for r in rows])
+                assert outer == [expect[r] for r in rows] and inner == [expect[r] for r in first]
+                if framed is not None:  # a view of a framed table hands out the very objects framed
+                    assert all(got is framed[r] for got, r in zip(outer, rows))
