@@ -16,28 +16,11 @@ import tempfile
 from pathlib import Path
 
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy
-from .formats import (
-    ParseError,
-    parse_mot,
-    parse_predictions,
-    parse_track_file,
-    write_gt,
-    write_mot,
-    write_predictions,
-)
+from .formats import ParseError, parse_mot, parse_predictions, parse_track_file, write_gt, write_mot, write_predictions
 from .heatmap import DEFAULT_OUTPUT_THRESHOLD
 from .metrics import DEFAULT_IOU_THRESHOLD, _RepeatedRow, check_iou_threshold, clear_mot, idf1
 from .objectives import gradient_check_report
-from .simulator import (
-    AgentSpec,
-    NoiseConfig,
-    ScenarioConfig,
-    crossing_scenario,
-    exit_scenario,
-    generate,
-    occluded_crossing_scenario,
-    perturb,
-)
+from .simulator import generate, parse_scene, perturb
 from .tracker import DEFAULT_LIFETIME, TrackerConfig, run_frames
 
 EXIT_OK = 0
@@ -141,78 +124,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_scenario_config(text: str, path: str) -> tuple[ScenarioConfig, NoiseConfig]:
-    values: dict[str, str] = {}
-    agent_lines: list[str] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InputError(f"{path}:{line_no}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "agent":
-            agent_lines.append(value)
-        else:
-            values[key] = value
-
-    take = values.pop  # a setting's value, or its default; what is left is unknown
-
-    try:
-        scenario = take("scenario", "custom")
-        frames = int(take("frames", "60"))
-        width = int(take("width", "200"))
-        height = int(take("height", "200"))
-        variant = take("variant", "ltrb")
-        seed = int(take("seed", "0"))
-        noise = NoiseConfig(
-            center_noise_sigma=float(take("center_noise", "0")),
-            size_noise_sigma=float(take("size_noise", "0")),
-            disp_noise_sigma=float(take("disp_noise", "0")),
-            ts_noise_sigma=float(take("ts_noise", "0")),
-            iou_pred_bias=float(take("iou_bias", "0")),
-            fp_rate=float(take("fp_rate", "0")),
-            fn_rate=float(take("fn_rate", "0")),
-        )
-        if values:
-            raise InputError(f"{path}: unknown keys: {', '.join(sorted(values))}")
-
-        if scenario == "crossing":
-            cfg = crossing_scenario(frames=frames, width=width, height=height, variant=variant, seed=seed)
-        elif scenario == "occluded-crossing":
-            cfg = occluded_crossing_scenario(frames=frames, width=width, height=height, variant=variant)
-        elif scenario == "exit":
-            cfg = exit_scenario(frames=frames, width=width, height=height, variant=variant)
-        elif scenario == "custom":
-            if not agent_lines:
-                raise InputError(f"{path}: scenario 'custom' needs at least one 'agent =' line")
-            agents = []
-            for spec in agent_lines:
-                parts = spec.split()
-                if len(parts) < 4:
-                    raise InputError(
-                        f"{path}: agent line needs 'depth w h frame:x:y ...', got {spec!r}"
-                    )
-                depth, w, h = int(parts[0]), float(parts[1]), float(parts[2])
-                waypoints = []
-                for wp in parts[3:]:
-                    f, x, y = wp.split(":")
-                    waypoints.append((int(f), float(x), float(y)))
-                agents.append(AgentSpec(width=w, height=h, waypoints=tuple(waypoints), depth=depth))
-            cfg = ScenarioConfig(
-                width=width, height=height, frames=frames, agents=tuple(agents), variant=variant, seed=seed
-            )
-        else:
-            raise InputError(f"{path}: unknown scenario {scenario!r}")
-    except InputError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}") from None
-    return cfg, noise
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg, noise = _parse_scenario_config(_read_text(args.config), args.config)
+    try:
+        cfg, noise = parse_scene(_read_text(args.config))
+    except ValueError as exc:
+        raise InputError(f"{args.config}: {exc}") from None
     seed = args.seed if args.seed is not None else cfg.seed
     gt, oracle = generate(cfg)
     dets = perturb(oracle, noise, seed, image_size=(cfg.width, cfg.height), variant=cfg.variant)

@@ -686,10 +686,6 @@ def parse_track_file(source: Union[str, Iterable[str]]) -> Sequence[TrackRecord]
     return _MotTable(v["frame"], v["id"], v["box"], v["conf"])
 
 
-def _mot_row(frame: int, track_id: int, box: BoxLTRB, rest: str) -> str:
-    return _mot_line(frame, track_id, ltrb(box), rest)
-
-
 def _mot_line(frame: int, track_id: int, edges: Sequence[float], rest: str) -> str:
     # width and height as BoxLTRB's: right - left, bottom - top
     left, top, right, bottom = edges

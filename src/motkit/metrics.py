@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .formats import GtEntry, TrackRecord, _MotTable
 from .geometry import KERNEL_MIN_CELLS, iou_array, iou_ltrb
@@ -29,6 +28,12 @@ from .geometry import KERNEL_MIN_CELLS, iou_array, iou_ltrb
 DEFAULT_IOU_THRESHOLD = 0.5  # overlap a pair needs to count as a match
 
 _BIG_COST = 1e9
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's minimum-cost assignment; scipy loads on the first call, so commands that score nothing skip it."""
+    from scipy.optimize import linear_sum_assignment as solve
+    return solve(cost)
 
 
 @dataclass(frozen=True)

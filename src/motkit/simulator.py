@@ -8,22 +8,26 @@ has zero-cost true pairs. A perturbation pass then adds the controllable
 imperfections a real detector would have: channel noise, a biased IOU
 prediction, random misses, and random false alarms. Both passes work on
 detection columns: each frame is a slice of one table, as a parsed file's is.
+``parse_scene`` reads a scene file into its scenario and noise configs.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from .formats import _INPUTS, VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, GtEntry
+from .formats import _INPUTS, VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, GtEntry, ParseError
 from .formats import _WRITTEN, _DetectionTable, _int_column, _MotTable
 from .geometry import BoxLTRB, Point2, Size2, box_from_center_size, iou_array
 
 OCCLUSION_IOU = 0.7
+
+#: Most agent-frames a scene may hold: ``generate`` boxes every agent at every frame up front.
+_MAX_AGENT_FRAMES = 2**22
 
 FrameDetections = list[tuple[int, Sequence[Detection]]]
 
@@ -95,6 +99,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
+        agent_frames = self.frames * max(1, len(self.agents))
+        if agent_frames > _MAX_AGENT_FRAMES:
+            raise ValueError(f"{agent_frames} agent-frames exceed the {_MAX_AGENT_FRAMES} a scene may hold")
         for name in ("width", "height"):
             # an image under a pixel shows no agent; one past the float limit compares with no edge
             if not 1 <= getattr(self, name) <= sys.float_info.max:
@@ -448,3 +455,77 @@ def random_scenario(seed: int, variant: str | None = None) -> ScenarioConfig:
     return ScenarioConfig(
         width=width, height=height, frames=frames, agents=tuple(agents), variant=variant, seed=seed
     )
+
+
+def _custom_scenario(agents: list[tuple[int, str]], **scene) -> ScenarioConfig:
+    """A scene of the agents of ``agent = depth width height frame:x:y ...`` lines, given as (line, value)."""
+    if not agents:
+        raise ValueError("scenario 'custom' needs at least one 'agent =' line")
+    specs = []
+    for line_no, value in agents:
+        parts = value.split()
+        try:
+            if len(parts) < 4 or any(wp.count(":") != 2 for wp in parts[3:]):
+                raise ValueError(f"agent needs 'depth width height frame:x:y ...', got {value!r}")
+            path = tuple((int(f), float(x), float(y)) for f, x, y in (wp.split(":") for wp in parts[3:]))
+            specs.append(AgentSpec(width=float(parts[1]), height=float(parts[2]), waypoints=path, depth=int(parts[0])))
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+    return ScenarioConfig(agents=tuple(specs), **scene)
+
+
+#: Scene-file scenario names and their builders; only ``custom`` reads the agent lines.
+_SCENARIOS = {
+    "crossing": lambda agents, **scene: crossing_scenario(**scene),
+    "occluded-crossing": lambda agents, **scene: occluded_crossing_scenario(**scene),
+    "exit": lambda agents, **scene: exit_scenario(**scene),
+    "custom": _custom_scenario,
+}
+
+
+def _scenario(name: str):
+    """The builder of a scene-file scenario name."""
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown name {name!r}")
+    return _SCENARIOS[name]
+
+
+#: Scene-file noise keys and the :class:`NoiseConfig` fields they set.
+_NOISE_KEYS = {f"{name}_noise": f"{name}_noise_sigma" for name in _JITTERED}
+_NOISE_KEYS.update(iou_bias="iou_pred_bias", fp_rate="fp_rate", fn_rate="fn_rate")
+#: Scene-file settings and the converter of each one's value.
+_SETTINGS = {"scenario": _scenario, "frames": int, "width": int, "height": int, "variant": str, "seed": int}
+_SETTINGS.update(dict.fromkeys(_NOISE_KEYS, float))
+
+
+def parse_scene(text: str) -> tuple[ScenarioConfig, NoiseConfig]:
+    """The scenario and noise of a scene file: ``key = value`` lines, ``#`` comments, blank lines.
+
+    A file without ``scenario``, ``frames``, ``width`` or ``height`` gets a
+    custom 60-frame scene of 200 x 200; any other setting it leaves out keeps
+    its dataclass field's default. ``seed`` applies to every scenario, and a
+    repeated setting takes its last value. A line that is not ``key = value``,
+    names an unknown key, or holds a value its converter or :class:`AgentSpec`
+    refuses raises :class:`ParseError`; a scene the dataclasses refuse, ``ValueError``.
+    """
+    last: dict[str, tuple[int, str]] = {}
+    agents: list[tuple[int, str]] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
+        if key == "agent" and eq:
+            agents.append((line_no, value))
+        elif key in _SETTINGS and eq:
+            last[key] = (line_no, value)
+        elif key or eq:
+            raise ParseError(line_no, f"unknown key {key!r}" if eq else "expected 'key = value'")
+    settings = {"scenario": _custom_scenario, "frames": 60, "width": 200, "height": 200}
+    for key, (line_no, value) in last.items():
+        try:
+            settings[key] = _SETTINGS[key](value)
+        except ValueError as exc:
+            raise ParseError(line_no, f"{key}: {exc}") from None
+    noise = NoiseConfig(**{field: settings.pop(key) for key, field in _NOISE_KEYS.items() if key in settings})
+    build, seed = settings.pop("scenario"), settings.pop("seed", None)
+    ScenarioConfig(agents=(), **settings)  # refuse a bad size before a builder's arithmetic meets it
+    cfg = build(agents, **settings)
+    return (cfg if seed is None else replace(cfg, seed=seed)), noise

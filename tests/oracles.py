@@ -16,10 +16,13 @@ simulator's noise referee ``perturb_scalar`` jitters one ``Detection`` at a
 time with a scalar ``Generator.normal`` draw per channel, the form the
 column-wise ``perturb`` must equal by ``repr``; ``write_predictions_objects``
 formats one ``Detection`` attribute at a time, the bytes the column writer
-``write_predictions`` must equal. The scorers' referees ``clear_mot_objects``
-and ``idf1_objects`` (with ``_by_frame`` and ``_id_overlap_counts``) group
-``GtEntry`` and ``TrackRecord`` objects per frame in dicts and score pairs
-with the scalar ``geometry.iou``: the column-reading ``metrics.clear_mot``
+``write_predictions`` must equal. ``parse_scenario_config`` is the
+hand-written scene-file reader that ``simulator.parse_scene`` replaced:
+wherever it accepts a file, the table-driven reader must return equal
+configs, and wherever it refuses one, refuse it too. The scorers'
+referees ``clear_mot_objects`` and ``idf1_objects`` (with ``_by_frame`` and
+``_id_overlap_counts``) group ``GtEntry`` and ``TrackRecord`` objects per
+frame in dicts and score pairs with the scalar ``geometry.iou``: the column-reading ``metrics.clear_mot``
 and ``metrics.idf1`` must equal them by ``repr``. The tracker's referee
 ``step_objects`` advances one frame as the tracker did before it kept its
 state as columns: a new ``Tracklet`` and ``TrackRecord`` (with its
@@ -72,7 +75,14 @@ from motkit.geometry import (
     tracked_box_wh,
 )
 from motkit.metrics import _BIG_COST, DEFAULT_IOU_THRESHOLD, ClearResult, IdResult, check_iou_threshold
-from motkit.simulator import NoiseConfig
+from motkit.simulator import (
+    AgentSpec,
+    NoiseConfig,
+    ScenarioConfig,
+    crossing_scenario,
+    exit_scenario,
+    occluded_crossing_scenario,
+)
 from motkit.tracker import Tracklet, TrackerConfig, TrackerState
 
 
@@ -579,6 +589,85 @@ def write_predictions_objects(variant: str, frames: Iterable[tuple[int, list[Det
             rest = map(_fmt, (d.disp.dx, d.disp.dy, *_ts_fields(d), d.iou_pred))
             out.append(f"{frame_no},{','.join(head)},{d.class_id},{','.join(rest)}\n")
     return "".join(out)
+
+
+class SceneFileError(ValueError):
+    """A scene file :func:`parse_scenario_config` refuses."""
+
+
+def parse_scenario_config(text: str, path: str) -> tuple[ScenarioConfig, NoiseConfig]:
+    """The scene-file reader ``simulator.parse_scene`` replaced, as it was, raising ``ValueError``.
+
+    Its known faults are kept: ``occluded-crossing`` and ``exit`` drop the
+    file's ``seed``, and no message names a line.
+    """
+    values: dict[str, str] = {}
+    agent_lines: list[str] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SceneFileError(f"{path}:{line_no}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "agent":
+            agent_lines.append(value)
+        else:
+            values[key] = value
+
+    take = values.pop  # a setting's value, or its default; what is left is unknown
+
+    try:
+        scenario = take("scenario", "custom")
+        frames = int(take("frames", "60"))
+        width = int(take("width", "200"))
+        height = int(take("height", "200"))
+        variant = take("variant", "ltrb")
+        seed = int(take("seed", "0"))
+        noise = NoiseConfig(
+            center_noise_sigma=float(take("center_noise", "0")),
+            size_noise_sigma=float(take("size_noise", "0")),
+            disp_noise_sigma=float(take("disp_noise", "0")),
+            ts_noise_sigma=float(take("ts_noise", "0")),
+            iou_pred_bias=float(take("iou_bias", "0")),
+            fp_rate=float(take("fp_rate", "0")),
+            fn_rate=float(take("fn_rate", "0")),
+        )
+        if values:
+            raise SceneFileError(f"{path}: unknown keys: {', '.join(sorted(values))}")
+
+        if scenario == "crossing":
+            cfg = crossing_scenario(frames=frames, width=width, height=height, variant=variant, seed=seed)
+        elif scenario == "occluded-crossing":
+            cfg = occluded_crossing_scenario(frames=frames, width=width, height=height, variant=variant)
+        elif scenario == "exit":
+            cfg = exit_scenario(frames=frames, width=width, height=height, variant=variant)
+        elif scenario == "custom":
+            if not agent_lines:
+                raise SceneFileError(f"{path}: scenario 'custom' needs at least one 'agent =' line")
+            agents = []
+            for spec in agent_lines:
+                parts = spec.split()
+                if len(parts) < 4:
+                    raise SceneFileError(
+                        f"{path}: agent line needs 'depth w h frame:x:y ...', got {spec!r}"
+                    )
+                depth, w, h = int(parts[0]), float(parts[1]), float(parts[2])
+                waypoints = []
+                for wp in parts[3:]:
+                    f, x, y = wp.split(":")
+                    waypoints.append((int(f), float(x), float(y)))
+                agents.append(AgentSpec(width=w, height=h, waypoints=tuple(waypoints), depth=depth))
+            cfg = ScenarioConfig(
+                width=width, height=height, frames=frames, agents=tuple(agents), variant=variant, seed=seed
+            )
+        else:
+            raise SceneFileError(f"{path}: unknown scenario {scenario!r}")
+    except SceneFileError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise SceneFileError(f"{path}: {exc}") from None
+    return cfg, noise
 
 
 def _by_frame(rows: Iterable[GtEntry | TrackRecord], kind: str) -> dict[int, list]:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from motkit import metrics
-from motkit.formats import GtEntry, TrackRecord, _mot_row, parse_mot, parse_track_file
-from motkit.geometry import KERNEL_MIN_CELLS, BoxLTRB
+from motkit.formats import GtEntry, TrackRecord, _mot_line, parse_mot, parse_track_file
+from motkit.geometry import KERNEL_MIN_CELLS, BoxLTRB, ltrb
 from motkit.metrics import clear_mot, idf1
 from oracles import clear_enumerate, clear_mot_objects, idf1_enumerate, idf1_objects
 
@@ -322,8 +322,8 @@ def wide_sequence(rng):
 def mot_texts(gt, hyp):
     """Ground-truth and tracker-output file text of the rows, in the given order."""
     return (
-        "".join(_mot_row(e.frame, e.track_id, e.box, f"{int(e.consider)},{e.class_id},{e.visibility}") for e in gt),
-        "".join(_mot_row(r.frame, r.track_id, r.box, f"{r.confidence},-1,-1,-1") for r in hyp),
+        "".join(_mot_line(e.frame, e.track_id, ltrb(e.box), f"{int(e.consider)},{e.class_id},{e.visibility}") for e in gt),
+        "".join(_mot_line(r.frame, r.track_id, ltrb(r.box), f"{r.confidence},-1,-1,-1") for r in hyp),
     )
 
 
