@@ -7,7 +7,7 @@ order-dependent; optimal assignment lives on the evaluation side only.
 
 Detections are read as :class:`~motkit.formats.DetectionFrame` columns and
 tracklets as the tracker's table of columns; a plain list of
-:class:`~motkit.formats.Detection` or :class:`~motkit.tracker.Tracklet` is
+:class:`~motkit.formats.Detection` or :class:`~motkit.formats.Tracklet` is
 framed once on entry.
 """
 
@@ -16,11 +16,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .formats import VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, _Table
+from .formats import VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, Tracklet, _Tracklets
 from .geometry import (
     KERNEL_MIN_CELLS,
     BoxLTRB,
@@ -31,9 +31,6 @@ from .geometry import (
     tracked_box_ltrb,
     tracked_box_wh,
 )
-
-if TYPE_CHECKING:
-    from .tracker import Tracklet, _Tracklets
 
 INADMISSIBLE = math.inf
 
@@ -78,23 +75,14 @@ def tracked_box(det: Detection, variant: str) -> BoxLTRB:
     raise ValueError(f"unknown variant: {variant!r}")
 
 
-def _tracklets(tracks: Sequence["Tracklet"]) -> "_Tracklets":
-    """The tracker's table of ``tracks``: itself if it is one, else one framed over the objects."""
-    if isinstance(tracks, _Table):
-        return tracks
-    from .tracker import _Tracklets  # at call time: the tracker module imports this one
-
-    return _Tracklets.of(tracks)
-
-
-def displacement_cost(dets: Sequence[Detection], tracks: Sequence["Tracklet"]) -> np.ndarray:
+def displacement_cost(dets: Sequence[Detection], tracks: Sequence[Tracklet]) -> np.ndarray:
     """Euclidean distance between back-projected centers and tracklet centers.
 
     A cell is inadmissible when the distance exceeds the detection's size
     gate (sqrt of its box area) or the classes differ.
     """
     frame = DetectionFrame.of(dets)
-    tracks = _tracklets(tracks)
+    tracks = _Tracklets.of(tracks)
     gates = frame.values("gate")
     if len(frame) * len(tracks) < KERNEL_MIN_CELLS:
         return _displacement_cost_loop(
@@ -134,13 +122,13 @@ def _displacement_cost_loop(
     return cost
 
 
-def _same_class(frame: DetectionFrame, tracks: "_Tracklets") -> np.ndarray:
+def _same_class(frame: DetectionFrame, tracks: _Tracklets) -> np.ndarray:
     return frame.column("cls")[:, None] == tracks.column("classes")
 
 
 def iou_cost(
     dets: Sequence[Detection],
-    tracks: Sequence["Tracklet"],
+    tracks: Sequence[Tracklet],
     variant: str,
     filter_form: str = FILTER_RATIONALE,
 ) -> np.ndarray:
@@ -158,7 +146,7 @@ def iou_cost(
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant: {variant!r}")
         raise ValueError(f"detection does not carry {variant} tracked-size values")
-    tracks = _tracklets(tracks)
+    tracks = _Tracklets.of(tracks)
     if len(frame) * len(tracks) < KERNEL_MIN_CELLS:
         return _iou_cost_loop(
             frame.values("tracked"), frame.values("iou_pred"), frame.values("cls"), tracks.values("boxes"),
@@ -279,7 +267,7 @@ ROUNDS: dict[Strategy, tuple[tuple[str, ...], ...]] = {
 def _greedy_round(
     kinds: Sequence[str],
     dets: DetectionFrame,
-    tracks: Sequence["Tracklet"],
+    tracks: Sequence[Tracklet],
     variant: str,
     filter_form: str,
 ) -> AssociationResult:
@@ -298,7 +286,7 @@ def _greedy_round(
 def associate(
     strategy: Strategy,
     dets: Sequence[Detection],
-    tracks: Sequence["Tracklet"],
+    tracks: Sequence[Tracklet],
     variant: str,
     filter_form: str = FILTER_RATIONALE,
 ) -> AssociationResult:
@@ -309,7 +297,7 @@ def associate(
     only, each matrix keeping its native admissibility gate.
     """
     frame = DetectionFrame.of(dets)
-    tracks = _tracklets(tracks)
+    tracks = _Tracklets.of(tracks)
     rounds = ROUNDS[strategy]
     result = _greedy_round(rounds[0], frame, tracks, variant, filter_form)
     for kinds in rounds[1:]:

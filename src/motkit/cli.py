@@ -13,11 +13,12 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy
-from .formats import ParseError, parse_mot, parse_predictions, parse_track_file, write_gt, write_mot, write_predictions
-from .heatmap import DEFAULT_OUTPUT_THRESHOLD
+from .formats import DEFAULT_OUTPUT_THRESHOLD, ParseError, parse_mot, parse_predictions, parse_track_file, write_gt
+from .formats import write_mot, write_predictions
 from .metrics import DEFAULT_IOU_THRESHOLD, _RepeatedRow, check_iou_threshold, clear_mot, idf1
 from .objectives import gradient_check_report
 from .simulator import generate, parse_scene, perturb
@@ -129,9 +130,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg, noise = parse_scene(_read_text(args.config))
     except ValueError as exc:
         raise InputError(f"{args.config}: {exc}") from None
-    seed = args.seed if args.seed is not None else cfg.seed
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     gt, oracle = generate(cfg)
-    dets = perturb(oracle, noise, seed, image_size=(cfg.width, cfg.height), variant=cfg.variant)
+    dets = perturb(oracle, noise, cfg.seed, image_size=(cfg.width, cfg.height), variant=cfg.variant)
     out_dir = Path(args.out_dir)
     _atomic_write(out_dir / "gt.txt", write_gt(gt))
     _atomic_write(out_dir / "preds.csv", write_predictions(cfg.variant, dets))

@@ -53,6 +53,9 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+DEFAULT_OUTPUT_THRESHOLD = 0.4  # the confidence a detection must exceed to be tracked or decoded
+
+
 @dataclass(frozen=True)
 class Detection:
     """One detected object in one frame, with its predicted channels."""
@@ -116,7 +119,8 @@ class _Table(_Rows):
 
     A table holds its columns, or is a view of another table's rows (a slice
     or a list of row numbers) made by :meth:`take`, which reads that table's
-    columns and copies its rows of one only when the column is read.
+    columns and copies its rows of one only when the column is read; a slice
+    view takes its part of the table's lists as it is made.
     :meth:`values` reads a column as a list and :meth:`column` as an array;
     each form is made from the other once, on first read, an array by the
     column's kind in ``_KINDS`` (``int``, ``float`` or a row width). Indexing
@@ -137,10 +141,13 @@ class _Table(_Rows):
         self._built, self._len = objects, n
 
     def _view_of(self, table: "_Table", rows: Union[slice, list[int]]) -> None:
-        """Make this table the view of ``table``'s ``rows``."""
-        self._table, self._index, self._built = table, rows, None
-        self._lists, self._arrays = {}, {}
-        self._len = rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+        """Make this table the view of ``table``'s ``rows``; a slice takes its part of each list ``table`` holds."""
+        self._table, self._index, self._built, self._arrays = table, rows, None, {}
+        if isinstance(rows, slice):
+            self._lists = {name: whole[rows] for name, whole in table._lists.items()}
+            self._len = rows.stop - rows.start
+        else:
+            self._lists, self._len = {}, len(rows)
 
     def _has(self, name: str) -> bool:
         root = self if self._table is None else self._table
@@ -176,11 +183,11 @@ class _Table(_Rows):
             self._arrays[name] = got
         return got
 
-    def take(self, rows: Iterable[int]) -> "_Table":
-        """The given rows of this table, in the given order: a view of the same columns."""
+    def take(self, rows: Union[slice, Iterable[int]]) -> "_Table":
+        """The given rows of this table, in the given order, or a slice (with start and stop) of a whole one."""
         index = self._index
         if index is None:
-            rows = list(rows)
+            rows = rows if isinstance(rows, slice) else list(rows)
         elif isinstance(index, slice):
             rows = [index.start + i for i in rows]
         else:
@@ -283,8 +290,12 @@ def _int_column(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-class _DetectionTable(_Table):
+class DetectionFrame(_Table):
     """Detection rows as numpy columns, plus the columns every consumer derives from them.
+
+    A table is made from a parsed file, a simulated scene or a list of
+    detections (:meth:`of`); every frame of a file or scene is a slice of its
+    table by :meth:`take`, so every column is derived once per table.
 
     Input columns: ``frame`` and ``cls`` (integers); ``center``, ``size`` and
     ``disp`` (``(n, 2)``); ``conf`` and ``iou_pred``; ``ts``, the tracked-size
@@ -295,8 +306,12 @@ class _DetectionTable(_Table):
     without a variant), ``back`` (the back-projected center ``center - disp``),
     ``gate`` (``geometry.size_gate``) and, for ``wh``, ``prev_size``. The
     columns named in ``lists`` are also made lists here, so that no frame pays
-    for them. Its frames are :class:`DetectionFrame` views.
+    for them. ``variant`` is every row's tracked-size variant (None if they mix
+    or there are none), shared by views. The scalar loops read :meth:`values`,
+    the kernels :meth:`column`. Rows are :class:`Detection` objects.
     """
+
+    _REPR = "DetectionFrame({!r})"
 
     def __init__(
         self, variant, frame, cls, center, size, conf, disp, ts, iou_pred, objects=None, lists=_LOOP_COLUMNS
@@ -324,19 +339,21 @@ class _DetectionTable(_Table):
         arrays = {name: column for name, column in columns.items() if column is not None}
         lists = {name: arrays[name].tolist() for name in lists if name in arrays}
         super().__init__(len(frame), lists, arrays, objects)
-        # BoxLTRB's edge order on every row, tested once here rather than in a tracked frame's time
-        box = arrays["box"]
-        self.boxes_in_order = not ((box[:, 0] > box[:, 2]) | (box[:, 1] > box[:, 3])).any()
 
     @classmethod
-    def of_detections(cls, dets: list[Detection]) -> "_DetectionTable":
+    def of(cls, dets: Sequence[Detection]) -> "DetectionFrame":
+        """``dets`` if it is a table already, else a table over its objects."""
+        if isinstance(dets, DetectionFrame):
+            return dets
+        dets = list(dets)
+        if not dets:  # a gap frame: the shared empty table, not a new one per frame
+            return _NO_DETECTIONS
         variants = {d.variant for d in dets}
         variant = variants.pop() if len(variants) == 1 else None
 
         def pairs(get) -> np.ndarray:
-            return np.array([get(d) for d in dets], dtype=float).reshape(len(dets), 2)
+            return np.array([get(d) for d in dets], dtype=float)
 
-        ts = np.array([_ts_fields(d) for d in dets], dtype=float) if variant else None
         return cls(
             variant,
             _int_column([d.frame for d in dets]),
@@ -345,56 +362,14 @@ class _DetectionTable(_Table):
             pairs(lambda d: (d.size.w, d.size.h)),
             np.array([d.confidence for d in dets], dtype=float),
             pairs(lambda d: (d.disp.dx, d.disp.dy)),
-            ts,
+            pairs(_ts_fields) if variant else None,
             np.array([d.iou_pred for d in dets], dtype=float),
             objects=dets,
         )
 
-
-_NO_DETECTIONS = _DetectionTable.of_detections([])
-
-
-class DetectionFrame(_Table):
-    """One frame's detections, read as columns.
-
-    A frame is a view of rows of a :class:`_DetectionTable` (see it for the
-    column names). :func:`parse_predictions` and the simulator make one table
-    each and every frame a slice of it, so every column is derived once per
-    table, and a frame made so takes its slice of each list the table made.
-    The scalar loops read :meth:`values`, the kernels :meth:`column`. Indexing
-    and iteration yield :class:`Detection` objects equal to the rows, and a
-    frame equals any sequence of equal detections.
-    """
-
-    _REPR = "DetectionFrame({!r})"
-
-    def __init__(self, table: _DetectionTable, rows: Union[slice, list[int]]):
-        self._view_of(table, rows)
-        if isinstance(rows, slice):
-            self._lists = {name: whole[rows] for name, whole in table._lists.items()}
-
-    @classmethod
-    def of(cls, dets: Sequence[Detection]) -> "DetectionFrame":
-        """``dets`` if it is a frame already, else a frame over a table of its objects."""
-        if isinstance(dets, DetectionFrame):
-            return dets
-        dets = list(dets)
-        if not dets:  # a gap frame: the shared empty table, not a new one per frame
-            return cls(_NO_DETECTIONS, slice(0, 0))
-        return cls(_DetectionTable.of_detections(dets), slice(0, len(dets)))
-
-    @property
-    def variant(self) -> Optional[str]:
-        """The tracked-size variant of every row; None if they mix variants or there are none."""
-        return self._table.variant
-
-    def boxes_in_order(self) -> bool:
-        """Whether every row's box has ``left <= right`` and ``top <= bottom``, as ``BoxLTRB`` requires.
-
-        The table tests all its rows once, when it is made; only a frame of a
-        table that fails that test tests its own rows.
-        """
-        return self._table.boxes_in_order or not any(l > r or t > b for l, t, r, b in self.values("box"))
+    def _view_of(self, table: "DetectionFrame", rows: Union[slice, list[int]]) -> None:
+        super()._view_of(table, rows)
+        self.variant = table.variant
 
     def _build(self) -> list[Detection]:
         ts_type = TrackedSizeWH if self.variant == VARIANT_WH else TrackedSizeLTRB
@@ -402,6 +377,68 @@ class DetectionFrame(_Table):
             Detection(frame, Point2(*center), Size2(*size), conf, cls, Displacement(*disp), ts_type(*ts), iou_pred)
             for frame, cls, center, size, conf, disp, ts, iou_pred in zip(*map(self.values, _INPUTS))
         ]
+
+
+_NO_DETECTIONS = DetectionFrame(None, *[np.empty(0, dtype=np.int64)] * 2, *[np.empty((0, 2))] * 2, np.empty(0),
+                                np.empty((0, 2)), None, np.empty(0), objects=[])
+
+
+@dataclass(frozen=True)
+class Tracklet:
+    """A live identity; ``age`` counts frames since the last match."""
+
+    track_id: int
+    last_center: Point2
+    last_box: BoxLTRB
+    class_id: int
+    last_confidence: float
+    age: int = 0
+
+
+#: The columns of the live tracklets, in a :class:`Tracklet`'s field order.
+_TRACKLET_COLUMNS = ("ids", "centers", "boxes", "classes", "confs", "ages")
+
+
+class _Tracklets(_Table):
+    """Live tracklets as columns: the state ``tracker.step`` updates and association reads.
+
+    The columns are Python lists with one entry per tracklet: ``ids``,
+    ``centers`` (``[x, y]``), ``boxes`` (ltrb edges), ``classes``, ``confs``
+    and ``ages`` (Python ints, so any ``lifetime`` compares exactly). Rows are
+    :class:`Tracklet` objects, and the table prints as their tuple.
+    """
+
+    _KINDS = {"ids": int, "centers": 2, "boxes": 4, "classes": int, "confs": float, "ages": int}
+
+    @classmethod
+    def of(cls, tracks: Sequence[Tracklet]) -> "_Tracklets":
+        """``tracks`` if it is a table already, else a table over its objects."""
+        if isinstance(tracks, _Tracklets):
+            return tracks
+        tracks = tuple(tracks)
+        if not tracks:  # a fresh state: the shared empty table, not a new one per sequence
+            return _NO_TRACKLETS
+        columns = (
+            [t.track_id for t in tracks],
+            [(t.last_center.x, t.last_center.y) for t in tracks],
+            [ltrb(t.last_box) for t in tracks],
+            [t.class_id for t in tracks],
+            [t.last_confidence for t in tracks],
+            [t.age for t in tracks],
+        )
+        return cls(len(tracks), dict(zip(_TRACKLET_COLUMNS, columns)), {}, tracks)
+
+    def _build(self) -> tuple[Tracklet, ...]:
+        return tuple(
+            Tracklet(i, Point2(*c), BoxLTRB(*b), k, f, a)
+            for i, c, b, k, f, a in zip(*map(self.values, _TRACKLET_COLUMNS))
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._objects())
+
+
+_NO_TRACKLETS = _Tracklets(0, {name: [] for name in _TRACKLET_COLUMNS}, {}, ())
 
 
 @dataclass
@@ -554,7 +591,7 @@ def _prediction_table(variant: str, v: dict) -> dict:
         np.column_stack([v[k] for k in keys])
         for keys in (("cx", "cy"), ("w", "h"), ("dx", "dy"), [k for k in v if k.startswith("ts")])
     )
-    table = _DetectionTable(variant, v["frame"], v["class"], center, size, v["conf"], disp, ts, v["iou_pred"])
+    table = DetectionFrame(variant, v["frame"], v["class"], center, size, v["conf"], disp, ts, v["iou_pred"])
     return {**table._arrays, "table": table}  # its columns, derived ones too
 
 
@@ -765,7 +802,7 @@ def parse_predictions(source: Union[str, Iterable[str]]) -> Predictions:
     bounds = [0, *(np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist(), len(frame)]
     numbers = frame.tolist()
     by_frame = {
-        numbers[a]: DetectionFrame(table, slice(a, b) if ordered else order[a:b].tolist())
+        numbers[a]: table.take(slice(a, b) if ordered else order[a:b].tolist())
         for a, b in zip(bounds, bounds[1:])
         if a < b
     }

@@ -40,7 +40,7 @@ class Size2:
 
 @dataclass(frozen=True)
 class Displacement:
-    """Vector from an object's current center back toward its previous center."""
+    """An object's motion since the previous frame, current minus previous center: ``center - disp`` is the previous."""
 
     dx: float
     dy: float
@@ -48,7 +48,7 @@ class Displacement:
 
 @dataclass(frozen=True)
 class TrackedSizeWH:
-    """Width/height change of a box between the current and previous frame."""
+    """Width/height change of a box since the previous frame: current minus previous size."""
 
     dw: float
     dh: float

@@ -16,12 +16,10 @@ from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from .formats import Detection
+from .formats import DEFAULT_OUTPUT_THRESHOLD, Detection
 from .geometry import Displacement, Point2, Size2, TrackedSizeLTRB, TrackedSizeWH
 
 log = logging.getLogger(__name__)
-
-DEFAULT_OUTPUT_THRESHOLD = 0.4  # cutoff when emitting decoded detections
 
 MIN_PEAK_OVERLAP = 0.7
 RADIUS_FLOOR = 2.0

@@ -135,7 +135,11 @@ def l1_size_loss(pred_size_map: np.ndarray, gt: GtAnnotations) -> float:
 
 
 def l1_offset_loss(pred_disp_map: np.ndarray, gt: GtAnnotations) -> float:
-    """Mean L1 error of predicted displacements; target is previous minus current center."""
+    """Mean L1 error of predicted displacements; target is previous minus current center.
+
+    This is CenterTrack's sign, the opposite of the current minus previous ``Displacement`` that
+    ``heatmap.decode_detections`` passes to the tracker as read from a map trained against it.
+    """
     _require_objects(gt)
     m = _as_map(pred_disp_map, 2)
     total = 0.0
@@ -151,8 +155,9 @@ def l1_tracked_size_wh_loss(
 ) -> float:
     """Mean L1 error of the width/height-change channel.
 
-    The default target is previous size minus current size; ``sign`` flips it
-    for systems trained with the opposite convention.
+    The default target is previous size minus current size, CenterTrack's sign and the opposite of the
+    current minus previous tracked size ``heatmap.decode_detections`` passes to the tracker as read; ``sign``
+    flips it for systems trained with the opposite convention.
     """
     _require_objects(gt)
     if sign not in (SIGN_PREV_MINUS_CUR, SIGN_CUR_MINUS_PREV):

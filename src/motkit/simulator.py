@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .formats import _INPUTS, VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, GtEntry, ParseError
-from .formats import _WRITTEN, _DetectionTable, _int_column, _MotTable
+from .formats import _WRITTEN, _int_column, _MotTable
 from .geometry import BoxLTRB, Point2, Size2, box_from_center_size, iou_array
 
 OCCLUSION_IOU = 0.7
@@ -109,6 +109,8 @@ class ScenarioConfig:
         _check_finite(self, "occlusion_iou")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -179,10 +181,10 @@ def generate(cfg: ScenarioConfig) -> tuple[Sequence[GtEntry], FrameDetections]:
     ts = size - np.column_stack((pr - pl, pb - pt)) if cfg.variant == VARIANT_WH else prev
     classes, ious, ones = _int_column([a.class_id for a in cfg.agents])[ag], iou_array(prev, cur), np.ones(len(fr))
     # perturb reads the columns as arrays: no lists
-    table = _DetectionTable(cfg.variant, fr + 1, classes, center, size, ones, disp, ts, ious, lists=())
+    table = DetectionFrame(cfg.variant, fr + 1, classes, center, size, ones, disp, ts, ious, lists=())
     gt = _MotTable(fr + 1, ag + 1, cur, ones, classes, ones)
     bounds = np.searchsorted(fr, np.arange(cfg.frames + 1)).tolist()
-    return gt, [(f + 1, DetectionFrame(table, slice(a, b))) for f, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    return gt, [(f + 1, table.take(slice(a, b))) for f, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def _paths(cfg: ScenarioConfig) -> np.ndarray:
@@ -332,8 +334,8 @@ def perturb(
         shifted = col["iou_pred"][:n] + noise.iou_pred_bias
         floored = np.where(0.0 > shifted, 0.0, shifted)
         col["iou_pred"][:n] = np.where(1.0 < floored, 1.0, floored)
-    table = _DetectionTable(variant, *(col[name][take] for name in _INPUTS), lists=_WRITTEN)
-    return [(f, DetectionFrame(table, slice(a, b))) for (f, _), a, b in zip(framed, bounds, bounds[1:])]
+    table = DetectionFrame(variant, *(col[name][take] for name in _INPUTS), lists=_WRITTEN)
+    return [(f, table.take(slice(a, b))) for (f, _), a, b in zip(framed, bounds, bounds[1:])]
 
 
 def crossing_scenario(
@@ -457,7 +459,7 @@ def random_scenario(seed: int, variant: str | None = None) -> ScenarioConfig:
     )
 
 
-def _custom_scenario(agents: list[tuple[int, str]], **scene) -> ScenarioConfig:
+def _custom_scenario(*agents: tuple[int, str], **scene) -> ScenarioConfig:
     """A scene of the agents of ``agent = depth width height frame:x:y ...`` lines, given as (line, value)."""
     if not agents:
         raise ValueError("scenario 'custom' needs at least one 'agent =' line")
@@ -474,13 +476,9 @@ def _custom_scenario(agents: list[tuple[int, str]], **scene) -> ScenarioConfig:
     return ScenarioConfig(agents=tuple(specs), **scene)
 
 
-#: Scene-file scenario names and their builders; only ``custom`` reads the agent lines.
-_SCENARIOS = {
-    "crossing": lambda agents, **scene: crossing_scenario(**scene),
-    "occluded-crossing": lambda agents, **scene: occluded_crossing_scenario(**scene),
-    "exit": lambda agents, **scene: exit_scenario(**scene),
-    "custom": _custom_scenario,
-}
+#: Scene-file scenario names and their builders; only ``custom`` takes agent lines.
+_SCENARIOS = {"crossing": crossing_scenario, "occluded-crossing": occluded_crossing_scenario, "exit": exit_scenario,
+              "custom": _custom_scenario}
 
 
 def _scenario(name: str):
@@ -496,6 +494,8 @@ _NOISE_KEYS.update(iou_bias="iou_pred_bias", fp_rate="fp_rate", fn_rate="fn_rate
 #: Scene-file settings and the converter of each one's value.
 _SETTINGS = {"scenario": _scenario, "frames": int, "width": int, "height": int, "variant": str, "seed": int}
 _SETTINGS.update(dict.fromkeys(_NOISE_KEYS, float))
+#: The size of a scene whose file leaves it out, and the size each setting is checked with alone.
+_SIZE = {"frames": 60, "width": 200, "height": 200}
 
 
 def parse_scene(text: str) -> tuple[ScenarioConfig, NoiseConfig]:
@@ -505,8 +505,10 @@ def parse_scene(text: str) -> tuple[ScenarioConfig, NoiseConfig]:
     custom 60-frame scene of 200 x 200; any other setting it leaves out keeps
     its dataclass field's default. ``seed`` applies to every scenario, and a
     repeated setting takes its last value. A line that is not ``key = value``,
-    names an unknown key, or holds a value its converter or :class:`AgentSpec`
-    refuses raises :class:`ParseError`; a scene the dataclasses refuse, ``ValueError``.
+    names an unknown key, holds a value that its converter or its dataclass
+    (checked with this setting alone) or :class:`AgentSpec` refuses, or gives
+    an agent to a built-in scenario raises :class:`ParseError`; a scene the
+    dataclasses refuse only as a whole, ``ValueError``.
     """
     last: dict[str, tuple[int, str]] = {}
     agents: list[tuple[int, str]] = []
@@ -518,14 +520,19 @@ def parse_scene(text: str) -> tuple[ScenarioConfig, NoiseConfig]:
             last[key] = (line_no, value)
         elif key or eq:
             raise ParseError(line_no, f"unknown key {key!r}" if eq else "expected 'key = value'")
-    settings = {"scenario": _custom_scenario, "frames": 60, "width": 200, "height": 200}
+    settings = {"scenario": _custom_scenario, **_SIZE}
     for key, (line_no, value) in last.items():
         try:
-            settings[key] = _SETTINGS[key](value)
+            settings[key] = got = _SETTINGS[key](value)
+            if key in _NOISE_KEYS:  # the setting alone against its dataclass, while its line is known
+                NoiseConfig(**{_NOISE_KEYS[key]: got})
+            elif key != "scenario":
+                ScenarioConfig(agents=(), **{**_SIZE, key: got})
         except ValueError as exc:
             raise ParseError(line_no, f"{key}: {exc}") from None
+    if agents and settings["scenario"] is not _custom_scenario:
+        raise ParseError(agents[0][0], f"agent lines need scenario 'custom', not {last['scenario'][1]!r}")
     noise = NoiseConfig(**{field: settings.pop(key) for key, field in _NOISE_KEYS.items() if key in settings})
     build, seed = settings.pop("scenario"), settings.pop("seed", None)
-    ScenarioConfig(agents=(), **settings)  # refuse a bad size before a builder's arithmetic meets it
-    cfg = build(agents, **settings)
+    cfg = build(*agents, **settings)
     return (cfg if seed is None else replace(cfg, seed=seed)), noise

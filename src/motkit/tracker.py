@@ -12,23 +12,10 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy, associate
-from .formats import _RECORD_COLUMNS, VARIANTS, Detection, DetectionFrame, TrackRecord, _MotTable, _Table
-from .geometry import BoxLTRB, Point2, ltrb
-from .heatmap import DEFAULT_OUTPUT_THRESHOLD
+from .formats import _RECORD_COLUMNS, _TRACKLET_COLUMNS, DEFAULT_OUTPUT_THRESHOLD, VARIANTS, Detection, DetectionFrame
+from .formats import Tracklet, TrackRecord, _MotTable, _Tracklets
 
 DEFAULT_LIFETIME = 30
-
-
-@dataclass(frozen=True)
-class Tracklet:
-    """A live identity; ``age`` counts frames since the last match."""
-
-    track_id: int
-    last_center: Point2
-    last_box: BoxLTRB
-    class_id: int
-    last_confidence: float
-    age: int = 0
 
 
 @dataclass(frozen=True)
@@ -48,52 +35,6 @@ class TrackerConfig:
             raise ValueError(f"unknown variant: {self.variant!r}")
         if self.iou_filter_form not in FILTER_FORMS:
             raise ValueError(f"unknown filter form: {self.iou_filter_form!r}")
-
-
-#: The columns of the live tracklets, in a :class:`Tracklet`'s field order.
-_TRACKLET_COLUMNS = ("ids", "centers", "boxes", "classes", "confs", "ages")
-
-
-class _Tracklets(_Table):
-    """Live tracklets as columns: the state :func:`step` updates and association reads.
-
-    The columns are Python lists with one entry per tracklet: ``ids``,
-    ``centers`` (``[x, y]``), ``boxes`` (ltrb edges), ``classes``, ``confs``
-    and ``ages`` (Python ints, so any ``lifetime`` compares exactly). Rows are
-    :class:`Tracklet` objects, and the table prints as their tuple.
-    """
-
-    _KINDS = {"ids": int, "centers": 2, "boxes": 4, "classes": int, "confs": float, "ages": int}
-
-    @classmethod
-    def of(cls, tracks: Sequence[Tracklet]) -> "_Tracklets":
-        """``tracks`` if it is a table already, else a table over its objects."""
-        if isinstance(tracks, _Tracklets):
-            return tracks
-        tracks = tuple(tracks)
-        if not tracks:  # a fresh state: the shared empty table, not a new one per sequence
-            return _NO_TRACKLETS
-        columns = (
-            [t.track_id for t in tracks],
-            [(t.last_center.x, t.last_center.y) for t in tracks],
-            [ltrb(t.last_box) for t in tracks],
-            [t.class_id for t in tracks],
-            [t.last_confidence for t in tracks],
-            [t.age for t in tracks],
-        )
-        return cls(len(tracks), dict(zip(_TRACKLET_COLUMNS, columns)), {}, tracks)
-
-    def _build(self) -> tuple[Tracklet, ...]:
-        return tuple(
-            Tracklet(i, Point2(*c), BoxLTRB(*b), k, f, a)
-            for i, c, b, k, f, a in zip(*map(self.values, _TRACKLET_COLUMNS))
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._objects())
-
-
-_NO_TRACKLETS = _Tracklets(0, {name: [] for name in _TRACKLET_COLUMNS}, {}, ())
 
 
 @dataclass(frozen=True)
@@ -132,9 +73,6 @@ def step(
     pairs = sorted(result.matches, key=itemgetter(1))  # in tracklet order
     # the detection rows the records are made from: matched tracklets in their order, then the spawns
     emitted = [i for i, _ in pairs] + spawned
-    if not frame.boxes_in_order():
-        for i in emitted:  # BoxLTRB's error for the first box out of order
-            BoxLTRB(*boxes[i])
     new_ids = list(range(state.next_id, state.next_id + len(spawned)))
     records = _MotTable(
         [frame_no] * len(emitted),

@@ -31,7 +31,7 @@ from motkit.formats import (
 )
 from motkit.geometry import ltrb, size_gate
 from motkit.simulator import MODERATE_NOISE, AgentSpec, ScenarioConfig, generate, perturb, random_scenario
-from motkit.tracker import TrackerConfig, TrackerState, _Tracklets, run_sequence, step
+from motkit.tracker import TrackerConfig, TrackerState, _Tracklets, run_frames, run_sequence, step
 from oracles import (
     displacement_cost_loop,
     iou_cost_loop,
@@ -499,7 +499,7 @@ def column_tables(variant):
         cfg = TrackerConfig(variant=variant, lifetime=3)
         state, _ = step(TrackerState(), parse_predictions(text).by_frame[1], cfg)
         frame = parse_predictions(text).by_frame[2]
-        state, _ = step(state, DetectionFrame(frame._table, list(range(3, 9))), cfg)
+        state, _ = step(state, frame._table.take(range(3, 9)), cfg)
         return state.live
 
     objects = {"detections": list(parse_predictions(text).by_frame[2]), "ground truth": list(parse_mot(gt)),
@@ -546,3 +546,63 @@ def test_take_of_a_take_reads_the_parents_rows(kind, variant):
                 assert outer == [expect[r] for r in rows] and inner == [expect[r] for r in first]
                 if framed is not None:  # a view of a framed table hands out the very objects framed
                     assert all(got is framed[r] for got, r in zip(outer, rows))
+
+
+# -- one detection table class: the slices of a whole table, and a table of detection objects -----
+
+
+def whole_table(source, variant):
+    """The one detection table of a parsed file, a generated scene or a perturbed one, and its lists."""
+    _, oracle = generate(crowded(variant))
+    noisy = perturb(oracle, MODERATE_NOISE, 3, image_size=(200, 200), variant=variant)
+    if source == "parsed":
+        return parse_predictions(write_predictions(variant, noisy)).by_frame[1]._table, formats._LOOP_COLUMNS
+    if source == "generated":
+        return oracle[0][1]._table, ()
+    return noisy[0][1]._table, formats._WRITTEN
+
+
+@pytest.mark.parametrize("variant", ["wh", "ltrb"])
+@pytest.mark.parametrize("source", ["parsed", "generated", "perturbed"])
+def test_a_slice_of_a_whole_table_holds_its_lists_when_made(source, variant):
+    table, lists = whole_table(source, variant)
+    assert table._table is None and len(table) > 100 and set(table._lists) == set(lists)
+    spans = ((0, len(table)), (30, 42), (7, 7))
+    views = [table.take(slice(a, b)) for a, b in spans]  # all made before any column is read
+    for (a, b), view in zip(spans, views):
+        assert type(view) is DetectionFrame and view.variant == variant and len(view) == b - a
+        assert set(view._lists) == set(lists)
+        for name in lists:
+            assert view._lists[name] == table.values(name)[a:b], name
+        assert repr(view) == f"DetectionFrame({list(table)[a:b]!r})"
+
+
+def test_tracking_parsed_frames_builds_no_list_of_a_column(monkeypatch):
+    _, oracle = generate(crowded("wh"))
+    noisy = perturb(oracle, replace(MODERATE_NOISE, fp_rate=0.9), 3, image_size=(200, 200), variant="wh")
+    parsed = parse_predictions(write_predictions("wh", noisy)).by_frame
+    table = parsed[1]._table
+    by_frame = {f: table.take(frame._index) for f, frame in parsed.items()}  # the parser's slices, cut anew
+    values, built = formats._Table.values, []
+
+    def recorded(self, name):
+        if name not in self._lists and not isinstance(self._index, list):  # not a row list of a take
+            built.append((type(self).__name__, name))
+        return values(self, name)
+
+    monkeypatch.setattr(formats._Table, "values", recorded)
+    for strategy in Strategy:  # one round and two, under a threshold that filters some rows
+        run_frames(by_frame, TrackerConfig(strategy, "wh", out_threshold=0.75))
+    assert built == []
+
+
+@pytest.mark.parametrize("variant", ["wh", "ltrb"])
+def test_a_table_of_detection_objects_is_whole(variant):
+    dets, _ = mixed_case(np.random.default_rng(5), variant, 9, 0)
+    table = DetectionFrame.of(dets)
+    assert table._table is None and table.variant == variant and DetectionFrame.of(table) is table
+    for rows in ([4, 0, 7], [], slice(2, 6), slice(9, 9)):
+        view = table.take(rows)
+        want = dets[rows] if isinstance(rows, slice) else [dets[r] for r in rows]
+        assert view.variant == variant and repr(view) == f"DetectionFrame({want!r})"
+    assert DetectionFrame.of([]) is DetectionFrame.of(()) and DetectionFrame.of([])._table is None

@@ -25,6 +25,7 @@ from motkit.simulator import (
 )
 from oracles import parse_scenario_config
 
+BUILT_IN = ("crossing", "occluded-crossing", "exit")
 NOISE_KEYS = ("center_noise", "size_noise", "disp_noise", "ts_noise", "iou_bias", "fp_rate", "fn_rate")
 
 #: Each key's values a scene may hold, then values that are malformed or out of range.
@@ -82,20 +83,28 @@ class TestParseScene:
     @settings(max_examples=600, deadline=None)
     @given(SCENE_FILES)
     def test_equals_the_hand_written_reader(self, text):
+        scenario = last_setting(text, "scenario")
+        if scenario in BUILT_IN and last_setting(text, "agent") is not None:
+            # the hand-written reader ignored the agent lines of a built-in scene
+            with pytest.raises(ParseError):
+                parse_scene(text)
+            return
         try:
             want = parse_scenario_config(text, "scene.cfg")
         except (ValueError, OverflowError):  # a built-in scene past the float range overflowed
             with pytest.raises(ValueError):
                 parse_scene(text)
             return
-        cfg, noise = parse_scene(text)
         want_cfg, want_noise = want
-        if last_setting(text, "scenario") in ("occluded-crossing", "exit"):
-            # the hand-written reader dropped these scenes' seed
-            seed = last_setting(text, "seed")
-            assert cfg.seed == (0 if seed is None else int(seed))
-            want_cfg = replace(want_cfg, seed=cfg.seed)
-        assert (cfg, noise) == (want_cfg, want_noise)
+        if scenario in ("occluded-crossing", "exit"):
+            # the hand-written reader dropped these scenes' seed, a negative one too
+            seed = int(last_setting(text, "seed") or 0)
+            if seed < 0:
+                with pytest.raises(ParseError, match="seed must be >= 0"):
+                    parse_scene(text)
+                return
+            want_cfg = replace(want_cfg, seed=seed)
+        assert parse_scene(text) == (want_cfg, want_noise)
 
     def test_settings_a_file_leaves_out_keep_the_dataclass_defaults(self):
         cfg, noise = parse_scene("scenario = crossing\n")
@@ -141,7 +150,8 @@ class TestSimulateSceneErrors:
     def test_scene_too_large_to_simulate_exits_2(self, tmp_path, capsys, scenario):
         # numpy refuses this size without allocating; the bound refuses it before numpy sees it
         config = tmp_path / "scene.cfg"
-        config.write_text(f"scenario = {scenario}\nframes = {10**11}\nagent = 0 10 12 1:30:50\n")
+        agent = "agent = 0 10 12 1:30:50\n" if scenario == "custom" else ""
+        config.write_text(f"scenario = {scenario}\nframes = {10**11}\n{agent}")
         assert main(["simulate", str(config), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: ") and str(10**11) in err and str(2**22) in err
@@ -171,6 +181,50 @@ class TestSimulateSceneErrors:
         assert main(["simulate", str(config), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: ") and side in err
+
+
+class TestSettingsNameTheirLine:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("width = -5", "width: width must be finite and >= 1, got -5"),
+            ("fp_rate = 2", "fp_rate: fp_rate must lie in [0, 1]"),
+            ("variant = xywh", "variant: unknown variant: 'xywh'"),
+            ("seed = -1", "seed: seed must be >= 0, got -1"),
+        ],
+    )
+    def test_refused_setting_exits_2_with_path_and_line(self, tmp_path, capsys, setting, message):
+        config = tmp_path / "scene.cfg"
+        config.write_text(f"scenario = crossing\n{setting}\nframes = 20\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {config}: line 2: {message}\n"
+        assert not out.exists()
+
+    def test_negative_seed_option_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "scene.cfg"
+        config.write_text("scenario = crossing\nseed = 4\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--seed", "-3", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", BUILT_IN)
+    def test_agent_line_in_a_built_in_scene_exits_2(self, tmp_path, capsys, scenario):
+        # the scenario may follow the agent lines: the first one is named
+        config = tmp_path / "scene.cfg"
+        config.write_text(f"# a scene\nagent = 0 10 10 1:5:5\nagent = 0 10 10 1:9:9\nscenario = {scenario}\n")
+        assert main(["simulate", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        want = f"error: {config}: line 2: agent lines need scenario 'custom', not '{scenario}'\n"
+        assert capsys.readouterr().err == want
+
+    def test_scene_refused_only_as_a_whole_names_the_path(self, tmp_path, capsys):
+        config = tmp_path / "scene.cfg"
+        frames = 2**21 + 1  # allowed alone, too many for two agents
+        config.write_text(f"frames = {frames}\nagent = 0 10 12 1:30:50\nagent = 1 10 12 1:60:50\n")
+        assert main(["simulate", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        want = f"error: {config}: {2 * frames} agent-frames exceed the {2**22} a scene may hold\n"
+        assert capsys.readouterr().err == want
 
 
 NOISY = "center_noise = 2\nsize_noise = 0.5\nfn_rate = 0.3\nfp_rate = 0.1\n"

@@ -267,13 +267,13 @@ class TestGapFrames:
         row = "{},50,50,10,10,0.9,1,0,0,0,0,0.5\n"
         preds = parse_predictions("variant: wh\n" + row.format(1) + row.format(5001))
         built = []
-        init = formats._DetectionTable.__init__
+        init = formats.DetectionFrame.__init__
 
         def counted(self, *args, **kwargs):
             built.append(1)
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(formats._DetectionTable, "__init__", counted)
+        monkeypatch.setattr(formats.DetectionFrame, "__init__", counted)
         cfg = TrackerConfig(variant="wh", lifetime=10**6)
         records = run_frames(preds.by_frame, cfg)
         dense = run_sequence(preds.dense_frames(), cfg)
@@ -346,24 +346,3 @@ class TestColumnsAgainstObjectStep:
             step_objects(state, dets, CFG)
         assert str(got.value) == str(want.value) == "detection frame 5 does not match tracker frame 2"
 
-    def test_box_edges_out_of_order_raise_the_box_error(self):
-        # no Detection has such a box (Size2 refuses a negative size), but a table can: the
-        # tracker keeps BoxLTRB's check, and names the box the object step names
-        def frame_of(sizes):
-            n = len(sizes)
-            table = formats._DetectionTable(
-                "wh", np.full(n, 2), np.ones(n, dtype=np.int64), np.array([[10.0 * k, 10.0] for k in range(n)]),
-                np.array(sizes), np.full(n, 0.9), np.zeros((n, 2)), np.zeros((n, 2)), np.full(n, 0.5),
-            )
-            return DetectionFrame(table, slice(0, n))
-
-        cfg = TrackerConfig(variant="wh")
-        state = TrackerState(frame_index=1)
-        frame = frame_of([(4.0, 4.0), (-2.0, -4.0), (-6.0, -2.0)])
-        assert not frame.boxes_in_order() and frame.take([0]).boxes_in_order()
-        with pytest.raises(ValueError) as got:
-            step(state, frame, cfg)
-        with pytest.raises(ValueError) as want:
-            step_objects(state, frame, cfg)
-        assert str(got.value) == str(want.value) == "box edges out of order: (11.0, 12.0, 9.0, 8.0)"
-        assert repr(step(state, frame.take([0]), cfg)) == repr(step_objects(state, frame.take([0]), cfg))
