@@ -16,13 +16,13 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy
-from .formats import DEFAULT_OUTPUT_THRESHOLD, ParseError, parse_mot, parse_predictions, parse_track_file, write_gt
+from .association import FILTER_FORMS, Strategy
+from .formats import VARIANTS, ParseError, parse_mot, parse_predictions, parse_track_file, write_gt
 from .formats import write_mot, write_predictions
 from .metrics import DEFAULT_IOU_THRESHOLD, _RepeatedRow, check_iou_threshold, clear_mot, idf1
 from .objectives import gradient_check_report
 from .simulator import generate, parse_scene, perturb
-from .tracker import DEFAULT_LIFETIME, TrackerConfig, run_frames
+from .tracker import TrackerConfig, run_frames
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -163,18 +163,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_track = sub.add_parser("track", help="associate a prediction file into identity tracks")
     p_track.add_argument("predictions", help="prediction CSV with a 'variant:' header")
-    p_track.add_argument("--strategy", default="iou", choices=[s.value for s in Strategy])
+    # the defaults are TrackerConfig's class attributes: cheaper than an instance per parser
+    p_track.add_argument("--strategy", default=TrackerConfig.strategy.value, choices=[s.value for s in Strategy])
     p_track.add_argument(
         "--variant",
         default=None,
-        choices=["wh", "ltrb"],
+        choices=list(VARIANTS),
         help="expected tracked-size variant; must match the file header (default: take from file)",
     )
-    p_track.add_argument("--lifetime", type=int, default=DEFAULT_LIFETIME)
+    p_track.add_argument("--lifetime", type=int, default=TrackerConfig.lifetime)
     p_track.add_argument(
-        "--theta", type=float, default=DEFAULT_OUTPUT_THRESHOLD, help="output confidence threshold"
+        "--theta", type=float, default=TrackerConfig.out_threshold, help="output confidence threshold"
     )
-    p_track.add_argument("--iou-filter-form", default=FILTER_RATIONALE, choices=list(FILTER_FORMS))
+    p_track.add_argument("--iou-filter-form", default=TrackerConfig.iou_filter_form, choices=list(FILTER_FORMS))
     p_track.add_argument("--out", default=None, help="output MOT file (default: stdout)")
     p_track.set_defaults(func=cmd_track)
 

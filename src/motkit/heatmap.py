@@ -12,12 +12,13 @@ import logging
 import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .formats import DEFAULT_OUTPUT_THRESHOLD, Detection
-from .geometry import Displacement, Point2, Size2, TrackedSizeLTRB, TrackedSizeWH
+from .formats import DEFAULT_OUTPUT_THRESHOLD, VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection
+from .geometry import Displacement, Point2, Size2, TrackedSizeLTRB, TrackedSizeWH, iou, ltrb
 
 log = logging.getLogger(__name__)
 
@@ -67,12 +68,13 @@ class Heatmap:
 
 @dataclass
 class ChannelMaps:
-    """Per-cell regression outputs aligned with a heatmap grid.
+    """Per-cell regression outputs aligned with a heatmap grid, in CenterTrack's signs.
 
     ``size_map`` (rows, cols, 2) holds box sizes in pixels, ``displacement_map``
-    (rows, cols, 2) the back-projection vectors, ``tracked_size_map`` either
-    (rows, cols, 2) for the wh variant or (rows, cols, 4) for ltrb, and
-    ``iou_map`` (rows, cols) the predicted adjacent-frame IOU in [0, 1].
+    (rows, cols, 2) the previous minus the current center in grid cells,
+    ``tracked_size_map`` either (rows, cols, 2), the previous minus the current
+    size in pixels (wh), or (rows, cols, 4), the previous box's edges in pixels
+    (ltrb), and ``iou_map`` (rows, cols) the predicted adjacent-frame IOU in [0, 1].
     """
 
     size_map: np.ndarray
@@ -82,7 +84,42 @@ class ChannelMaps:
 
     @property
     def variant(self) -> str:
-        return "wh" if self.tracked_size_map.shape[-1] == 2 else "ltrb"
+        return VARIANT_WH if self.tracked_size_map.shape[2:] == _CHANNELS[VARIANT_WH].cell_shape else VARIANT_LTRB
+
+
+@dataclass(frozen=True)
+class _Channel:
+    """One regression channel: its :class:`ChannelMaps` field, the shape of a
+    cell (the map's depth: ``(2,)``, ``(4,)`` or ``()`` for a (rows, cols) map),
+    one ``objectives.ObjectAnnotation``'s values at which its loss reads 0, and
+    the factor that turns a map value into the tracker's, given the downsample R."""
+
+    field: str
+    cell_shape: tuple[int, ...]
+    target: Callable[..., tuple[float, ...]]
+    factor: Callable[[float], float]
+
+
+# The losses, the gradient check and decode_detections all read the channels here.
+_CHANNELS = {
+    "size": _Channel("size_map", (2,), lambda o: (o.size.w, o.size.h), lambda r: 1.0),
+    "offset": _Channel(
+        "displacement_map", (2,), lambda o: (o.prev_center.x - o.center.x, o.prev_center.y - o.center.y), lambda r: -r
+    ),
+    VARIANT_WH: _Channel(
+        "tracked_size_map",
+        (2,),
+        lambda o: (o.prev_box.width - o.cur_box.width, o.prev_box.height - o.cur_box.height),
+        lambda r: -1.0,
+    ),
+    VARIANT_LTRB: _Channel("tracked_size_map", (4,), lambda o: ltrb(o.prev_box), lambda r: 1.0),
+    "iou": _Channel("iou_map", (), lambda o: (iou(o.prev_box, o.cur_box),), lambda r: 1.0),
+}
+
+
+def _map_channels(variant: str) -> list[_Channel]:
+    # the channels of the four ChannelMaps fields, in field order
+    return [_CHANNELS[name] for name in ("size", "offset", variant, "iou")]
 
 
 @dataclass(frozen=True)
@@ -94,16 +131,12 @@ class Peak:
     confidence: float
 
 
-def empty_channel_maps(grid: GridSpec, variant: str = "ltrb") -> ChannelMaps:
+def empty_channel_maps(grid: GridSpec, variant: str = VARIANT_LTRB) -> ChannelMaps:
     """All-zero channel maps matching ``grid``."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant: {variant!r}")
     shape = (grid.grid_h, grid.grid_w)
-    n_ts = 2 if variant == "wh" else 4
-    return ChannelMaps(
-        size_map=np.zeros(shape + (2,)),
-        displacement_map=np.zeros(shape + (2,)),
-        tracked_size_map=np.zeros(shape + (n_ts,)),
-        iou_map=np.zeros(shape),
-    )
+    return ChannelMaps(*(np.zeros(shape + ch.cell_shape) for ch in _map_channels(variant)))
 
 
 def _min_overlap_radius(w: float, h: float, min_overlap: float = MIN_PEAK_OVERLAP) -> float:
@@ -167,15 +200,7 @@ def render_heatmap(
 
 def _window_max3(plane: np.ndarray) -> np.ndarray:
     # Max over each cell's 3x3 neighborhood, clipped at the borders.
-    padded = np.pad(plane, 1, constant_values=-np.inf)
-    out = plane.copy()
-    h, w = plane.shape
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            np.maximum(out, padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w], out=out)
-    return out
+    return sliding_window_view(np.pad(plane, 1, constant_values=-np.inf), (3, 3)).max(axis=(2, 3))
 
 
 def _dedupe_plateaus(plane: np.ndarray, candidates: np.ndarray) -> list[tuple[int, int]]:
@@ -229,34 +254,31 @@ def decode_detections(
     out_threshold: float = DEFAULT_OUTPUT_THRESHOLD,
     frame: int = 1,
 ) -> list[Detection]:
-    """Read channel maps at peak cells and build pixel-space detections."""
-    expected = (grid.grid_h, grid.grid_w)
-    for name in ("size_map", "displacement_map", "tracked_size_map", "iou_map"):
-        arr = getattr(maps, name)
-        if arr.shape[:2] != expected:
-            raise ValueError(f"{name} shape {arr.shape} does not match grid {expected}")
+    """Read channel maps at peak cells and build pixel-space detections.
+
+    Each value is multiplied by its channel's factor: offsets and wh tracked
+    sizes become the tracker's current minus previous, in pixels.
+    """
     r = float(grid.downsample)
+    reads = []  # each ChannelMaps field as a (rows, cols, depth) map, with its factor
+    for ch in _map_channels(maps.variant):
+        arr = getattr(maps, ch.field)
+        want = (grid.grid_h, grid.grid_w) + ch.cell_shape
+        if arr.shape != want:
+            raise ValueError(f"{ch.field} shape {arr.shape} does not match {want}")
+        reads.append((np.atleast_3d(arr), ch.factor(r)))
+    ts_type = TrackedSizeWH if maps.variant == VARIANT_WH else TrackedSizeLTRB
     dets: list[Detection] = []
     for p in peaks:
         if p.confidence <= out_threshold:
             continue
         x, y = p.cell
-        w, h = (float(v) for v in maps.size_map[y, x])
-        dx, dy = (float(v) for v in maps.displacement_map[y, x])
-        ts_vals = [float(v) for v in maps.tracked_size_map[y, x]]
-        ts = TrackedSizeWH(*ts_vals) if len(ts_vals) == 2 else TrackedSizeLTRB(*ts_vals)
-        dets.append(
-            Detection(
-                frame=frame,
-                center=Point2(x * r, y * r),
-                size=Size2(max(0.0, w), max(0.0, h)),
-                confidence=p.confidence,
-                class_id=p.class_id,
-                disp=Displacement(dx, dy),
-                tracked_size=ts,
-                iou_pred=float(np.clip(maps.iou_map[y, x], 0.0, 1.0)),
-            )
-        )
+        center = Point2(x * r, y * r)
+        # 0.0 + turns a -0.0 product into 0.0
+        (w, h), disp, ts, (iou_pred,) = ([0.0 + f * float(v) for v in arr[y, x]] for arr, f in reads)
+        size, ts = Size2(max(0.0, w), max(0.0, h)), ts_type(*ts)
+        iou_pred = float(np.clip(iou_pred, 0.0, 1.0))
+        dets.append(Detection(frame, center, size, p.confidence, p.class_id, Displacement(*disp), ts, iou_pred))
     return dets
 
 

@@ -16,12 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import BoxLTRB, Point2, Size2, iou
+from .formats import VARIANT_LTRB, VARIANT_WH
+from .geometry import BoxLTRB, Point2, Size2
+from .heatmap import _CHANNELS
 
 CLAMP_EPS = 1e-7
-
-SIGN_PREV_MINUS_CUR = "prev-minus-cur"
-SIGN_CUR_MINUS_PREV = "cur-minus-prev"
 
 
 @dataclass(frozen=True)
@@ -58,18 +57,11 @@ class GtAnnotations:
         return len(self.objects)
 
 
-def _as_map(arr: np.ndarray, last_dim: int | None) -> np.ndarray:
-    a = np.asarray(arr, dtype=float)
-    if last_dim is None:
-        if a.ndim != 2:
-            raise ValueError(f"expected a (rows, cols) map, got shape {a.shape}")
-    elif a.ndim != 3 or a.shape[-1] != last_dim:
-        raise ValueError(f"expected a (rows, cols, {last_dim}) map, got shape {a.shape}")
-    return a
-
-
-def _cell(m: np.ndarray, center: Point2) -> np.ndarray:
-    return m[int(math.floor(center.y)), int(math.floor(center.x))]
+def _cell(m: np.ndarray, center: Point2) -> tuple[int, int]:
+    # the (row, col) index of the map cell holding ``center``
+    if not (0.0 <= center.x < m.shape[1] and 0.0 <= center.y < m.shape[0]):
+        raise ValueError(f"center ({center.x}, {center.y}) lies outside the map of shape {m.shape}")
+    return math.floor(center.y), math.floor(center.x)
 
 
 def focal_loss(
@@ -118,83 +110,57 @@ def focal_loss_grad(
     return -grad * inside / n_objects
 
 
-def _require_objects(gt: GtAnnotations) -> None:
+def _l1(channel: str, pred_map: np.ndarray, gt: GtAnnotations) -> float:
+    # Mean over objects of the L1 error at each object's center cell; an object's
+    # components are summed before they join the total.
     if gt.n < 1:
         raise ValueError("at least one annotated object is required")
+    ch = _CHANNELS[channel]
+    m = np.asarray(pred_map, dtype=float)
+    if m.ndim < 2 or m.shape[2:] != ch.cell_shape:
+        raise ValueError(f"expected a (rows, cols) map of {ch.cell_shape} cells, got shape {m.shape}")
+    cells = np.atleast_3d(m)
+    total = 0.0
+    for obj in gt.objects:
+        total += sum(abs(float(p) - t) for p, t in zip(cells[_cell(m, obj.center)], ch.target(obj)))
+    return total / gt.n
 
 
 def l1_size_loss(pred_size_map: np.ndarray, gt: GtAnnotations) -> float:
     """Mean L1 error between predicted sizes at center cells and true sizes."""
-    _require_objects(gt)
-    m = _as_map(pred_size_map, 2)
-    total = 0.0
-    for obj in gt.objects:
-        pw, ph = _cell(m, obj.center)
-        total += abs(pw - obj.size.w) + abs(ph - obj.size.h)
-    return total / gt.n
+    return _l1("size", pred_size_map, gt)
 
 
 def l1_offset_loss(pred_disp_map: np.ndarray, gt: GtAnnotations) -> float:
     """Mean L1 error of predicted displacements; target is previous minus current center.
 
-    This is CenterTrack's sign, the opposite of the current minus previous ``Displacement`` that
-    ``heatmap.decode_detections`` passes to the tracker as read from a map trained against it.
+    This is CenterTrack's sign, in grid cells; ``heatmap.decode_detections``
+    converts it to the tracker's current minus previous ``Displacement`` in pixels.
     """
-    _require_objects(gt)
-    m = _as_map(pred_disp_map, 2)
-    total = 0.0
-    for obj in gt.objects:
-        px, py = _cell(m, obj.center)
-        total += abs(px - (obj.prev_center.x - obj.center.x))
-        total += abs(py - (obj.prev_center.y - obj.center.y))
-    return total / gt.n
+    return _l1("offset", pred_disp_map, gt)
 
 
-def l1_tracked_size_wh_loss(
-    pred_ts_map: np.ndarray, gt: GtAnnotations, sign: str = SIGN_PREV_MINUS_CUR
-) -> float:
+def l1_tracked_size_wh_loss(pred_ts_map: np.ndarray, gt: GtAnnotations) -> float:
     """Mean L1 error of the width/height-change channel.
 
-    The default target is previous size minus current size, CenterTrack's sign and the opposite of the
-    current minus previous tracked size ``heatmap.decode_detections`` passes to the tracker as read; ``sign``
-    flips it for systems trained with the opposite convention.
+    The target is previous size minus current size, CenterTrack's sign;
+    ``heatmap.decode_detections`` converts it to the tracker's current minus
+    previous ``TrackedSizeWH``.
     """
-    _require_objects(gt)
-    if sign not in (SIGN_PREV_MINUS_CUR, SIGN_CUR_MINUS_PREV):
-        raise ValueError(f"unknown sign: {sign!r}")
-    m = _as_map(pred_ts_map, 2)
-    flip = 1.0 if sign == SIGN_PREV_MINUS_CUR else -1.0
-    total = 0.0
-    for obj in gt.objects:
-        tw = flip * (obj.prev_box.width - obj.cur_box.width)
-        th = flip * (obj.prev_box.height - obj.cur_box.height)
-        pw, ph = _cell(m, obj.center)
-        total += abs(pw - tw) + abs(ph - th)
-    return total / gt.n
+    return _l1(VARIANT_WH, pred_ts_map, gt)
 
 
 def l1_tracked_size_ltrb_loss(pred_ts_map: np.ndarray, gt: GtAnnotations) -> float:
     """Mean L1 error of the four-channel previous-box-edge prediction."""
-    _require_objects(gt)
-    m = _as_map(pred_ts_map, 4)
-    total = 0.0
-    for obj in gt.objects:
-        target = (obj.prev_box.left, obj.prev_box.top, obj.prev_box.right, obj.prev_box.bottom)
-        pred = _cell(m, obj.center)
-        total += sum(abs(float(p) - t) for p, t in zip(pred, target))
-    return total / gt.n
+    return _l1(VARIANT_LTRB, pred_ts_map, gt)
 
 
 def l_iou_loss(pred_iou_map: np.ndarray, gt: GtAnnotations) -> float:
     """Mean L1 error between predicted and true adjacent-frame IOU."""
-    _require_objects(gt)
-    m = _as_map(pred_iou_map, None)
+    m = np.asarray(pred_iou_map, dtype=float)
     if np.any(m < 0.0) or np.any(m > 1.0):
         raise ValueError("iou predictions must lie in [0, 1]")
-    total = 0.0
-    for obj in gt.objects:
-        total += abs(float(_cell(m, obj.center)) - iou(obj.prev_box, obj.cur_box))
-    return total / gt.n
+    return _l1("iou", m, gt)
 
 
 def finite_diff_grad(
@@ -252,6 +218,7 @@ def gradient_check_report(seed: int = 0, n_points: int = 100) -> dict[str, float
         checked += pred.size
 
     objects = []
+    maps = {name: np.zeros(shape + ch.cell_shape) for name, ch in _CHANNELS.items()}
     cells = rng.permutation(shape[0] * shape[1])[:4]
     for cell in cells:
         cy, cx = divmod(int(cell), shape[1])
@@ -262,34 +229,15 @@ def gradient_check_report(seed: int = 0, n_points: int = 100) -> dict[str, float
         cur = BoxLTRB(c.x - w / 2, c.y - h / 2, c.x + w / 2, c.y + h / 2)
         prev = BoxLTRB(pc.x - pw / 2, pc.y - ph / 2, pc.x + pw / 2, pc.y + ph / 2)
         objects.append(ObjectAnnotation(c, Size2(w, h), pc, prev, cur))
+        for name, ch in _CHANNELS.items():  # each map at the object's zero-loss values
+            np.atleast_3d(maps[name])[_cell(maps[name], c)] = ch.target(objects[-1])
     gt_ann = GtAnnotations(tuple(objects))
-
-    size_map = np.zeros(shape + (2,))
-    disp_map = np.zeros(shape + (2,))
-    ts_wh_map = np.zeros(shape + (2,))
-    ts_ltrb_map = np.zeros(shape + (4,))
-    iou_map = np.zeros(shape)
-    for obj in gt_ann.objects:
-        r, c = int(obj.center.y), int(obj.center.x)
-        size_map[r, c] = (obj.size.w, obj.size.h)
-        disp_map[r, c] = (obj.prev_center.x - obj.center.x, obj.prev_center.y - obj.center.y)
-        ts_wh_map[r, c] = (
-            obj.prev_box.width - obj.cur_box.width,
-            obj.prev_box.height - obj.cur_box.height,
-        )
-        ts_ltrb_map[r, c] = (
-            obj.prev_box.left,
-            obj.prev_box.top,
-            obj.prev_box.right,
-            obj.prev_box.bottom,
-        )
-        iou_map[r, c] = iou(obj.prev_box, obj.cur_box)
 
     return {
         "focal_grad_max_rel_err": max_rel,
-        "size_l1_at_gt": l1_size_loss(size_map, gt_ann),
-        "offset_l1_at_gt": l1_offset_loss(disp_map, gt_ann),
-        "tracked_size_wh_l1_at_gt": l1_tracked_size_wh_loss(ts_wh_map, gt_ann),
-        "tracked_size_ltrb_l1_at_gt": l1_tracked_size_ltrb_loss(ts_ltrb_map, gt_ann),
-        "iou_l1_at_gt": l_iou_loss(iou_map, gt_ann),
+        "size_l1_at_gt": l1_size_loss(maps["size"], gt_ann),
+        "offset_l1_at_gt": l1_offset_loss(maps["offset"], gt_ann),
+        "tracked_size_wh_l1_at_gt": l1_tracked_size_wh_loss(maps[VARIANT_WH], gt_ann),
+        "tracked_size_ltrb_l1_at_gt": l1_tracked_size_ltrb_loss(maps[VARIANT_LTRB], gt_ann),
+        "iou_l1_at_gt": l_iou_loss(maps["iou"], gt_ann),
     }

@@ -12,8 +12,8 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy, associate
-from .formats import _RECORD_COLUMNS, _TRACKLET_COLUMNS, DEFAULT_OUTPUT_THRESHOLD, VARIANTS, Detection, DetectionFrame
-from .formats import Tracklet, TrackRecord, _MotTable, _Tracklets
+from .formats import _RECORD_COLUMNS, _TRACKLET_COLUMNS, DEFAULT_OUTPUT_THRESHOLD, VARIANT_LTRB, VARIANTS, Detection
+from .formats import DetectionFrame, Tracklet, TrackRecord, _MotTable, _Tracklets
 
 DEFAULT_LIFETIME = 30
 
@@ -21,7 +21,7 @@ DEFAULT_LIFETIME = 30
 @dataclass(frozen=True)
 class TrackerConfig:
     strategy: Strategy = Strategy.IOU
-    variant: str = "ltrb"
+    variant: str = VARIANT_LTRB
     lifetime: int = DEFAULT_LIFETIME
     out_threshold: float = DEFAULT_OUTPUT_THRESHOLD
     iou_filter_form: str = FILTER_RATIONALE

@@ -29,7 +29,13 @@ state as columns: a new ``Tracklet`` and ``TrackRecord`` (with its
 ``BoxLTRB`` and ``Point2``) for every matched or spawned detection and a new
 ``Tracklet`` for every aged one. Folded over a stream, it gives the states
 and records that the columnar ``tracker.step``, ``run_sequence`` and
-``run_frames`` must equal by ``repr``.
+``run_frames`` must equal by ``repr``. The loss referees
+(``l1_size_loss_loop`` and the four after it) are the five loops the
+objectives had before one channel table drove them, without the removed
+``sign`` flag of the ``wh`` loss: each reads an object's center cell and adds
+up its own L1 terms, the values the table-driven losses must equal.
+``window_max3_shifts`` is the 3x3 window maximum as eight shifted
+``np.maximum`` calls, which ``heatmap._window_max3`` must equal cell for cell.
 """
 
 from __future__ import annotations
@@ -850,3 +856,67 @@ def step_objects(
         next_id += 1
 
     return TrackerState(tuple(new_live), next_id, frame_no), records
+
+
+def _loss_cell(m: np.ndarray, center: Point2) -> np.ndarray:
+    return m[int(math.floor(center.y)), int(math.floor(center.x))]
+
+
+def l1_size_loss_loop(pred_size_map: np.ndarray, gt) -> float:
+    m = np.asarray(pred_size_map, dtype=float)
+    total = 0.0
+    for obj in gt.objects:
+        pw, ph = _loss_cell(m, obj.center)
+        total += abs(pw - obj.size.w) + abs(ph - obj.size.h)
+    return total / gt.n
+
+
+def l1_offset_loss_loop(pred_disp_map: np.ndarray, gt) -> float:
+    m = np.asarray(pred_disp_map, dtype=float)
+    total = 0.0
+    for obj in gt.objects:
+        px, py = _loss_cell(m, obj.center)
+        total += abs(px - (obj.prev_center.x - obj.center.x))
+        total += abs(py - (obj.prev_center.y - obj.center.y))
+    return total / gt.n
+
+
+def l1_tracked_size_wh_loss_loop(pred_ts_map: np.ndarray, gt) -> float:
+    m = np.asarray(pred_ts_map, dtype=float)
+    total = 0.0
+    for obj in gt.objects:
+        tw = obj.prev_box.width - obj.cur_box.width
+        th = obj.prev_box.height - obj.cur_box.height
+        pw, ph = _loss_cell(m, obj.center)
+        total += abs(pw - tw) + abs(ph - th)
+    return total / gt.n
+
+
+def l1_tracked_size_ltrb_loss_loop(pred_ts_map: np.ndarray, gt) -> float:
+    m = np.asarray(pred_ts_map, dtype=float)
+    total = 0.0
+    for obj in gt.objects:
+        target = (obj.prev_box.left, obj.prev_box.top, obj.prev_box.right, obj.prev_box.bottom)
+        pred = _loss_cell(m, obj.center)
+        total += sum(abs(float(p) - t) for p, t in zip(pred, target))
+    return total / gt.n
+
+
+def l_iou_loss_loop(pred_iou_map: np.ndarray, gt) -> float:
+    m = np.asarray(pred_iou_map, dtype=float)
+    total = 0.0
+    for obj in gt.objects:
+        total += abs(float(_loss_cell(m, obj.center)) - iou(obj.prev_box, obj.cur_box))
+    return total / gt.n
+
+
+def window_max3_shifts(plane: np.ndarray) -> np.ndarray:
+    padded = np.pad(plane, 1, constant_values=-np.inf)
+    out = plane.copy()
+    h, w = plane.shape
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy == 0 and dx == 0:
+                continue
+            np.maximum(out, padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w], out=out)
+    return out

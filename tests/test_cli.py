@@ -11,11 +11,11 @@ from unittest import mock
 import pytest
 
 import motkit
-from motkit.cli import main
+from motkit.cli import build_parser, main
 from motkit.formats import Detection, parse_track_file, write_gt, write_mot, write_predictions
 from motkit.geometry import BoxLTRB
 from motkit.formats import GtEntry, TrackRecord
-from motkit.tracker import Tracklet
+from motkit.tracker import Tracklet, TrackerConfig
 from oracles import clear_mot_objects, idf1_objects, parse_mot_rows, parse_track_file_rows
 
 
@@ -292,6 +292,14 @@ class TestTrack:
             out_file = tmp_path / f"{strategy}.txt"
             assert main(["track", str(sim / "preds.csv"), "--strategy", strategy,
                          "--out", str(out_file)]) == 0
+
+    def test_defaults_are_the_tracker_config_defaults(self):
+        args = build_parser().parse_args(["track", "preds.csv"])
+        cfg = TrackerConfig()
+        assert (args.strategy, args.lifetime, args.theta, args.iou_filter_form) == (
+            cfg.strategy.value, cfg.lifetime, cfg.out_threshold, cfg.iou_filter_form
+        )
+        assert args.variant is None  # taken from the file header
 
 
 class TestEval:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from motkit.geometry import Point2, Size2
 from motkit.heatmap import (
@@ -10,6 +12,7 @@ from motkit.heatmap import (
     GridSpec,
     Heatmap,
     Peak,
+    _window_max3,
     decode_detections,
     empty_channel_maps,
     extract_peaks,
@@ -18,6 +21,7 @@ from motkit.heatmap import (
     render_heatmap,
     write_heatmap,
 )
+from oracles import window_max3_shifts
 
 GRID = GridSpec(width_px=256, height_px=256, downsample=4, num_classes=1)
 
@@ -163,6 +167,13 @@ class TestExtractPeaks:
         peaks = extract_peaks(Heatmap(v), 0.5)
         assert [p.confidence for p in peaks] == [0.9, 0.6]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 11), st.integers(1, 11), st.data())
+    def test_window_max_equals_the_shifted_maxima(self, rows, cols, data):
+        # few distinct values, so ties and plateaus are common
+        plane = data.draw(arrays(float, (rows, cols), elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+        assert np.array_equal(_window_max3(plane), window_max3_shifts(plane))
+
     def test_every_peak_above_threshold(self):
         rng = np.random.default_rng(11)
         v = rng.uniform(0, 1, size=(2, 16, 16))
@@ -183,7 +194,9 @@ class TestDecode:
         d = dets[0]
         assert (d.center.x, d.center.y) == (20.0, 20.0)
         assert (d.size.w, d.size.h) == (12.0, 16.0)
-        assert (d.disp.dx, d.disp.dy) == (2.0, -1.0)
+        # offsets are grid cells, previous minus current; wh sizes previous minus current
+        assert (d.disp.dx, d.disp.dy) == (-8.0, 4.0)
+        assert (d.tracked_size.dw, d.tracked_size.dh) == (-1.0, 0.0)
         assert d.iou_pred == 0.7
         assert d.variant == "wh"
 
@@ -199,6 +212,28 @@ class TestDecode:
         small = GridSpec(64, 64, 4, 1)
         with pytest.raises(ValueError):
             decode_detections([Peak((1, 1), 0, 0.9)], empty_channel_maps(small), GRID)
+
+    @pytest.mark.parametrize("field, depth", [("tracked_size_map", 3), ("displacement_map", 1), ("size_map", 4)])
+    def test_map_of_the_wrong_depth_rejected(self, field, depth):
+        maps = empty_channel_maps(GRID, "ltrb")
+        setattr(maps, field, np.zeros((GRID.grid_h, GRID.grid_w, depth)))
+        with pytest.raises(ValueError, match=rf"{field} shape \(64, 64, {depth}\) does not match"):
+            decode_detections([Peak((5, 5), 0, 0.9)], maps, GRID)
+
+    def test_iou_map_with_a_depth_rejected(self):
+        maps = empty_channel_maps(GRID, "wh")
+        maps.iou_map = np.zeros((GRID.grid_h, GRID.grid_w, 1))
+        with pytest.raises(ValueError, match="iou_map"):
+            decode_detections([Peak((5, 5), 0, 0.9)], maps, GRID)
+
+    def test_zero_maps_decode_to_positive_zeros(self):
+        (d,) = decode_detections([Peak((5, 5), 0, 0.9)], empty_channel_maps(GRID, "wh"), GRID)
+        values = (d.size.w, d.size.h, d.disp.dx, d.disp.dy, d.tracked_size.dw, d.tracked_size.dh, d.iou_pred)
+        assert [math.copysign(1.0, v) for v in values] == [1.0] * 7
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            empty_channel_maps(GRID, "xywh")
 
     def test_ltrb_variant_decodes_four_values(self):
         maps = empty_channel_maps(GRID, "ltrb")

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from motkit.association import tracked_box
+from motkit.formats import VARIANT_LTRB, VARIANT_WH, VARIANTS
 from motkit.geometry import BoxLTRB, Point2, Size2
+from motkit.heatmap import _CHANNELS, GridSpec, decode_detections, empty_channel_maps, extract_peaks, render_heatmap
 from motkit.objectives import (
     CLAMP_EPS,
     FocalParams,
     GtAnnotations,
     ObjectAnnotation,
-    SIGN_CUR_MINUS_PREV,
     finite_diff_grad,
     focal_loss,
     focal_loss_grad,
@@ -19,6 +23,13 @@ from motkit.objectives import (
     l1_tracked_size_ltrb_loss,
     l1_tracked_size_wh_loss,
     l_iou_loss,
+)
+from oracles import (
+    l1_offset_loss_loop,
+    l1_size_loss_loop,
+    l1_tracked_size_ltrb_loss_loop,
+    l1_tracked_size_wh_loss_loop,
+    l_iou_loss_loop,
 )
 
 
@@ -134,17 +145,6 @@ class TestL1Losses:
         )
         assert l1_tracked_size_wh_loss(np.zeros((4, 6, 2)), gt) == pytest.approx(2.0, abs=1e-12)
 
-    def test_tracked_wh_sign_flag(self):
-        prev = BoxLTRB(0, 0, 6, 4)
-        cur = BoxLTRB(1, 0, 5, 4)
-        gt = GtAnnotations(
-            (ObjectAnnotation(Point2(3, 2), Size2(4, 4), Point2(3, 2), prev, cur),)
-        )
-        m = np.zeros((4, 6, 2))
-        m[2, 3] = (-2, 0)  # current minus previous convention
-        assert l1_tracked_size_wh_loss(m, gt, sign=SIGN_CUR_MINUS_PREV) == 0.0
-        assert l1_tracked_size_wh_loss(m, gt) == pytest.approx(4.0, abs=1e-12)
-
     def test_tracked_ltrb_zero_at_gt(self):
         prev = BoxLTRB(8, 8, 12, 12)
         gt = GtAnnotations(
@@ -220,6 +220,102 @@ class TestL1Losses:
         with pytest.raises(ValueError):
             l1_size_loss(np.zeros((2, 2, 2)), GtAnnotations(()))
 
+    @pytest.mark.parametrize("x", [-0.5, 5.0, 7.0, math.nan, math.inf])
+    def test_center_outside_the_map_rejected(self, x):
+        # x = -0.5 floors to column -1, which numpy would read as the last column
+        gt = GtAnnotations((annot((x, 2.0), (4.0, 4.0)),))
+        with pytest.raises(ValueError, match=r"center \(.*, 2.0\) lies outside the map of shape \(5, 5, 2\)"):
+            l1_size_loss(np.zeros((5, 5, 2)), gt)
+
+    @pytest.mark.parametrize(
+        "loss, shape",
+        [
+            (l1_size_loss, (5, 5)),
+            (l1_offset_loss, (5, 5, 4)),
+            (l1_tracked_size_wh_loss, (5, 5, 4)),
+            (l1_tracked_size_ltrb_loss, (5, 5, 2)),
+            (l_iou_loss, (5, 5, 1)),
+            (l_iou_loss, (5,)),
+        ],
+    )
+    def test_map_of_the_wrong_depth_rejected(self, loss, shape):
+        gt = GtAnnotations((annot((2.0, 2.0), (4.0, 4.0)),))
+        with pytest.raises(ValueError, match="expected a"):
+            loss(np.zeros(shape), gt)
+
+
+coords = st.floats(-1e3, 1e3)
+lengths = st.floats(0.0, 1e3)
+
+
+@st.composite
+def maps_and_annotations(draw):
+    """Random maps for all five losses and one or two objects whose centers lie on them."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    objects = []
+    for _ in range(draw(st.integers(1, 2))):
+        center = Point2(draw(st.floats(0.0, cols, exclude_max=True)), draw(st.floats(0.0, rows, exclude_max=True)))
+        boxes = []
+        for _ in range(2):
+            left, top, w, h = draw(coords), draw(coords), draw(lengths), draw(lengths)
+            boxes.append(BoxLTRB(left, top, left + w, top + h))
+        size = Size2(draw(lengths), draw(lengths))
+        objects.append(ObjectAnnotation(center, size, Point2(draw(coords), draw(coords)), *boxes))
+    grid = (rows, cols)
+    maps = {n: draw(arrays(float, grid + (2,), elements=coords)) for n in ("size", "offset", VARIANT_WH)}
+    maps[VARIANT_LTRB] = draw(arrays(float, grid + (4,), elements=coords))
+    maps["iou"] = draw(arrays(float, grid, elements=st.floats(0.0, 1.0)))
+    return maps, GtAnnotations(tuple(objects))
+
+
+class TestLossesAgainstReferees:
+    @settings(max_examples=300, deadline=None)
+    @given(maps_and_annotations())
+    def test_losses_equal_the_per_loss_loops(self, case):
+        maps, gt = case
+        assert l1_size_loss(maps["size"], gt) == l1_size_loss_loop(maps["size"], gt)
+        assert l1_tracked_size_wh_loss(maps[VARIANT_WH], gt) == l1_tracked_size_wh_loss_loop(maps[VARIANT_WH], gt)
+        ltrb = maps[VARIANT_LTRB]
+        assert l1_tracked_size_ltrb_loss(ltrb, gt) == l1_tracked_size_ltrb_loss_loop(ltrb, gt)
+        assert l_iou_loss(maps["iou"], gt) == l_iou_loss_loop(maps["iou"], gt)
+        # The referee adds an object's two offset terms to the total one at a time; the loss
+        # sums them first. All terms are nonnegative, so with at most two objects the
+        # reordered additions move the mean by at most 8 * 2**-53 of it, under 1e-15.
+        want = l1_offset_loss_loop(maps["offset"], gt)
+        assert l1_offset_loss(maps["offset"], gt) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+TRACKED_SIZE_LOSS = {VARIANT_WH: l1_tracked_size_wh_loss, VARIANT_LTRB: l1_tracked_size_ltrb_loss}
+
+
+class TestZeroLossMapsDecode:
+    """Maps at which every loss reads 0 decode to the object's previous center and box."""
+
+    GRID = GridSpec(width_px=80, height_px=80, downsample=4)
+    # moved from grid cell (9, 10) to (10, 10) and shrank from 10x8 to 8x8 px
+    PREV_BOX = BoxLTRB(31.0, 36.0, 41.0, 44.0)
+    CUR_BOX = BoxLTRB(36.0, 36.0, 44.0, 44.0)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_back_projection_and_tracked_box_are_the_previous_frames(self, variant):
+        obj = ObjectAnnotation(Point2(10.0, 10.0), self.CUR_BOX.size, Point2(9.0, 10.0), self.PREV_BOX, self.CUR_BOX)
+        gt = GtAnnotations((obj,))
+        maps = empty_channel_maps(self.GRID, variant)
+        for name in ("size", "offset", variant, "iou"):
+            channel = _CHANNELS[name]
+            np.atleast_3d(getattr(maps, channel.field))[10, 10] = channel.target(obj)
+        losses = (
+            l1_size_loss(maps.size_map, gt),
+            l1_offset_loss(maps.displacement_map, gt),
+            TRACKED_SIZE_LOSS[variant](maps.tracked_size_map, gt),
+            l_iou_loss(maps.iou_map, gt),
+        )
+        assert losses == (0.0, 0.0, 0.0, 0.0)
+        heatmap = render_heatmap([(self.CUR_BOX.center, self.CUR_BOX.size, 0)], self.GRID)
+        (det,) = decode_detections(extract_peaks(heatmap, 0.5), maps, self.GRID)
+        assert (det.center.x - det.disp.dx, det.center.y - det.disp.dy) == (36.0, 40.0)
+        assert tracked_box(det, variant) == self.PREV_BOX
+
 
 class TestFiniteDiff:
     def test_linear_function_gives_ones(self):
@@ -236,6 +332,29 @@ class TestFiniteDiff:
 
 
 class TestGradientCheckReport:
+    # the focal gradient's worst error per seed, pinned so that the way the report paints its
+    # zero-loss maps cannot move its random draws
+    REPORTS = {
+        0: 1.4214377844293266e-08,
+        1: 2.2317434926205782e-08,
+        2: 1.9768292364564737e-08,
+        3: 1.2358291298439968e-08,
+    }
+
+    @pytest.mark.parametrize("seed", sorted(REPORTS))
+    def test_report_is_unchanged(self, seed):
+        report = gradient_check_report(seed)
+        assert list(report) == [
+            "focal_grad_max_rel_err",
+            "size_l1_at_gt",
+            "offset_l1_at_gt",
+            "tracked_size_wh_l1_at_gt",
+            "tracked_size_ltrb_l1_at_gt",
+            "iou_l1_at_gt",
+        ]
+        assert report["focal_grad_max_rel_err"] == pytest.approx(self.REPORTS[seed], rel=1e-9)
+        assert list(report.values())[1:] == [0.0] * 5
+
     def test_all_checks_pass(self):
         report = gradient_check_report(seed=0)
         assert report["focal_grad_max_rel_err"] < 1e-4
