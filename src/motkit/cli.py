@@ -22,7 +22,7 @@ from .formats import write_mot, write_predictions
 from .metrics import DEFAULT_IOU_THRESHOLD, _RepeatedRow, check_iou_threshold, clear_mot, idf1
 from .objectives import gradient_check_report
 from .simulator import generate, parse_scene, perturb
-from .tracker import TrackerConfig, run_frames
+from .tracker import TrackerConfig, run_sequence
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -68,7 +68,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         out_threshold=args.theta,
         iou_filter_form=args.iou_filter_form,
     )
-    records = run_frames(preds.by_frame, cfg)
+    records = run_sequence(preds.by_frame.items(), cfg)
     text = write_mot(records)
     numbers = preds.by_frame.keys()
     n_frames = max(numbers) - min(numbers) + 1 if numbers else 0

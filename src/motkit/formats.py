@@ -451,10 +451,10 @@ class Predictions:
     def dense_frames(self) -> Sequence[tuple[int, Sequence[Detection]]]:
         """Contiguous (frame, detections) pairs from the first to the last frame.
 
-        Frames with no detections appear with an empty list, which is what the
-        tracker loop consumes. Empty input gives an empty sequence. The pairs
-        are made as they are read, so a long gap costs no memory, and the
-        sequence can be iterated again.
+        Frames with no detections appear with an empty list; the tracker loop
+        steps each one, and gives the records it gives for ``by_frame.items()``.
+        Empty input gives an empty sequence. The pairs are made as they are
+        read, so a long gap costs no memory, and they can be iterated again.
         """
         numbers = range(min(self.by_frame), max(self.by_frame) + 1) if self.by_frame else range(0)
         return _DenseFrames(self.by_frame, numbers)
@@ -777,7 +777,7 @@ def write_predictions(variant: str, frames: Iterable[tuple[int, Sequence[Detecti
 
 
 def parse_predictions(source: Union[str, Iterable[str]]) -> Predictions:
-    """Parse a prediction file into per-frame detection frames, frames ascending.
+    """Parse a prediction file into per-frame detection frames, ``by_frame``'s keys ascending.
 
     Malformed rows raise :class:`ParseError` with the line number, as do rows
     whose detection box or ``wh`` tracked box has an edge that overflows to

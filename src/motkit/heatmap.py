@@ -139,22 +139,22 @@ def empty_channel_maps(grid: GridSpec, variant: str = VARIANT_LTRB) -> ChannelMa
     return ChannelMaps(*(np.zeros(shape + ch.cell_shape) for ch in _map_channels(variant)))
 
 
-def _min_overlap_radius(w: float, h: float, min_overlap: float = MIN_PEAK_OVERLAP) -> float:
+def _min_overlap_radius(w: float, h: float) -> float:
     # Smallest of the three quadratic-root radii that keep any box shifted or
     # shrunk within the radius above the overlap requirement.
     a1 = 1.0
     b1 = h + w
-    c1 = w * h * (1 - min_overlap) / (1 + min_overlap)
+    c1 = w * h * (1 - MIN_PEAK_OVERLAP) / (1 + MIN_PEAK_OVERLAP)
     r1 = (b1 + math.sqrt(b1 * b1 - 4 * a1 * c1)) / 2
 
     a2 = 4.0
     b2 = 2 * (h + w)
-    c2 = (1 - min_overlap) * w * h
+    c2 = (1 - MIN_PEAK_OVERLAP) * w * h
     r2 = (b2 + math.sqrt(b2 * b2 - 4 * a2 * c2)) / 2
 
-    a3 = 4 * min_overlap
-    b3 = -2 * min_overlap * (h + w)
-    c3 = (min_overlap - 1) * w * h
+    a3 = 4 * MIN_PEAK_OVERLAP
+    b3 = -2 * MIN_PEAK_OVERLAP * (h + w)
+    c3 = (MIN_PEAK_OVERLAP - 1) * w * h
     r3 = (b3 + math.sqrt(b3 * b3 - 4 * a3 * c3)) / 2
     return min(r1, r2, r3)
 
@@ -270,9 +270,11 @@ def decode_detections(
     ts_type = TrackedSizeWH if maps.variant == VARIANT_WH else TrackedSizeLTRB
     dets: list[Detection] = []
     for p in peaks:
+        x, y = p.cell
+        if not (0 <= x < grid.grid_w and 0 <= y < grid.grid_h):
+            raise ValueError(f"peak cell {p.cell} lies off the {grid.grid_w}x{grid.grid_h} grid (columns x rows)")
         if p.confidence <= out_threshold:
             continue
-        x, y = p.cell
         center = Point2(x * r, y * r)
         # 0.0 + turns a -0.0 product into 0.0
         (w, h), disp, ts, (iou_pred,) = ([0.0 + f * float(v) for v in arr[y, x]] for arr, f in reads)

@@ -197,25 +197,20 @@ def focal_gradient_max_rel_err(
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def gradient_check_report(seed: int = 0, n_points: int = 100) -> dict[str, float]:
-    """Max relative error of the analytic focal gradient at random interior cells.
+def gradient_check_report(seed: int = 0) -> dict[str, float]:
+    """Max relative error of the analytic focal gradient over one random 12x12 map.
 
     Also evaluates every L1 loss at its ground truth (all must be exactly 0).
     Returns a name -> value mapping used by the command-line checker.
     """
     rng = np.random.default_rng(seed)
     shape = (12, 12)
-    checked = 0
-    max_rel = 0.0
-    while checked < n_points:
-        pred = rng.uniform(0.05, 0.95, size=shape)
-        gt = rng.uniform(0.0, 0.95, size=shape)
-        # sprinkle exact-1 targets so both focal branches are exercised
-        ones = rng.integers(0, shape[0], size=(3, 2))
-        for r, c in ones:
-            gt[r, c] = 1.0
-        max_rel = max(max_rel, focal_gradient_max_rel_err(pred, gt, 3))
-        checked += pred.size
+    pred = rng.uniform(0.05, 0.95, size=shape)
+    gt = rng.uniform(0.0, 0.95, size=shape)
+    # sprinkle exact-1 targets so both focal branches are exercised
+    for r, c in rng.integers(0, shape[0], size=(3, 2)):
+        gt[r, c] = 1.0
+    max_rel = focal_gradient_max_rel_err(pred, gt, 3)
 
     objects = []
     maps = {name: np.zeros(shape + ch.cell_shape) for name, ch in _CHANNELS.items()}

@@ -343,18 +343,17 @@ def crossing_scenario(
     width: int = 200,
     height: int = 200,
     variant: str = VARIANT_LTRB,
-    lane_gap: float = 4.0,
-    speed: float = 1.6,
     seed: int = 0,
 ) -> ScenarioConfig:
     """Two pedestrians of different sizes crossing paths mid-image.
 
-    The near agent walks right-to-left, the far one left-to-right, in lanes
-    ``lane_gap`` pixels apart, meeting at the image center. Their size
+    The near agent walks right-to-left, the far one left-to-right, 1.6 px a
+    frame in lanes 4 px apart, meeting at the image center. Their size
     difference keeps the crossing unoccluded while making the tracked-box
     overlap between the wrong pairs low; pure back-projection has no such
     margin where the paths meet.
     """
+    lane_gap, speed = 4.0, 1.6
     mid_y = height / 2.0
     span = speed * (frames - 1)
     x0 = (width - span) / 2.0

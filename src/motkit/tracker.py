@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy, associate
 from .formats import _RECORD_COLUMNS, _TRACKLET_COLUMNS, DEFAULT_OUTPUT_THRESHOLD, VARIANT_LTRB, VARIANTS, Detection
@@ -51,15 +51,18 @@ def step(
 ) -> tuple[TrackerState, Sequence[TrackRecord]]:
     """Advance one frame: associate, update, spawn, age, retire.
 
-    ``dets`` must already be filtered to confidence above the output
-    threshold and carry frame number ``state.frame_index + 1``. Matched
-    tracklets take their detection's geometry with age reset; unmatched
-    detections spawn fresh ids; unmatched tracklets age and are dropped at
-    ``lifetime``. One record is emitted per matched or spawned tracklet. The
-    new state and the records are columns, updated from the frame's.
+    Detections at or below the output threshold are dropped first; the rest
+    must carry frame number ``state.frame_index + 1``. Matched tracklets take
+    their detection's geometry with age reset; unmatched detections spawn
+    fresh ids; unmatched tracklets age and are dropped at ``lifetime``. One
+    record is emitted per matched or spawned tracklet. The new state and the
+    records are columns, updated from the frame's.
     """
     frame_no = state.frame_index + 1
     frame = DetectionFrame.of(dets)
+    confs = frame.values("conf")
+    if confs and min(confs) <= cfg.out_threshold:
+        frame = frame.take([i for i, c in enumerate(confs) if c > cfg.out_threshold])
     numbers = frame.values("frame")
     if numbers.count(frame_no) != len(numbers):
         bad = next(f for f in numbers if f != frame_no)
@@ -109,50 +112,28 @@ def _joined(parts: Iterable[_MotTable]) -> _MotTable:
     return _MotTable(*columns)
 
 
-def _kept_step(state: TrackerState, dets: Sequence[Detection], cfg: TrackerConfig) -> tuple[TrackerState, _MotTable]:
-    """:func:`step` on the detections above the output threshold."""
-    kept = DetectionFrame.of(dets)
-    confs = kept.values("conf")
-    if confs and min(confs) <= cfg.out_threshold:
-        kept = kept.take([i for i, c in enumerate(confs) if c > cfg.out_threshold])
-    return step(state, kept, cfg)
-
-
 def run_sequence(
     frames: Iterable[tuple[int, Sequence[Detection]]], cfg: TrackerConfig
 ) -> Sequence[TrackRecord]:
-    """Fold :func:`step` over contiguous frames starting from an empty state.
+    """Fold :func:`step` over ``(frame, detections)`` pairs in ascending frame order, from an empty state.
 
-    Detections at or below the output threshold are dropped before
-    association. Output is deterministic for a fixed input and config; the
-    records are one table of columns.
+    A frame number left out is an empty frame. ``lifetime`` empty frames in a
+    row retire every tracklet, so such a gap is not stepped through: the
+    frame after it starts from an empty live table, and its ids continue the
+    earlier ones. The work is bounded by the number of pairs times
+    ``lifetime``, however far apart the frame numbers lie. A frame number that
+    does not ascend raises ``ValueError``. Output is deterministic for a fixed
+    input and config; the records are one table of columns.
     """
     parts: list[_MotTable] = []
     state: TrackerState | None = None
     for frame_no, dets in frames:
-        if state is None:
-            state = TrackerState(frame_index=frame_no - 1)
-        elif frame_no != state.frame_index + 1:
-            raise ValueError(f"non-contiguous frame numbers: {state.frame_index} -> {frame_no}")
-        state, recs = _kept_step(state, dets, cfg)
-        parts.append(recs)
-    return _joined(parts)
-
-
-def run_frames(by_frame: Mapping[int, Sequence[Detection]], cfg: TrackerConfig) -> Sequence[TrackRecord]:
-    """:func:`run_sequence` over every frame from the first to the last key, a missing one empty.
-
-    ``lifetime`` empty frames in a row retire every tracklet, so such a gap
-    is not stepped through: the frame after it starts from an empty live
-    table, and its ids continue the earlier ones. The work is bounded by the
-    number of keys times ``lifetime``, however far apart the frame numbers lie.
-    """
-    parts: list[_MotTable] = []
-    state: TrackerState | None = None
-    for frame_no in sorted(by_frame):
+        if state is not None and frame_no <= state.frame_index:
+            raise ValueError(f"frame numbers do not ascend: {state.frame_index} -> {frame_no}")
         if state is None or frame_no - state.frame_index > cfg.lifetime:
             state = TrackerState(next_id=1 if state is None else state.next_id, frame_index=frame_no - 1)
-        while state.frame_index < frame_no:
-            state, recs = _kept_step(state, by_frame.get(state.frame_index + 1, []), cfg)
-            parts.append(recs)
+        while state.frame_index + 1 < frame_no:
+            state, _ = step(state, (), cfg)
+        state, recs = step(state, dets, cfg)
+        parts.append(recs)
     return _joined(parts)

@@ -28,8 +28,8 @@ and ``metrics.idf1`` must equal them by ``repr``. The tracker's referee
 state as columns: a new ``Tracklet`` and ``TrackRecord`` (with its
 ``BoxLTRB`` and ``Point2``) for every matched or spawned detection and a new
 ``Tracklet`` for every aged one. Folded over a stream, it gives the states
-and records that the columnar ``tracker.step``, ``run_sequence`` and
-``run_frames`` must equal by ``repr``. The loss referees
+and records that the columnar ``tracker.step`` and ``run_sequence`` must
+equal by ``repr``. The loss referees
 (``l1_size_loss_loop`` and the four after it) are the five loops the
 objectives had before one channel table drove them, without the removed
 ``sign`` flag of the ``wh`` loss: each reads an object's center cell and adds

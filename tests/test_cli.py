@@ -273,6 +273,26 @@ class TestTrack:
         assert [(r.frame, r.track_id) for r in parse_track_file(out.read_text())] == [(1, 1), (2**63, 2)]
 
     @pytest.mark.parametrize("strategy", ["iou", "dis"])
+    def test_gaps_around_the_lifetime(self, tmp_path, capsys, strategy):
+        # lifetime 3: 1 and 2 empty frames keep id 1, 3 and 4 retire it, then a gap of 2**63;
+        # the second object's confidence-0.3 row at frame 4 is dropped, so it too is gone by frame 7
+        a, b = "10,10,4,4,0.9,1,0,0,0,0,0.7", "40,40,6,6,{},1,0,0,0,0,0.6"
+        late = 16 + 2**63
+        rows = [f"1,{a}", f"2,{a}", f"2,{b.format(0.9)}", f"4,{a}", f"4,{b.format(0.3)}", f"7,{a}",
+                f"7,{b.format(0.8)}", f"11,{a}", f"16,{a}", f"{late},{a}", f"{late},{b.format(0.95)}"]
+        preds = tmp_path / "preds.csv"
+        preds.write_text("variant: wh\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "tracks.txt"
+        assert main(["track", str(preds), "--strategy", strategy, "--lifetime", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"frames={late} detections=11 tracks=7\n"
+        assert out.read_text() == (
+            "1,1,8,8,4,4,0.9,-1,-1,-1\n2,1,8,8,4,4,0.9,-1,-1,-1\n2,2,37,37,6,6,0.9,-1,-1,-1\n"
+            "4,1,8,8,4,4,0.9,-1,-1,-1\n7,1,8,8,4,4,0.9,-1,-1,-1\n7,3,37,37,6,6,0.8,-1,-1,-1\n"
+            f"11,4,8,8,4,4,0.9,-1,-1,-1\n16,5,8,8,4,4,0.9,-1,-1,-1\n{late},6,8,8,4,4,0.9,-1,-1,-1\n"
+            f"{late},7,37,37,6,6,0.95,-1,-1,-1\n"
+        )
+
+    @pytest.mark.parametrize("strategy", ["iou", "dis"])
     def test_class_ids_past_int64_stay_apart(self, tmp_path, capsys, strategy):
         # frame 2's class 2**63 matches none of frame 1's classes; 4 x 4 cells take the kernels
         rows = ["variant: ltrb"]

@@ -31,7 +31,7 @@ from motkit.formats import (
 )
 from motkit.geometry import ltrb, size_gate
 from motkit.simulator import MODERATE_NOISE, AgentSpec, ScenarioConfig, generate, perturb, random_scenario
-from motkit.tracker import TrackerConfig, TrackerState, _Tracklets, run_frames, run_sequence, step
+from motkit.tracker import TrackerConfig, TrackerState, _Tracklets, run_sequence, step
 from oracles import (
     displacement_cost_loop,
     iou_cost_loop,
@@ -592,7 +592,7 @@ def test_tracking_parsed_frames_builds_no_list_of_a_column(monkeypatch):
 
     monkeypatch.setattr(formats._Table, "values", recorded)
     for strategy in Strategy:  # one round and two, under a threshold that filters some rows
-        run_frames(by_frame, TrackerConfig(strategy, "wh", out_threshold=0.75))
+        run_sequence(by_frame.items(), TrackerConfig(strategy, "wh", out_threshold=0.75))
     assert built == []
 
 

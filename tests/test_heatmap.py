@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,16 @@ class TestDecode:
         maps.iou_map = np.zeros((GRID.grid_h, GRID.grid_w, 1))
         with pytest.raises(ValueError, match="iou_map"):
             decode_detections([Peak((5, 5), 0, 0.9)], maps, GRID)
+
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (16, 0)])
+    def test_peak_off_the_grid_rejected(self, cell):
+        grid = GridSpec(64, 64, 4, 1)  # 16 x 16 cells
+        maps = empty_channel_maps(grid, "wh")
+        maps.size_map[:, -1] = (5, 7)  # the last column, which a wrapped index -1 would read
+        with pytest.raises(ValueError, match=re.escape(f"peak cell {cell} lies off the 16x16 grid")):
+            decode_detections([Peak(cell, 0, 0.9)], maps, grid)
+        (d,) = decode_detections([Peak((15, 15), 0, 0.9)], maps, grid)  # the far corner decodes
+        assert (d.center, d.size) == (Point2(60.0, 60.0), Size2(5.0, 7.0))
 
     def test_zero_maps_decode_to_positive_zeros(self):
         (d,) = decode_detections([Peak((5, 5), 0, 0.9)], empty_channel_maps(GRID, "wh"), GRID)

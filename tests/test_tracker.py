@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from motkit.association import FILTER_FORMS, Strategy, associate, displacement_cost, iou_cost
-from motkit import formats
+from motkit import formats, tracker
 from motkit.formats import Detection, DetectionFrame, parse_predictions, write_mot
 from motkit.geometry import (
     Displacement,
@@ -13,7 +13,7 @@ from motkit.geometry import (
 )
 from motkit.geometry import KERNEL_MIN_CELLS
 from motkit.simulator import AgentSpec, NoiseConfig, ScenarioConfig, generate, perturb
-from motkit.tracker import TrackerConfig, TrackerState, run_frames, run_sequence, step
+from motkit.tracker import TrackerConfig, TrackerState, run_sequence, step
 from oracles import step_objects
 from test_association import cutover, same_bits  # noqa: F401 (cutover is a fixture)
 
@@ -148,10 +148,15 @@ class TestRunSequence:
         assert ids == sorted(ids)
         assert set(ids) == {1, 2, 3}
 
-    def test_non_contiguous_frames_rejected(self):
+    def test_left_out_frame_is_empty_and_frames_must_ascend(self):
         frames = [(1, [oracle_det(1, 50, 50)]), (3, [oracle_det(3, 50, 50)])]
-        with pytest.raises(ValueError, match="non-contiguous"):
-            run_sequence(frames, CFG)
+        records = run_sequence(frames, CFG)
+        assert [(r.frame, r.track_id) for r in records] == [(1, 1), (3, 1)]
+        assert repr(records) == repr(run_sequence(static_frames(3, gaps={2}), CFG))
+        for later in (3, 2):
+            frames = [(3, [oracle_det(3, 50, 50)]), (later, [oracle_det(later, 50, 50)])]
+            with pytest.raises(ValueError, match=f"do not ascend: 3 -> {later}$"):
+                run_sequence(frames, CFG)
 
     def test_confidence_threshold_is_strict(self):
         frames = [(1, [oracle_det(1, 50, 50, conf=0.4)])]
@@ -236,7 +241,9 @@ class TestInvariantsOnRandomStreams:
         assert (max_cells >= KERNEL_MIN_CELLS) == (n_objects == 40)
 
 
-class TestRunFrames:
+class TestSparseFrames:
+    """``run_sequence`` over frames left out, against the same frames given empty."""
+
     @pytest.mark.parametrize("lifetime", [1, 2, 3, 5])
     def test_equals_run_sequence_over_the_dense_frames(self, lifetime):
         rng = np.random.default_rng(lifetime)
@@ -250,16 +257,28 @@ class TestRunFrames:
                 dropped.update(range(start, start + int(rng.integers(lifetime - 1, lifetime + 2))))
             by_frame = {f: dets for f, dets in random_stream(seed, 10, variant) if dets and f not in dropped}
             dense = [(f, by_frame.get(f, [])) for f in range(min(by_frame), max(by_frame) + 1)]
-            assert repr(run_frames(by_frame, cfg)) == repr(run_sequence(dense, cfg))
+            assert repr(run_sequence(by_frame.items(), cfg)) == repr(run_sequence(dense, cfg))
             numbers = sorted(by_frame)
             cut += any(b - a > lifetime for a, b in zip(numbers, numbers[1:]))
         assert cut >= 4
 
     def test_frames_far_apart_are_not_stepped_through(self):
         by_frame = {1: [oracle_det(1, 50, 50)], 2**63: [oracle_det(2**63, 50, 50)], 2**70: []}
-        records = run_frames(by_frame, CFG)
+        records = run_sequence(by_frame.items(), CFG)
         assert [(r.frame, r.track_id) for r in records] == [(1, 1), (2**63, 2)]
-        assert run_frames({}, CFG) == []
+        assert run_sequence({}.items(), CFG) == []
+
+    def test_steps_only_through_gaps_shorter_than_the_lifetime(self, monkeypatch):
+        stepped = []
+
+        def counted(state, dets, cfg):
+            stepped.append(state.frame_index + 1)
+            return step(state, dets, cfg)
+
+        monkeypatch.setattr(tracker, "step", counted)
+        # lifetime 3: two empty frames are stepped through, three are not
+        run_sequence([(1, []), (4, []), (8, [])], TrackerConfig(lifetime=3))
+        assert stepped == [1, 2, 3, 4, 8]
 
 
 class TestGapFrames:
@@ -275,7 +294,7 @@ class TestGapFrames:
 
         monkeypatch.setattr(formats.DetectionFrame, "__init__", counted)
         cfg = TrackerConfig(variant="wh", lifetime=10**6)
-        records = run_frames(preds.by_frame, cfg)
+        records = run_sequence(preds.by_frame.items(), cfg)
         dense = run_sequence(preds.dense_frames(), cfg)
         assert built == []
         want = "1,1,45,45,10,10,0.9,-1,-1,-1\n5001,1,45,45,10,10,0.9,-1,-1,-1\n"
@@ -284,7 +303,7 @@ class TestGapFrames:
 
 
 def kept(dets, cfg):
-    """The detections :func:`run_sequence` steps with: confidence above the output threshold."""
+    """The detections :func:`step` keeps: confidence above the output threshold."""
     frame = DetectionFrame.of(dets)
     return frame.take([i for i, c in enumerate(frame.values("conf")) if c > cfg.out_threshold])
 
@@ -294,7 +313,7 @@ class TestColumnsAgainstObjectStep:
 
     @pytest.mark.parametrize("lifetime", [1, 2, 3, 5])
     @pytest.mark.parametrize("n_objects", [2, 40])
-    def test_step_run_sequence_and_run_frames_equal_the_object_fold(self, n_objects, lifetime, cutover):
+    def test_step_and_run_sequence_equal_the_object_fold(self, n_objects, lifetime, cutover):
         on_kernel = on_loops = 0
         for k, (strategy, variant) in enumerate((s, v) for s in Strategy for v in ("ltrb", "wh")):
             cfg = TrackerConfig(strategy=strategy, variant=variant, lifetime=lifetime)
@@ -316,9 +335,25 @@ class TestColumnsAgainstObjectStep:
             assert repr(run_sequence(stream, cfg)) == repr(want_records)
             # without its empty frames, whose gaps are shorter than the stream: the same records
             by_frame = {f: dets for f, dets in stream if len(dets)}
-            assert repr(run_frames(by_frame, cfg)) == repr(want_records)
+            assert repr(run_sequence(by_frame.items(), cfg)) == repr(want_records)
         # two objects keep most frames on the scalar loops; forty reach the kernel paths
         assert on_loops > on_kernel if n_objects == 2 and cutover > 1 else on_kernel > 0
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_step_drops_detections_at_or_below_the_threshold(self, strategy):
+        stream = random_stream(4, 10, "wh")  # true detections at confidence 1, false alarms in [0.5, 1)
+        alarms = sorted(d.confidence for _, dets in stream for d in dets if d.confidence < 1)
+        at = alarms[len(alarms) // 2]  # a threshold equal to one false alarm's confidence drops it
+        for theta, dropped in ((0.0, 0), (0.8, sum(c <= 0.8 for c in alarms)), (at, len(alarms) // 2 + 1)):
+            cfg = TrackerConfig(strategy=strategy, variant="wh", lifetime=3, out_threshold=theta)
+            state = want_state = TrackerState()
+            for _, dets in stream:
+                state, records = step(state, dets, cfg)
+                want_state, want = step(want_state, kept(dets, cfg), cfg)
+                assert repr((state, records)) == repr((want_state, want))
+                dropped -= len(dets) - len(want)
+            assert dropped == 0
+        assert 0 < sum(c <= 0.8 for c in alarms) < len(alarms)
 
     def test_plain_tracklet_lists_equal_the_table(self, cutover):
         cfg = TrackerConfig(strategy=Strategy.IOU_THEN_DIS, variant="wh", lifetime=5)
