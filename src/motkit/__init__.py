@@ -56,9 +56,7 @@ from .heatmap import (
     empty_channel_maps,
     extract_peaks,
     gaussian_sigma,
-    read_heatmap,
     render_heatmap,
-    write_heatmap,
 )
 from .metrics import ClearResult, IdResult, clear_mot, idf1
 from .objectives import (
@@ -85,7 +83,6 @@ from .simulator import (
     generate,
     occluded_crossing_scenario,
     perturb,
-    random_scenario,
 )
 from .tracker import Tracklet, TrackerConfig, TrackerState, run_sequence, step
 

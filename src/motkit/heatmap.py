@@ -3,16 +3,16 @@
 A heatmap is a dense per-class grid at 1/R image resolution where each object
 center contributes a Gaussian peak; cells combine by max, never by sum.
 Decoding finds 3x3 local maxima above a threshold and reads the per-cell
-channel maps back into detections.
+channel maps back into detections. The peak and every regression target sit
+at one cell, :func:`_center_cell`: the floor of the center's grid coordinates.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,11 +24,6 @@ log = logging.getLogger(__name__)
 
 MIN_PEAK_OVERLAP = 0.7
 RADIUS_FLOOR = 2.0
-
-HEATMAP_MAGIC = b"HMAP"
-# Checked against the header before reading, so a corrupt header cannot ask
-# for an arbitrarily large read; far above any grid a real image produces.
-MAX_PAYLOAD_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ class _Channel:
     factor: Callable[[float], float]
 
 
-# The losses, the gradient check and decode_detections all read the channels here.
+# The losses, _paint_zero_loss_maps and decode_detections all read the channels here.
 _CHANNELS = {
     "size": _Channel("size_map", (2,), lambda o: (o.size.w, o.size.h), lambda r: 1.0),
     "offset": _Channel(
@@ -139,6 +134,23 @@ def empty_channel_maps(grid: GridSpec, variant: str = VARIANT_LTRB) -> ChannelMa
     return ChannelMaps(*(np.zeros(shape + ch.cell_shape) for ch in _map_channels(variant)))
 
 
+def _center_cell(center: Point2, shape: tuple[int, ...]) -> tuple[int, int]:
+    # the (row, col) index of the cell owning ``center`` (grid units) on a map of ``shape``: the floor
+    if not (0.0 <= center.x < shape[1] and 0.0 <= center.y < shape[0]):
+        raise ValueError(f"center ({center.x}, {center.y}) lies outside the map of shape {shape}")
+    return math.floor(center.y), math.floor(center.x)
+
+
+def _paint_zero_loss_maps(objects: Iterable, grid: GridSpec, variant: str) -> ChannelMaps:
+    """Maps at which every loss reads 0 for ``objects`` (``objectives.ObjectAnnotation``s); the last wins a cell."""
+    maps = empty_channel_maps(grid, variant)
+    for obj in objects:
+        for ch in _map_channels(variant):
+            arr = getattr(maps, ch.field)
+            np.atleast_3d(arr)[_center_cell(obj.center, arr.shape)] = ch.target(obj)
+    return maps
+
+
 def _min_overlap_radius(w: float, h: float) -> float:
     # Smallest of the three quadratic-root radii that keep any box shifted or
     # shrunk within the radius above the overlap requirement.
@@ -169,14 +181,13 @@ def gaussian_sigma(s: Size2) -> float:
     return radius / 3.0
 
 
-def render_heatmap(
-    objects: Iterable[tuple[Point2, Size2, int]], grid: GridSpec
-) -> Heatmap:
+def render_heatmap(objects: Iterable[tuple[Point2, Size2, int]], grid: GridSpec) -> Heatmap:
     """Render object centers as Gaussian peaks, one channel per class.
 
-    Each cell q of a class channel holds ``max_i exp(-|p_i - q|^2 / (2 sigma_i^2))``
-    over that class's objects, with centers converted to grid units. Objects
-    with centers outside the image are skipped and counted in a warning.
+    Each cell q of a class channel holds ``max_i exp(-|c_i - q|^2 / (2 sigma_i^2))``
+    over that class's objects, where ``c_i`` is the cell owning the center
+    (:func:`_center_cell` in grid units), so each peak is exactly 1 there.
+    Objects with centers outside the image are skipped and counted in a warning.
     """
     values = np.zeros((grid.num_classes, grid.grid_h, grid.grid_w))
     xs = np.arange(grid.grid_w, dtype=float)[None, :]
@@ -184,14 +195,15 @@ def render_heatmap(
     r = float(grid.downsample)
     skipped = 0
     for center, size, class_id in objects:
-        if not (0 <= center.x < grid.width_px and 0 <= center.y < grid.height_px):
+        try:
+            cy, cx = _center_cell(Point2(center.x / r, center.y / r), values.shape[1:])
+        except ValueError:
             skipped += 1
             continue
         if not 0 <= class_id < grid.num_classes:
             raise ValueError(f"class_id {class_id} outside [0, {grid.num_classes})")
-        gx, gy = center.x / r, center.y / r
         sigma = gaussian_sigma(Size2(size.w / r, size.h / r))
-        d2 = (xs - gx) ** 2 + (ys - gy) ** 2
+        d2 = (xs - cx) ** 2 + (ys - cy) ** 2
         np.maximum(values[class_id], np.exp(-d2 / (2.0 * sigma * sigma)), out=values[class_id])
     if skipped:
         log.warning("render_heatmap: skipped %d object(s) with out-of-bounds centers", skipped)
@@ -257,7 +269,8 @@ def decode_detections(
     """Read channel maps at peak cells and build pixel-space detections.
 
     Each value is multiplied by its channel's factor: offsets and wh tracked
-    sizes become the tracker's current minus previous, in pixels.
+    sizes become the tracker's current minus previous, in pixels. A peak off
+    the grid's integer cells or classes raises ``ValueError``.
     """
     r = float(grid.downsample)
     reads = []  # each ChannelMaps field as a (rows, cols, depth) map, with its factor
@@ -271,8 +284,12 @@ def decode_detections(
     dets: list[Detection] = []
     for p in peaks:
         x, y = p.cell
+        if not all(isinstance(v, (int, np.integer)) for v in p.cell):
+            raise ValueError(f"peak cell {p.cell} is not a pair of integers")
         if not (0 <= x < grid.grid_w and 0 <= y < grid.grid_h):
             raise ValueError(f"peak cell {p.cell} lies off the {grid.grid_w}x{grid.grid_h} grid (columns x rows)")
+        if not 0 <= p.class_id < grid.num_classes:
+            raise ValueError(f"peak class {p.class_id} outside [0, {grid.num_classes})")
         if p.confidence <= out_threshold:
             continue
         center = Point2(x * r, y * r)
@@ -283,30 +300,3 @@ def decode_detections(
         dets.append(Detection(frame, center, size, p.confidence, p.class_id, Displacement(*disp), ts, iou_pred))
     return dets
 
-
-def write_heatmap(heatmap: Heatmap, stream: BinaryIO) -> None:
-    """Dump a heatmap: 16-byte header (magic, cols, rows, classes) then f32 cells.
-
-    Cells are little-endian 32-bit floats in (class, row, col) order.
-    """
-    c, rows, cols = heatmap.values.shape
-    stream.write(struct.pack("<4sIII", HEATMAP_MAGIC, cols, rows, c))
-    stream.write(np.ascontiguousarray(heatmap.values, dtype="<f4").tobytes())
-
-
-def read_heatmap(stream: BinaryIO) -> Heatmap:
-    """Read a heatmap dump written by :func:`write_heatmap`."""
-    header = stream.read(16)
-    if len(header) != 16:
-        raise ValueError("truncated heatmap header")
-    magic, cols, rows, c = struct.unpack("<4sIII", header)
-    if magic != HEATMAP_MAGIC:
-        raise ValueError(f"bad magic: {magic!r}")
-    size = 4 * cols * rows * c
-    if size > MAX_PAYLOAD_BYTES:
-        raise ValueError(f"heatmap payload of {size} bytes exceeds {MAX_PAYLOAD_BYTES}")
-    payload = stream.read(size)
-    if len(payload) != size:
-        raise ValueError("truncated heatmap payload")
-    values = np.frombuffer(payload, dtype="<f4").astype(float).reshape(c, rows, cols)
-    return Heatmap(values)

@@ -3,14 +3,13 @@
 These are pure scalar functions meant to validate an external training
 system: the penalty-reduced focal loss for the center heatmap and L1
 regression losses for sizes, displacements, tracked sizes, and the
-adjacent-frame IOU. Regression losses read predictions at each object's
-center cell only. The harness checks the hand-derived focal gradient against
-central finite differences.
+adjacent-frame IOU, each read only at the cell of an object's center where
+its heatmap peak sits (``heatmap._center_cell``). The harness checks the
+hand-derived focal gradient against central finite differences.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .formats import VARIANT_LTRB, VARIANT_WH
 from .geometry import BoxLTRB, Point2, Size2
-from .heatmap import _CHANNELS
+from .heatmap import _CHANNELS, GridSpec, _center_cell, _paint_zero_loss_maps
 
 CLAMP_EPS = 1e-7
 
@@ -55,13 +54,6 @@ class GtAnnotations:
     @property
     def n(self) -> int:
         return len(self.objects)
-
-
-def _cell(m: np.ndarray, center: Point2) -> tuple[int, int]:
-    # the (row, col) index of the map cell holding ``center``
-    if not (0.0 <= center.x < m.shape[1] and 0.0 <= center.y < m.shape[0]):
-        raise ValueError(f"center ({center.x}, {center.y}) lies outside the map of shape {m.shape}")
-    return math.floor(center.y), math.floor(center.x)
 
 
 def focal_loss(
@@ -122,7 +114,7 @@ def _l1(channel: str, pred_map: np.ndarray, gt: GtAnnotations) -> float:
     cells = np.atleast_3d(m)
     total = 0.0
     for obj in gt.objects:
-        total += sum(abs(float(p) - t) for p, t in zip(cells[_cell(m, obj.center)], ch.target(obj)))
+        total += sum(abs(float(p) - t) for p, t in zip(cells[_center_cell(obj.center, m.shape)], ch.target(obj)))
     return total / gt.n
 
 
@@ -213,9 +205,7 @@ def gradient_check_report(seed: int = 0) -> dict[str, float]:
     max_rel = focal_gradient_max_rel_err(pred, gt, 3)
 
     objects = []
-    maps = {name: np.zeros(shape + ch.cell_shape) for name, ch in _CHANNELS.items()}
-    cells = rng.permutation(shape[0] * shape[1])[:4]
-    for cell in cells:
+    for cell in rng.permutation(shape[0] * shape[1])[:4]:
         cy, cx = divmod(int(cell), shape[1])
         c = Point2(cx + float(rng.uniform(0, 1)), cy + float(rng.uniform(0, 1)))
         pc = Point2(c.x + float(rng.uniform(-2, 2)), c.y + float(rng.uniform(-2, 2)))
@@ -224,15 +214,15 @@ def gradient_check_report(seed: int = 0) -> dict[str, float]:
         cur = BoxLTRB(c.x - w / 2, c.y - h / 2, c.x + w / 2, c.y + h / 2)
         prev = BoxLTRB(pc.x - pw / 2, pc.y - ph / 2, pc.x + pw / 2, pc.y + ph / 2)
         objects.append(ObjectAnnotation(c, Size2(w, h), pc, prev, cur))
-        for name, ch in _CHANNELS.items():  # each map at the object's zero-loss values
-            np.atleast_3d(maps[name])[_cell(maps[name], c)] = ch.target(objects[-1])
     gt_ann = GtAnnotations(tuple(objects))
+    grid = GridSpec(shape[1], shape[0], downsample=1)
+    wh_maps, ltrb_maps = (_paint_zero_loss_maps(objects, grid, variant) for variant in (VARIANT_WH, VARIANT_LTRB))
 
     return {
         "focal_grad_max_rel_err": max_rel,
-        "size_l1_at_gt": l1_size_loss(maps["size"], gt_ann),
-        "offset_l1_at_gt": l1_offset_loss(maps["offset"], gt_ann),
-        "tracked_size_wh_l1_at_gt": l1_tracked_size_wh_loss(maps[VARIANT_WH], gt_ann),
-        "tracked_size_ltrb_l1_at_gt": l1_tracked_size_ltrb_loss(maps[VARIANT_LTRB], gt_ann),
-        "iou_l1_at_gt": l_iou_loss(maps["iou"], gt_ann),
+        "size_l1_at_gt": l1_size_loss(wh_maps.size_map, gt_ann),
+        "offset_l1_at_gt": l1_offset_loss(wh_maps.displacement_map, gt_ann),
+        "tracked_size_wh_l1_at_gt": l1_tracked_size_wh_loss(wh_maps.tracked_size_map, gt_ann),
+        "tracked_size_ltrb_l1_at_gt": l1_tracked_size_ltrb_loss(ltrb_maps.tracked_size_map, gt_ann),
+        "iou_l1_at_gt": l_iou_loss(wh_maps.iou_map, gt_ann),
     }

@@ -432,32 +432,6 @@ def exit_scenario(
     return ScenarioConfig(width=width, height=height, frames=frames, agents=(leaver, newcomer), variant=variant)
 
 
-def random_scenario(seed: int, variant: str | None = None) -> ScenarioConfig:
-    """A small random scene: 2-4 agents on straight paths with varied sizes."""
-    rng = np.random.default_rng(seed)
-    width = height = 240
-    frames = int(rng.integers(15, 26))
-    n_agents = int(rng.integers(2, 5))
-    agents = []
-    for k in range(n_agents):
-        w = float(rng.uniform(16, 36))
-        h = float(rng.uniform(22, 48))
-        margin_x = w / 2 + 2
-        margin_y = h / 2 + 2
-        x0 = float(rng.uniform(margin_x, width - margin_x))
-        y0 = float(rng.uniform(margin_y, height - margin_y))
-        x1 = float(rng.uniform(margin_x, width - margin_x))
-        y1 = float(rng.uniform(margin_y, height - margin_y))
-        agents.append(
-            AgentSpec(width=w, height=h, waypoints=((1, x0, y0), (frames, x1, y1)), depth=k)
-        )
-    if variant is None:
-        variant = VARIANT_WH if seed % 2 else VARIANT_LTRB
-    return ScenarioConfig(
-        width=width, height=height, frames=frames, agents=tuple(agents), variant=variant, seed=seed
-    )
-
-
 def _custom_scenario(*agents: tuple[int, str], **scene) -> ScenarioConfig:
     """A scene of the agents of ``agent = depth width height frame:x:y ...`` lines, given as (line, value)."""
     if not agents:

@@ -36,6 +36,8 @@ objectives had before one channel table drove them, without the removed
 up its own L1 terms, the values the table-driven losses must equal.
 ``window_max3_shifts`` is the 3x3 window maximum as eight shifted
 ``np.maximum`` calls, which ``heatmap._window_max3`` must equal cell for cell.
+``random_scenario`` is no referee but a scene builder the tests share: a
+small seeded scene of 2-4 agents on straight paths.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from scipy.optimize import linear_sum_assignment
 
 from motkit.association import FILTER_RATIONALE, INADMISSIBLE, associate, tracked_box
 from motkit.formats import (
+    VARIANT_LTRB,
     VARIANT_WH,
     VARIANTS,
     Detection,
@@ -296,6 +299,32 @@ def generate_scalar(cfg):
             )
         frames.append((frame, dets))
     return gt, frames
+
+
+def random_scenario(seed: int, variant: str | None = None) -> ScenarioConfig:
+    """A small random scene: 2-4 agents on straight paths with varied sizes."""
+    rng = np.random.default_rng(seed)
+    width = height = 240
+    frames = int(rng.integers(15, 26))
+    n_agents = int(rng.integers(2, 5))
+    agents = []
+    for k in range(n_agents):
+        w = float(rng.uniform(16, 36))
+        h = float(rng.uniform(22, 48))
+        margin_x = w / 2 + 2
+        margin_y = h / 2 + 2
+        x0 = float(rng.uniform(margin_x, width - margin_x))
+        y0 = float(rng.uniform(margin_y, height - margin_y))
+        x1 = float(rng.uniform(margin_x, width - margin_x))
+        y1 = float(rng.uniform(margin_y, height - margin_y))
+        agents.append(
+            AgentSpec(width=w, height=h, waypoints=((1, x0, y0), (frames, x1, y1)), depth=k)
+        )
+    if variant is None:
+        variant = VARIANT_WH if seed % 2 else VARIANT_LTRB
+    return ScenarioConfig(
+        width=width, height=height, frames=frames, agents=tuple(agents), variant=variant, seed=seed
+    )
 
 
 def iou_cost_loop(dets, tracks, variant, filter_form):

@@ -44,9 +44,9 @@ from motkit.objectives import (
     l1_tracked_size_wh_loss,
     l_iou_loss,
 )
-from motkit.simulator import MODERATE_NOISE, crossing_scenario, generate, perturb, random_scenario
+from motkit.simulator import MODERATE_NOISE, crossing_scenario, generate, perturb
 from motkit.tracker import TrackerConfig, TrackerState, run_sequence, step
-from oracles import greedy_trace, idf1_enumerate, raster_iou
+from oracles import greedy_trace, idf1_enumerate, random_scenario, raster_iou
 
 
 class _Budget:

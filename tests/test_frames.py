@@ -30,7 +30,7 @@ from motkit.formats import (
     write_predictions,
 )
 from motkit.geometry import ltrb, size_gate
-from motkit.simulator import MODERATE_NOISE, AgentSpec, ScenarioConfig, generate, perturb, random_scenario
+from motkit.simulator import MODERATE_NOISE, AgentSpec, ScenarioConfig, generate, perturb
 from motkit.tracker import TrackerConfig, TrackerState, _Tracklets, run_sequence, step
 from oracles import (
     displacement_cost_loop,
@@ -38,6 +38,7 @@ from oracles import (
     parse_mot_rows,
     parse_track_file_rows,
     prediction_rows,
+    random_scenario,
 )
 from test_association import cutover, mixed_case  # noqa: F401 (cutover is a fixture)
 

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from motkit.association import tracked_box
 from motkit.formats import VARIANT_LTRB, VARIANT_WH, VARIANTS
 from motkit.geometry import BoxLTRB, Point2, Size2
-from motkit.heatmap import _CHANNELS, GridSpec, decode_detections, empty_channel_maps, extract_peaks, render_heatmap
+from motkit.heatmap import GridSpec, _paint_zero_loss_maps, decode_detections, extract_peaks, render_heatmap
 from motkit.objectives import (
     CLAMP_EPS,
     FocalParams,
@@ -300,10 +300,7 @@ class TestZeroLossMapsDecode:
     def test_back_projection_and_tracked_box_are_the_previous_frames(self, variant):
         obj = ObjectAnnotation(Point2(10.0, 10.0), self.CUR_BOX.size, Point2(9.0, 10.0), self.PREV_BOX, self.CUR_BOX)
         gt = GtAnnotations((obj,))
-        maps = empty_channel_maps(self.GRID, variant)
-        for name in ("size", "offset", variant, "iou"):
-            channel = _CHANNELS[name]
-            np.atleast_3d(getattr(maps, channel.field))[10, 10] = channel.target(obj)
+        maps = _paint_zero_loss_maps([obj], self.GRID, variant)
         losses = (
             l1_size_loss(maps.size_map, gt),
             l1_offset_loss(maps.displacement_map, gt),

@@ -17,10 +17,9 @@ from motkit.simulator import (
     generate,
     occluded_crossing_scenario,
     perturb,
-    random_scenario,
 )
 from motkit.tracker import TrackerConfig, run_sequence
-from oracles import generate_scalar, perturb_scalar, write_predictions_objects
+from oracles import generate_scalar, perturb_scalar, random_scenario, write_predictions_objects
 
 
 def static_config(frames=10, variant="ltrb"):
