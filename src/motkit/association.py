@@ -48,6 +48,15 @@ class Strategy(enum.Enum):
     IOU_THEN_DIS = "iou-dis"
     DIS_THEN_IOU = "dis-iou"
 
+    # members compare by identity, so an identity hash keeps Enum's meaning and is no Python call per frame
+    __hash__ = object.__hash__
+
+
+def _check_strategy(strategy: object) -> None:
+    """Refuse anything but a :class:`Strategy` member, naming it and the members."""
+    if not isinstance(strategy, Strategy):
+        raise ValueError(f"unknown strategy {strategy!r}: expected one of {', '.join(map(str, Strategy))}")
+
 
 @dataclass
 class AssociationResult:
@@ -111,15 +120,13 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence[Tracklet]) -> 
 def _displacement_cost_loop(
     back: list, gates: list[float], classes: list[int], centers: list, track_classes: list[int]
 ) -> np.ndarray:
-    cost = np.full((len(back), len(centers)), INADMISSIBLE)
-    for i, ((bx, by), gate, cls) in enumerate(zip(back, gates, classes)):
-        for j, ((tx, ty), track_cls) in enumerate(zip(centers, track_classes)):
-            if cls != track_cls:
-                continue
-            dist = math.hypot(bx - tx, by - ty)
-            if dist <= gate:
-                cost[i, j] = dist
-    return cost
+    # Python floats made one array at the end: on these few cells a numpy scalar store costs more than the cell
+    cells = []
+    for (bx, by), gate, cls in zip(back, gates, classes):
+        for (tx, ty), track_cls in zip(centers, track_classes):
+            dist = math.hypot(bx - tx, by - ty) if cls == track_cls else INADMISSIBLE
+            cells.append(dist if dist <= gate else INADMISSIBLE)
+    return np.array(cells).reshape(len(back), len(centers))
 
 
 def _same_class(frame: DetectionFrame, tracks: _Tracklets) -> np.ndarray:
@@ -166,21 +173,17 @@ def iou_cost(
 def _iou_cost_loop(
     tracked: list, preds: list[float], classes: list[int], last: list, track_classes: list[int], filter_form: str
 ) -> np.ndarray:
-    cost = np.full((len(tracked), len(last)), INADMISSIBLE)
-    for i, (tb, pred, cls) in enumerate(zip(tracked, preds, classes)):
-        for j, (box, track_cls) in enumerate(zip(last, track_classes)):
-            if cls != track_cls:
-                continue
-            overlap = iou_ltrb(box, tb)
-            if overlap <= 0.0:
-                continue
-            if filter_form == FILTER_RATIONALE:
-                admissible = overlap >= pred
-            else:
-                admissible = (1.0 - overlap) <= pred
-            if admissible:
-                cost[i, j] = 1.0 - overlap
-    return cost
+    rationale = filter_form == FILTER_RATIONALE
+    cells = []  # as in _displacement_cost_loop, one array at the end
+    for tb, pred, cls in zip(tracked, preds, classes):
+        for box, track_cls in zip(last, track_classes):
+            cost = INADMISSIBLE
+            if cls == track_cls:
+                overlap = iou_ltrb(box, tb)
+                if overlap > 0.0 and (overlap >= pred if rationale else (1.0 - overlap) <= pred):
+                    cost = 1.0 - overlap
+            cells.append(cost)
+    return np.array(cells).reshape(len(tracked), len(last))
 
 
 def combine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,16 +235,16 @@ def greedy_match(cost: np.ndarray, det_order: Sequence[int]) -> AssociationResul
 
 
 def _greedy_match_loop(cost: np.ndarray, det_order: Sequence[int]) -> AssociationResult:
-    n_det, n_trk = cost.shape
-    taken = [False] * n_trk
+    rows = cost.tolist()
+    taken = [False] * cost.shape[1]
     matches: list[tuple[int, int]] = []
     unmatched_dets: list[int] = []
     for i in det_order:
         best_j = -1
         best = INADMISSIBLE
-        for j in range(n_trk):
-            if not taken[j] and cost[i, j] < best:
-                best = cost[i, j]
+        for j, c in enumerate(rows[i]):
+            if c < best and not taken[j]:  # NaN < best is false: a NaN cell is never taken
+                best = c
                 best_j = j
         if best_j >= 0:
             taken[best_j] = True
@@ -249,8 +252,7 @@ def _greedy_match_loop(cost: np.ndarray, det_order: Sequence[int]) -> Associatio
         else:
             unmatched_dets.append(i)
     unmatched_dets.sort()
-    unmatched_trks = [j for j in range(n_trk) if not taken[j]]
-    return AssociationResult(matches, unmatched_dets, unmatched_trks)
+    return AssociationResult(matches, unmatched_dets, [j for j, t in enumerate(taken) if not t])
 
 
 #: Each strategy as its greedy rounds, in order. A round sums the cost
@@ -265,20 +267,13 @@ ROUNDS: dict[Strategy, tuple[tuple[str, ...], ...]] = {
 
 
 def _greedy_round(
-    kinds: Sequence[str],
-    dets: DetectionFrame,
-    tracks: Sequence[Tracklet],
-    variant: str,
-    filter_form: str,
+    kinds: Sequence[str], dets: DetectionFrame, tracks: Sequence[Tracklet], variant: str, filter_form: str
 ) -> AssociationResult:
     # The cost functions are looked up by module name on every call, so a
     # wrapper patched onto the module attribute sees each matrix build.
     cost = None
     for kind in kinds:
-        if kind == "dis":
-            m = displacement_cost(dets, tracks)
-        else:
-            m = iou_cost(dets, tracks, variant, filter_form)
+        m = displacement_cost(dets, tracks) if kind == "dis" else iou_cost(dets, tracks, variant, filter_form)
         cost = m if cost is None else combine(cost, m)
     return greedy_match(cost, confidence_order(dets))
 
@@ -296,14 +291,14 @@ def associate(
     later round builds fresh matrices from the earlier rounds' leftovers
     only, each matrix keeping its native admissibility gate.
     """
+    _check_strategy(strategy)
     frame = DetectionFrame.of(dets)
     tracks = _Tracklets.of(tracks)
     rounds = ROUNDS[strategy]
     result = _greedy_round(rounds[0], frame, tracks, variant, filter_form)
     for kinds in rounds[1:]:
         det_map, trk_map = result.unmatched_detections, result.unmatched_tracklets
-        sub_tracks = tracks.take(trk_map)
-        sub = _greedy_round(kinds, frame.take(det_map), sub_tracks, variant, filter_form)
+        sub = _greedy_round(kinds, frame.take(det_map), tracks.take(trk_map), variant, filter_form)
         result = AssociationResult(
             matches=result.matches + [(det_map[i], trk_map[j]) for i, j in sub.matches],
             unmatched_detections=[det_map[i] for i in sub.unmatched_detections],

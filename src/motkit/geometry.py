@@ -117,14 +117,17 @@ def iou(a: BoxLTRB, b: BoxLTRB) -> float:
 def iou_ltrb(a: Sequence[float], b: Sequence[float]) -> float:
     """:func:`iou` of two boxes given as ``(left, top, right, bottom)`` rows.
 
-    The areas are ``BoxLTRB.area``'s width times height.
+    The areas are ``BoxLTRB.area``'s width times height. The overlap edges are comparisons, which cost the
+    per-cell loops far less than ``min``/``max`` calls; each picks as the builtin does on ties and NaN: the first
+    argument unless the second is strictly smaller (``min``) or larger (``max``).
     """
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
+    (al, at, ar, ab), (bl, bt, br, bb) = a, b
+    iw = (br if br < ar else ar) - (bl if bl > al else al)
+    ih = (bb if bb < ab else ab) - (bt if bt > at else at)
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    union = (ar - al) * (ab - at) + (br - bl) * (bb - bt) - inter
     if union <= 0.0:
         return 0.0
     return inter / union

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy, associate
+from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy, _check_strategy, associate
 from .formats import _RECORD_COLUMNS, _TRACKLET_COLUMNS, DEFAULT_OUTPUT_THRESHOLD, VARIANT_LTRB, VARIANTS, Detection
 from .formats import DetectionFrame, Tracklet, TrackRecord, _MotTable, _Tracklets
 
@@ -27,6 +27,7 @@ class TrackerConfig:
     iou_filter_form: str = FILTER_RATIONALE
 
     def __post_init__(self) -> None:
+        _check_strategy(self.strategy)
         if self.lifetime < 1:
             raise ValueError("lifetime must be >= 1")
         if not 0.0 <= self.out_threshold <= 1.0:
@@ -71,36 +72,35 @@ def step(
     live = _Tracklets.of(state.live)
     result = associate(cfg.strategy, frame, live, cfg.variant, cfg.iou_filter_form)
     centers, boxes, confs = frame.values("center"), frame.values("box"), frame.values("conf")
+    # One pass over the matches in tracklet order writes their records and their detections' geometry at age 0
+    # into copies of the live columns, the other tracklets aging by one; then those at lifetime retire, and the
+    # spawns join the records and the tracklets.
     ids = live.values("ids")
-    spawned = result.unmatched_detections
-    pairs = sorted(result.matches, key=itemgetter(1))  # in tracklet order
-    # the detection rows the records are made from: matched tracklets in their order, then the spawns
-    emitted = [i for i, _ in pairs] + spawned
-    new_ids = list(range(state.next_id, state.next_id + len(spawned)))
-    records = _MotTable(
-        [frame_no] * len(emitted),
-        [ids[j] for _, j in pairs] + new_ids,
-        [boxes[i] for i in emitted],
-        [confs[i] for i in emitted],
-    )
-
-    # Every tracklet ages, and a matched one takes its detection's geometry at age 0; then the
-    # ones at lifetime retire and the spawns join.
     last_centers, last_boxes, last_confs = live.values("centers")[:], live.values("boxes")[:], live.values("confs")[:]
     ages = [age + 1 for age in live.values("ages")]
-    for i, j in pairs:
-        last_centers[j], last_boxes[j], last_confs[j], ages[j] = centers[i], boxes[i], confs[i], 0
+    rec_ids, rec_boxes, rec_confs = [], [], []
+    for i, j in sorted(result.matches, key=itemgetter(1)):
+        box, conf = boxes[i], confs[i]
+        rec_ids.append(ids[j])
+        rec_boxes.append(box)
+        rec_confs.append(conf)
+        last_centers[j], last_boxes[j], last_confs[j], ages[j] = centers[i], box, conf, 0
     columns = [ids, last_centers, last_boxes, live.values("classes"), last_confs, ages]
     if ages and max(ages) >= cfg.lifetime:
         kept = [j for j, age in enumerate(ages) if age < cfg.lifetime]
         columns = [[column[j] for j in kept] for column in columns]
+    spawned = result.unmatched_detections
+    next_id = state.next_id + len(spawned)
     if spawned:
-        classes = frame.values("cls")
-        spawns = [new_ids, [centers[i] for i in spawned], [boxes[i] for i in spawned], [classes[i] for i in spawned],
-                  [confs[i] for i in spawned], [0] * len(spawned)]
+        new_ids, classes = list(range(state.next_id, next_id)), frame.values("cls")
+        spawn_boxes, spawn_confs = [boxes[i] for i in spawned], [confs[i] for i in spawned]
+        spawns = [new_ids, [centers[i] for i in spawned], spawn_boxes, [classes[i] for i in spawned], spawn_confs,
+                  [0] * len(spawned)]
         columns = [old + new for old, new in zip(columns, spawns)]
+        rec_ids, rec_boxes, rec_confs = rec_ids + new_ids, rec_boxes + spawn_boxes, rec_confs + spawn_confs
+    records = _MotTable([frame_no] * len(rec_ids), rec_ids, rec_boxes, rec_confs)
     next_live = _Tracklets(len(columns[0]), dict(zip(_TRACKLET_COLUMNS, columns)), {})
-    return TrackerState(next_live, state.next_id + len(spawned), frame_no), records
+    return TrackerState(next_live, next_id, frame_no), records
 
 
 def _joined(parts: Iterable[_MotTable]) -> _MotTable:

@@ -3,7 +3,9 @@
 Everything here is deliberately brute force. The metric and matching
 oracles share no code with the package: IOU by pixel counting, greedy
 matching as an explicit trace, and the identity-assignment score by full
-enumeration. The scene generator's referee builds the package's own row
+enumeration. ``iou_ltrb_minmax`` is the scalar IOU of two edge rows
+written with ``min`` and ``max``, which ``geometry.iou_ltrb``'s comparisons
+must equal bit for bit. The scene generator's referee builds the package's own row
 types one object at a time from its scalar API (``AgentSpec.box``,
 ``geometry.iou``), the form the vectorized ``generate`` must equal. The cost
 matrix referees likewise read ``Detection`` objects one at a time through
@@ -137,6 +139,19 @@ def greedy_trace(cost: np.ndarray, det_order: list[int]) -> tuple[list[tuple[int
         free.discard(best_j)
         matches.append((i, best_j))
     return matches, sorted(unmatched_d), sorted(free)
+
+
+def iou_ltrb_minmax(a, b) -> float:
+    """``geometry.iou_ltrb`` as it was written with ``min``/``max`` calls on indexed rows."""
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
 
 
 def _box_iou(a, b):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,40 @@ class TestStep:
         assert len(state.live) == 1 and state.live[0].age == 2
         state, _ = step(state, [], cfg)
         assert state.live == ()
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_input_state_is_never_mutated(self, strategy, cutover):
+        cfg = TrackerConfig(strategy=strategy, variant="ltrb", lifetime=2)
+        stream = [
+            [oracle_det(1, 20, 20), oracle_det(1, 60, 20)],  # two spawn
+            [oracle_det(2, 22, 21, prev=(20, 20)), oracle_det(2, 100, 20)],  # one matches, one ages, one spawns
+            [oracle_det(3, 24, 22, prev=(22, 21)), oracle_det(3, 101, 21, prev=(100, 20))],  # the aged one retires
+        ]
+
+        def snapshot(state):
+            # the columns too: rows built for an earlier repr would hide a write into them
+            live = formats._Tracklets.of(state.live)
+            return repr(state), [repr(live.values(name)) for name in formats._TRACKLET_COLUMNS]
+
+        state, events = TrackerState(), set()
+        for dets in stream:
+            before = snapshot(state)
+            first = step(state, dets, cfg)
+            assert snapshot(state) == before
+            again = step(state, dets, cfg)
+            assert snapshot(state) == before
+            assert again == first and repr(again) == repr(first)
+            after = first[0]
+            spawned = after.next_id - state.next_id
+            old_ids = {t.track_id for t in state.live}
+            events.update(
+                {"match"} if any(r.track_id in old_ids for r in first[1]) else (),
+                {"spawn"} if spawned else (),
+                {"age"} if any(t.age for t in after.live) else (),
+                {"retire"} if len(after.live) < len(state.live) + spawned else (),
+            )
+            state = after
+        assert events == {"match", "spawn", "age", "retire"}
 
 
 class TestRunSequence:
@@ -191,6 +227,15 @@ class TestConfigValidation:
     def test_bad_filter_form(self):
         with pytest.raises(ValueError):
             TrackerConfig(iou_filter_form="other")
+
+    @pytest.mark.parametrize("strategy", ["iou", None, "Strategy.IOU"])
+    def test_strategy_must_be_a_member(self, strategy):
+        # named with the members, here and from associate, instead of a KeyError at the first frame
+        message = rf"unknown strategy {re.escape(repr(strategy))}: expected one of Strategy\.DIS, .*Strategy\.DIS_THEN_IOU"
+        with pytest.raises(ValueError, match=message):
+            TrackerConfig(strategy=strategy)
+        with pytest.raises(ValueError, match=message):
+            associate(strategy, [oracle_det(1, 50, 50)], [], "ltrb")
 
 
 def random_stream(seed, n_objects, variant):
