@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -88,43 +89,6 @@ class TestIou:
             assert got == expected
 
 
-#: Edge values where comparisons and ``min``/``max`` could part: NaN, infinities, signed zeros, the float limit.
-SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 1.8e308, -1.8e308, 1.7976931348623157e308,
-           -1.7976931348623157e308, 8.9e307, -8.9e307]
-edge = st.one_of(st.sampled_from(SPECIAL), st.floats(-4, 4), st.floats())
-
-
-@st.composite
-def edge_row_pairs(draw):
-    """Two ltrb rows, each a list or a tuple; the second reuses edges of the first, so edges meet and touch."""
-    a = [draw(edge) for _ in range(4)]
-    b = [draw(st.one_of(edge, st.sampled_from(a))) for _ in range(4)]
-    return draw(st.sampled_from([list, tuple]))(a), draw(st.sampled_from([list, tuple]))(b)
-
-
-class TestIouLtrb:
-    @settings(max_examples=300)
-    @given(edge_row_pairs())
-    def test_equals_the_min_max_referee_bit_for_bit(self, rows):
-        a, b = rows
-        # repr tells -0.0 from 0.0, and NaN only equals itself this way
-        assert repr(iou_ltrb(a, b)) == repr(iou_ltrb_minmax(a, b))
-        assert repr(iou_ltrb(b, a)) == repr(iou_ltrb_minmax(b, a))
-
-    def test_every_edge_special_against_each_relation(self):
-        # each of the eight edges in turn NaN, infinite, -0.0 or at the float limit, the
-        # other box disjoint, overlapping, touching or equal: a pick that parts from min
-        # or max on NaN changes the result in some of these
-        a = [0.0, 0.0, 1.0, 1.0]
-        for b in ([2.0, 0.0, 3.0, 1.0], [0.5, 0.5, 2.0, 2.0], [1.0, 0.0, 2.0, 1.0], a):
-            for k, value in itertools.product(range(8), [math.nan, math.inf, -math.inf, -0.0, 1.8e308]):
-                row = a + b
-                row[k] = value
-                x, y = row[:4], tuple(row[4:])
-                assert repr(iou_ltrb(x, y)) == repr(iou_ltrb_minmax(x, y))
-                assert repr(iou_ltrb(y, x)) == repr(iou_ltrb_minmax(y, x))
-
-
 def related_boxes():
     """Pairs built around the kernel's edge cases: touching, nested, zero-area or unrelated."""
     def touching(a, d):
@@ -142,6 +106,42 @@ def related_boxes():
     return st.builds(
         lambda a, b, d, r: (a, r(a, d) if r else b), boxes(), boxes(), coords, relate
     )
+
+
+#: Edge values where comparisons and ``min``/``max`` could part: NaN, infinities, signed zeros, the float limit.
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, sys.float_info.max, -sys.float_info.max, 8.9e307, -8.9e307]
+edge = st.one_of(st.sampled_from(SPECIAL), st.floats(-4, 4), st.floats())
+
+
+@st.composite
+def edge_row_pairs(draw):
+    """Two ltrb rows, each a list or a tuple; the second reuses edges of the first, so edges meet and touch."""
+    a = [draw(edge) for _ in range(4)]
+    b = [draw(st.one_of(edge, st.sampled_from(a))) for _ in range(4)]
+    return draw(st.sampled_from([list, tuple]))(a), draw(st.sampled_from([list, tuple]))(b)
+
+
+class TestIouLtrb:
+    @settings(max_examples=300)
+    @given(st.one_of(edge_row_pairs(), related_boxes().map(lambda p: (ltrb(p[0]), list(ltrb(p[1]))))))
+    def test_equals_the_min_max_referee_bit_for_bit(self, rows):
+        a, b = rows
+        # repr tells -0.0 from 0.0, and NaN only equals itself this way
+        assert repr(iou_ltrb(a, b)) == repr(iou_ltrb_minmax(a, b))
+        assert repr(iou_ltrb(b, a)) == repr(iou_ltrb_minmax(b, a))
+
+    def test_every_edge_special_against_each_relation(self):
+        # each of the eight edges in turn NaN, infinite, -0.0 or at the float limit, the
+        # other box disjoint, overlapping, touching or equal: a pick that parts from min
+        # or max on NaN changes the result in some of these
+        a = [0.0, 0.0, 1.0, 1.0]
+        for b in ([2.0, 0.0, 3.0, 1.0], [0.5, 0.5, 2.0, 2.0], [1.0, 0.0, 2.0, 1.0], a):
+            for k, value in itertools.product(range(8), [math.nan, math.inf, -math.inf, -0.0, sys.float_info.max]):
+                row = a + b
+                row[k] = value
+                x, y = row[:4], tuple(row[4:])
+                assert repr(iou_ltrb(x, y)) == repr(iou_ltrb_minmax(x, y))
+                assert repr(iou_ltrb(y, x)) == repr(iou_ltrb_minmax(y, x))
 
 
 def bits(values):
