@@ -9,6 +9,10 @@ Detections are read as :class:`~motkit.formats.DetectionFrame` columns and
 tracklets as the tracker's table of columns; a plain list of
 :class:`~motkit.formats.Detection` or :class:`~motkit.formats.Tracklet` is
 framed once on entry.
+
+A cost matrix takes scalar loops below ``KERNEL_MIN_CELLS`` cells, the dense kernel below
+``BROAD_PHASE_MIN_CELLS``, and from there the kernel on the pairs :func:`~motkit.geometry.x_overlap_pairs`
+keeps; every other pair is inadmissible, so all three give the same matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 from .formats import VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, Tracklet, _Tracklets
 from .geometry import (
+    BROAD_PHASE_MIN_CELLS,
     KERNEL_MIN_CELLS,
     BoxLTRB,
     TrackedSizeLTRB,
@@ -30,6 +35,7 @@ from .geometry import (
     iou_ltrb,
     tracked_box_ltrb,
     tracked_box_wh,
+    x_overlap_pairs,
 )
 
 INADMISSIBLE = math.inf
@@ -97,20 +103,26 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence[Tracklet]) -> 
         return _displacement_cost_loop(
             frame.values("back"), gates, frame.values("cls"), tracks.values("centers"), tracks.values("classes")
         )
-    back = frame.column("back")
-    centers = tracks.column("centers")
-    # Centers near the float limit overflow these differences to +-inf, which the prefilter
-    # and math.hypot then reject as the scalar loop's Python floats do, without a warning.
-    with np.errstate(over="ignore"):
-        dx = back[:, 0:1] - centers[:, 0]
-        dy = back[:, 1:2] - centers[:, 1]
-    # hypot >= max(|dx|, |dy|), so this box prefilter keeps every admissible
-    # pair; math.hypot then decides the few survivors exactly as the loop does.
-    gate_col = frame.column("gate")[:, None]
-    near = (np.abs(dx) <= gate_col) & (np.abs(dy) <= gate_col) & _same_class(frame, tracks)
-    rows, cols = np.nonzero(near)
+    back, centers, gate = frame.column("back"), tracks.column("centers"), frame.column("gate")
+    # Centers near the float limit overflow these differences to +-inf, and infinite ones make inf - inf = NaN,
+    # which the prefilter and math.hypot then reject as the scalar loop's Python floats do, without a warning.
+    # hypot >= max(|dx|, |dy|), so the box prefilter keeps every admissible pair;
+    # math.hypot then decides the few survivors exactly as the loop does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(frame) * len(tracks) < BROAD_PHASE_MIN_CELLS:
+            dx = back[:, 0:1] - centers[:, 0]
+            dy = back[:, 1:2] - centers[:, 1]
+            gate_col = gate[:, None]
+            rows, cols = np.nonzero((np.abs(dx) <= gate_col) & (np.abs(dy) <= gate_col) & _same_class(frame, tracks))
+            dx, dy = dx[rows, cols], dy[rows, cols]
+        else:  # only centers within the gate along x, the others fail the prefilter
+            x, cx = back[:, 0], centers[:, 0]
+            rows, cols = x_overlap_pairs(x - gate, x + gate, cx, cx)
+            dx, dy, g = x[rows] - cx[cols], back[:, 1][rows] - centers[:, 1][cols], gate[rows]
+            near = (np.abs(dx) <= g) & (np.abs(dy) <= g) & (frame.column("cls")[rows] == tracks.column("classes")[cols])
+            rows, cols, dx, dy = rows[near], cols[near], dx[near], dy[near]
     cost = np.full((len(frame), len(tracks)), INADMISSIBLE)
-    for i, j, x, y in zip(rows.tolist(), cols.tolist(), dx[rows, cols].tolist(), dy[rows, cols].tolist()):
+    for i, j, x, y in zip(rows.tolist(), cols.tolist(), dx.tolist(), dy.tolist()):
         dist = math.hypot(x, y)
         if dist <= gates[i]:
             cost[i, j] = dist
@@ -159,14 +171,21 @@ def iou_cost(
             frame.values("tracked"), frame.values("iou_pred"), frame.values("cls"), tracks.values("boxes"),
             tracks.values("classes"), filter_form,
         )
-    last = tracks.column("boxes")
-    overlap = iou_array(last[None], frame.column("tracked")[:, None])
-    pred = frame.column("iou_pred")[:, None]
-    if filter_form == FILTER_RATIONALE:
-        admissible = overlap >= pred
-    else:
-        admissible = (1.0 - overlap) <= pred
-    admissible &= (overlap > 0.0) & _same_class(frame, tracks)
+    last, tracked, pred = tracks.column("boxes"), frame.column("tracked"), frame.column("iou_pred")
+    if len(frame) * len(tracks) < BROAD_PHASE_MIN_CELLS:
+        return _iou_cells(last[None], tracked[:, None], pred[:, None], _same_class(frame, tracks), filter_form)
+    # Any other pair has iw <= 0, so an IOU of 0: inadmissible. take gathers rows far faster than [rows].
+    rows, cols = x_overlap_pairs(tracked[:, 0], tracked[:, 2], last[:, 0], last[:, 2])
+    same = frame.column("cls")[rows] == tracks.column("classes")[cols]
+    cost = np.full((len(frame), len(tracks)), INADMISSIBLE)
+    cost[rows, cols] = _iou_cells(last.take(cols, axis=0), tracked.take(rows, axis=0), pred[rows], same, filter_form)
+    return cost
+
+
+def _iou_cells(last: np.ndarray, tracked: np.ndarray, pred: np.ndarray, same: np.ndarray, form: str) -> np.ndarray:
+    overlap = iou_array(last, tracked)
+    admissible = overlap >= pred if form == FILTER_RATIONALE else (1.0 - overlap) <= pred
+    admissible &= (overlap > 0.0) & same
     return np.where(admissible, 1.0 - overlap, INADMISSIBLE)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from .association import FILTER_FORMS, Strategy
 from .formats import VARIANTS, ParseError, parse_mot, parse_predictions, parse_track_file, write_gt
 from .formats import write_mot, write_predictions
-from .metrics import DEFAULT_IOU_THRESHOLD, _RepeatedRow, check_iou_threshold, clear_mot, idf1
+from .metrics import DEFAULT_IOU_THRESHOLD, _RepeatedRow, _scored, check_iou_threshold, clear_mot, idf1
 from .objectives import gradient_check_report
 from .simulator import generate, parse_scene, perturb
 from .tracker import TrackerConfig, run_sequence
@@ -95,6 +95,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gt = parse_mot(texts["ground-truth"])
     hyp = parse_track_file(texts["hypothesis"])
     try:
+        # each table is scored once for both scorers, refusing gt repeats, then hyp repeats, then no gt
+        gt, hyp = _scored(gt, "ground-truth"), _scored(hyp, "hypothesis")
         clear = clear_mot(gt, hyp, args.iou_thresh)
     except _RepeatedRow as exc:
         # a repeated (frame, id) row is malformed input, so name its line;

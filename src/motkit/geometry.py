@@ -1,7 +1,9 @@
 """Box and point primitives shared by every other layer.
 
 Coordinates follow the image convention: x grows rightward, y grows
-downward, so a box's top edge has the smaller y value.
+downward, so a box's top edge has the smaller y value. Box pairs are scored
+by scalar loops, by the :func:`iou_array` kernel, or by that kernel on the
+pairs the broad phase :func:`x_overlap_pairs` keeps.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ import numpy as np
 #: matrices numpy's fixed per-call cost outweighs the work it vectorizes. At
 #: least 1, so empty matrices always take the loops.
 KERNEL_MIN_CELLS = 16
+
+#: Box-pair kernels from this many cells run only on the pairs :func:`x_overlap_pairs` keeps; on fewer
+#: cells its sort and the scatter cost more than the cells they skip (``BENCH_18.json``'s ``micro``).
+BROAD_PHASE_MIN_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -145,19 +151,43 @@ def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Every cell takes the scalar function's float operations in the same
     order, so it equals ``iou`` of the same two boxes bit for bit.
     """
-    # Far-apart boxes near the float limit overflow these differences to -inf, and a cell
-    # with iw = -inf and ih = 0 multiplies to NaN. Python floats do the same without a
-    # warning; either way the scalar's iw <= 0 test, kept below, scores the cell 0.
+    # Far-apart boxes near the float limit overflow these differences to -inf, a cell with iw = -inf and
+    # ih = 0 multiplies to NaN, and an infinite edge makes an inf - inf width. Python floats do the same
+    # without a warning; either way the scalar's tests, kept below, score the cell 0 or divide it to NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
         ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
         inter = iw * ih
-    union = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1]) + (b[..., 2] - b[..., 0]) * (
-        b[..., 3] - b[..., 1]
-    ) - inter
+        union = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1]) + (b[..., 2] - b[..., 0]) * (
+            b[..., 3] - b[..., 1]
+        ) - inter
     # The negated form keeps the scalar's handling of NaN: it is divided, not zeroed.
     ok = ~((iw <= 0.0) | (ih <= 0.0) | (union <= 0.0))
     return np.divide(inter, union, out=np.zeros(inter.shape), where=ok)
+
+
+def x_overlap_pairs(
+    lo: np.ndarray, hi: np.ndarray, other_lo: np.ndarray, other_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of a superset of the pairs whose x-extents ``[lo, hi]`` and ``[other_lo, other_hi]`` meet.
+
+    Sort-and-sweep: with the other extents sorted on their left edge, a row's window runs from the first whose
+    running maximum right edge reaches ``lo`` to the last that starts by ``hi``. ``[lo, hi]`` is widened by 2**-50
+    of its magnitude, far more than a caller's rounding (``x - gate``) can lose. Any key not finite gives every pair.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        pad = (np.abs(lo) + np.abs(hi)) * 2.0**-50 + 2.0**-1022  # the floor covers subnormal rounding
+        lo, hi = lo - pad, hi + pad
+    if not all(np.isfinite(keys).all() for keys in (lo, hi, other_lo, other_hi)):
+        return np.indices((len(lo), len(other_lo))).reshape(2, -1)
+    by_lo = np.argsort(other_lo, kind="stable")
+    start = np.searchsorted(np.maximum.accumulate(other_hi[by_lo]), lo)
+    stop = np.searchsorted(other_lo[by_lo], hi, side="right")
+    counts = np.maximum(stop - start, 0)
+    rows = np.repeat(np.arange(len(lo)), counts)
+    cols = by_lo[np.arange(len(rows)) + np.repeat(start - (np.cumsum(counts) - counts), counts)]
+    keep = other_hi[cols] >= lo[rows]
+    return rows[keep], cols[keep]
 
 
 def box_from_center_size(c: Point2, s: Size2) -> BoxLTRB:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,11 +61,9 @@ class _RepeatedRow(ValueError):
         self.kind, self.row = kind, row
 
 
-class _Scored(NamedTuple):
+class _Scored(_MotTable):
     """A table's scored rows, sorted stably on frame: each frame keeps its file order."""
 
-    id: np.ndarray
-    box: np.ndarray
     frames: list  # the frame numbers, ascending
     bounds: list[int]  # frame k's rows are bounds[k]:bounds[k + 1]
 
@@ -77,12 +75,14 @@ def _run_bounds(values: np.ndarray) -> list[int]:
 
 
 def _scored(rows: Sequence[GtEntry | TrackRecord], kind: str) -> _Scored:
-    """The rows :func:`clear_mot` and :func:`idf1` score, grouped by frame.
+    """The rows :func:`clear_mot` and :func:`idf1` score, grouped by frame; a scored table is returned as it is.
 
     Ground-truth rows flagged as ignored are dropped. Raises
     :class:`_RepeatedRow` at the first scored row, in file order, whose
     (frame, id) an earlier scored row has.
     """
+    if isinstance(rows, _Scored):
+        return rows
     table = _MotTable.of(rows)
     kept = np.flatnonzero(table.conf != 0) if kind == "ground-truth" else np.arange(len(table))
     frame, ids = table.frame[kept], table.id[kept]
@@ -93,9 +93,10 @@ def _scored(rows: Sequence[GtEntry | TrackRecord], kind: str) -> _Scored:
         first = repeats.min()
         raise _RepeatedRow(kind, frame[first], ids[first], int(kept[first]))
     order = kept[np.argsort(frame, kind="stable")]
-    frame, ids, box = table.frame[order], table.id[order], table.box[order]
-    bounds = _run_bounds(frame)
-    return _Scored(ids, box, frame[bounds[:-1]].tolist(), bounds)
+    scored = _Scored(*(table.column(name)[order] for name in _MotTable._KINDS if table._has(name)))
+    scored.bounds = _run_bounds(scored.frame)
+    scored.frames = scored.frame[scored.bounds[:-1]].tolist()
+    return scored
 
 
 def check_iou_threshold(iou_thresh: float) -> None:

@@ -414,11 +414,13 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.fixture(params=["default", "kernel-if-nonempty"])
+@pytest.fixture(params=["default", "kernel-if-nonempty", "broad-phase-if-nonempty"])
 def cutover(request, monkeypatch):
-    """Run at the shipped cutover, then with every non-empty matrix on the kernel path."""
-    if request.param == "kernel-if-nonempty":
+    """Run at the shipped cutovers, then with every non-empty matrix on the dense kernel, then on the broad phase."""
+    if request.param != "default":
         monkeypatch.setattr(association, "KERNEL_MIN_CELLS", 1)
+    if request.param == "broad-phase-if-nonempty":
+        monkeypatch.setattr(association, "BROAD_PHASE_MIN_CELLS", 1)
     return association.KERNEL_MIN_CELLS
 
 
@@ -482,6 +484,15 @@ class TestKernelPaths:
         assert same_bits(displacement_cost(dets, tracks), displacement_cost_loop(dets, tracks))
         for strategy in Strategy:
             assert associate(strategy, dets, tracks, variant).matches == []
+
+    def test_infinite_centers_equal_loop(self, cutover):
+        # detections and tracklets centered at +-inf and NaN: inf - inf differences are NaN, refused without a warning
+        inf = math.inf
+        dets = [det(inf, 0, 4, 4), det(-inf, 5, 4, 4), det(math.nan, 0, 4, 4), det(10, 10, inf, 4), det(10, 10, 4, 4)]
+        tracks = [track(j + 1, x, y, 4, 4) for j, (x, y) in enumerate([(inf, 0), (10, 10), (-inf, 5), (12, 10)])]
+        cost = displacement_cost(dets, tracks)
+        assert same_bits(cost, displacement_cost_loop(dets, tracks))
+        assert cost[3:, 1].tolist() == [0.0, 0.0] and cost[3:, 3].tolist() == [2.0, 2.0]
 
     @pytest.mark.parametrize(
         "det_classes, track_classes",
@@ -578,3 +589,125 @@ class TestGreedyOverAdmissibleCells:
             self.check(cost, [int(i) for i in rng.permutation(n)])
         assert sides == ({True, False} if cutover > 1 else {False})
         assert greedy_match(np.full((5, 5), math.nan), list(range(5))).matches == []
+
+
+def crowd_case(rng, variant, nonfinite):
+    """A crowd-shaped frame: 150-250 boxes a side in 1920², mostly disjoint, on integer edges.
+
+    It holds the x-extent cases the broad phase must keep: a tracklet that
+    spans the image, a zero-width one, one nested in another, two with the
+    same left edge; detections whose tracked box touches a tracklet's right
+    edge (iw == 0), copies a tracklet's box, or has zero width; and with
+    ``nonfinite``, detections 0 and 1 centered at NaN and at inf. The last
+    four detections are those cases on tracklets 0, 6, 2 and 4.
+    """
+    n_trk, n_det = (int(v) for v in rng.integers(150, 251, size=2))
+    spec = []  # cx, cy, w, h, cls of each tracklet; even widths keep every edge an integer
+    for _ in range(n_trk):
+        w = 2 * int(rng.integers(10, 31))
+        spec.append([int(rng.integers(0, 1921)), int(rng.integers(0, 1921)), w, 2 * w, 1 + int(rng.random() < 0.1)])
+    spec[0] = [960, 700, 1920, 60, 1]  # spans the image
+    spec[1][2] = 0  # zero width
+    spec[3][:4] = [spec[2][0], spec[2][1], spec[2][2] + 20, spec[2][3] + 20]  # holds tracklet 2
+    spec[5][0] = spec[4][0] - spec[4][2] // 2 + spec[5][2] // 2  # tracklet 4's left edge
+    tracks = [track(j + 1, float(cx), float(cy), float(w), float(h), cls=c) for j, (cx, cy, w, h, c) in enumerate(spec)]
+
+    def edges(j):
+        cx, cy, w, h, _ = spec[j]
+        return [cx - w // 2, cy - h // 2, cx - w // 2 + w, cy - h // 2 + h]
+
+    boxes, classes = [], []
+    for k in range(n_det):
+        j = int(rng.integers(0, n_trk))
+        left, top, right, bottom = edges(j)
+        if k % 7 == 1:  # touches tracklet j's right edge
+            left, right = right, right + 30
+        elif k % 7 == 2:  # zero width
+            right = left
+        elif k % 7 != 3:  # k % 7 == 3 copies tracklet j's box
+            left, top, right, bottom = (e + int(rng.integers(-4, 5)) for e in (left, top, right, bottom))
+            left, right = min(left, right), max(left, right)
+        boxes.append([left, top, right, bottom])
+        classes.append(spec[j][4] if rng.random() < 0.9 else 3 - spec[j][4])
+    touch, zero, left4 = edges(6), edges(2), edges(4)
+    touch[0], touch[2] = touch[2], touch[2] + 30
+    zero[2] = zero[0]
+    left4[2] += 17
+    boxes += [edges(0), touch, zero, left4]
+    classes += [spec[j][4] for j in (0, 6, 2, 4)]
+    dets = []
+    for (left, top, right, bottom), cls in zip(boxes, classes):
+        dx, dy, dw, dh = (abs(int(v)) for v in rng.integers(-3, 4, size=4))
+        cx, cy, pred = (left + right) / 2 + dx, (top + bottom) / 2 + dy, float(rng.uniform(0.0, 0.8))
+        if variant == "ltrb":
+            ts = TrackedSizeLTRB(float(left), float(top), float(right), float(bottom))
+            dets.append(det(cx, cy, right - left, bottom - top, cls=cls, dx=dx, dy=dy, ts=ts, o=pred))
+        else:  # the back-projected center, with the size minus the tracked size: the same edges
+            ts = TrackedSizeWH(float(dw), float(dh))
+            dets.append(det(cx, cy, right - left + dw, bottom - top + dh, cls=cls, dx=dx, dy=dy, ts=ts, o=pred))
+    if nonfinite:
+        for k, value in enumerate((math.nan, math.inf)):
+            d = dets[k]
+            dets[k] = Detection(d.frame, Point2(value, d.center.y), d.size, d.confidence, d.class_id, d.disp,
+                                d.tracked_size, d.iou_pred)
+    return dets, tracks
+
+
+def cost_matrices(dets, tracks, variant):
+    return [iou_cost(dets, tracks, variant, form) for form in FILTER_FORMS] + [displacement_cost(dets, tracks)]
+
+
+class TestBroadPhase:
+    """Crowd-size matrices take the broad phase, which must equal the dense kernel bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["ltrb", "wh"])
+    @pytest.mark.parametrize("nonfinite", [False, True])
+    def test_crowd_equals_dense_kernel(self, monkeypatch, variant, nonfinite):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            dets, tracks = crowd_case(rng, variant, nonfinite)
+            assert len(dets) * len(tracks) >= association.BROAD_PHASE_MIN_CELLS
+            broad = cost_matrices(dets, tracks, variant)
+            with monkeypatch.context() as m:
+                m.setattr(association, "BROAD_PHASE_MIN_CELLS", 2**62)
+                dense = cost_matrices(dets, tracks, variant)
+            for b, d in zip(broad, dense):
+                assert same_bits(b, d)
+                # every kind of cell is there: admissible ones, and far more inadmissible ones
+                assert 0 < int((b < INADMISSIBLE).sum()) < b.size // 20
+
+    @pytest.mark.parametrize("variant", ["ltrb", "wh"])
+    def test_crowd_edge_cases_are_scored(self, variant):
+        dets, tracks = crowd_case(np.random.default_rng(42), variant, nonfinite=True)
+        span, touch, zero, left4 = range(len(dets) - 4, len(dets))
+        for form in FILTER_FORMS:
+            cost = iou_cost(dets, tracks, variant, form)
+            assert cost[span, 0] == 0.0 and cost[left4, 4] < INADMISSIBLE
+            assert cost[touch, 6] == INADMISSIBLE and (cost[zero] == INADMISSIBLE).all()
+            assert (cost[:, 1] == INADMISSIBLE).all()  # the zero-width tracklet
+        dis = displacement_cost(dets, tracks)
+        assert (dis[:2] == INADMISSIBLE).all() and dis[span, 0] < INADMISSIBLE
+
+    def test_routing_by_cell_count(self, monkeypatch):
+        calls = []
+
+        def counting(*keys):
+            rows, cols = real(*keys)
+            calls.append(len(rows))
+            return rows, cols
+
+        real = association.x_overlap_pairs
+        monkeypatch.setattr(association, "x_overlap_pairs", counting)
+        dets, tracks = crowd_case(np.random.default_rng(43), "ltrb", nonfinite=False)
+        cells = len(dets) * len(tracks)
+        cost_matrices(dets, tracks, "ltrb")
+        # one call per matrix, each keeping a small share of the cells
+        assert len(calls) == 3 and all(0 < k < cells // 5 for k in calls)
+        calls.clear()
+        assert 40 * 38 < association.BROAD_PHASE_MIN_CELLS
+        cost_matrices(dets[:40], tracks[:38], "ltrb")
+        assert calls == []
+        for strategy in Strategy:
+            calls.clear()
+            associate(strategy, dets, tracks, "ltrb")
+            assert calls

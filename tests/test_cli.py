@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 
 import motkit
+from motkit import cli, metrics
 from motkit.cli import build_parser, main
 from motkit.formats import Detection, parse_track_file, write_gt, write_mot, write_predictions
 from motkit.geometry import BoxLTRB
@@ -447,6 +448,40 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "threshold" in captured.err
+
+    def test_each_table_is_scored_once(self, tmp_path, capsys, monkeypatch):
+        # both scorers read the tables cmd_eval scored, so an eval builds two scored tables, not four
+        built = []
+
+        def counting(rows, kind):
+            if not isinstance(rows, metrics._Scored):
+                built.append(kind)
+            return scored(rows, kind)
+
+        scored = metrics._scored
+        monkeypatch.setattr(metrics, "_scored", counting)
+        monkeypatch.setattr(cli, "_scored", counting)
+        gt_path, hyp_path = write_fixture_files(tmp_path)
+        assert main(["eval", str(gt_path), str(hyp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["idf1"] == 0.5
+        assert built == ["ground-truth", "hypothesis"]
+
+    @pytest.mark.parametrize(
+        "gt_flags, hyp_repeats, code, message",
+        [
+            ((1, 1), True, 2, "line 2: duplicate ground-truth entry for frame 1, id 1"),
+            ((0, 0), True, 2, "line 2: duplicate hypothesis entry for frame 1, id 1"),
+            ((0, 0), False, 3, "error: no considered ground truth; MOTA is undefined"),
+        ],
+    )
+    def test_refusal_order(self, tmp_path, capsys, gt_flags, hyp_repeats, code, message):
+        # ground-truth repeats, then hypothesis repeats, then no ground truth
+        gt_path, hyp_path = tmp_path / "gt.txt", tmp_path / "hyp.txt"
+        gt_path.write_text("".join(f"1,1,10,10,20,40,{flag},1,1\n" for flag in gt_flags))
+        hyp_path.write_text("1,1,10,10,20,40,1,-1,-1,-1\n" * (2 if hyp_repeats else 1))
+        assert main(["eval", str(gt_path), str(hyp_path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     def test_threshold_checked_before_ground_truth(self, tmp_path, capsys):
         gt_path = tmp_path / "gt.txt"

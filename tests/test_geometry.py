@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from motkit.geometry import (
     size_gate,
     tracked_box_ltrb,
     tracked_box_wh,
+    x_overlap_pairs,
 )
 from oracles import iou_ltrb_minmax, raster_iou
 
@@ -180,11 +182,84 @@ class TestIouArray:
         assert np.array_equal(bits(matrix), bits([[iou(p, q) for q in b] for p in a]))
         assert matrix.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
+    def test_infinite_edges_equal_scalar_without_a_warning(self):
+        # an edge at inf makes an infinite area, two make an inf - inf width: NaN, as with Python floats
+        inf = math.inf
+        a = [BoxLTRB(0, 0, inf, 1), BoxLTRB(inf, 0, inf, 1), BoxLTRB(-inf, -inf, inf, inf), BoxLTRB(0, 0, 1, 1)]
+        rows = np.array([ltrb(p) for p in a])
+        matrix = iou_array(rows[:, None], rows[None])
+        assert np.array_equal(bits(matrix), bits([[iou(p, q) for q in a] for p in a]))
+
     def test_pairwise_shapes_including_empty(self):
         a = np.array([ltrb(BoxLTRB(0, 0, 2, 2))] * 3)
         assert iou_array(a[:, None], a[None]).shape == (3, 3)
         assert iou_array(np.zeros((0, 4))[:, None], a[None]).shape == (0, 3)
         assert iou_array(a[:, None], np.zeros((0, 4))[None]).shape == (3, 0)
+
+
+def meeting_pairs(lo, hi, other_lo, other_hi):
+    """Every (i, j) whose closed x-extents meet, by brute force."""
+    return {
+        (i, j) for i in range(len(lo)) for j in range(len(other_lo)) if lo[i] <= other_hi[j] and other_lo[j] <= hi[i]
+    }
+
+
+# few distinct edges, so extents share edges, touch, nest and have zero width
+edges = st.sampled_from([0.0, 1.0, 2.5, 3.0, 7.0, 10.0]) | st.floats(-20, 20, allow_nan=False)
+extents = st.lists(st.tuples(edges, edges).map(sorted), max_size=12)
+
+
+class TestXOverlapPairs:
+    @settings(max_examples=300)
+    @given(extents, extents)
+    def test_keeps_every_meeting_pair_once(self, rows_x, cols_x):
+        (lo, hi), (other_lo, other_hi) = (np.array(x, dtype=float).reshape(-1, 2).T for x in (rows_x, cols_x))
+        rows, cols = x_overlap_pairs(lo, hi, other_lo, other_hi)
+        got = list(zip(rows.tolist(), cols.tolist()))
+        assert len(set(got)) == len(got)
+        assert meeting_pairs(lo, hi, other_lo, other_hi) <= set(got)
+
+    def test_a_spanning_extent_meets_every_row(self):
+        lo, hi = np.arange(0.0, 100.0, 10.0), np.arange(5.0, 105.0, 10.0)
+        other_lo, other_hi = np.array([40.0, -1.0, 90.0, 11.0]), np.array([44.0, 200.0, 90.0, 12.0])
+        rows, cols = x_overlap_pairs(lo, hi, other_lo, other_hi)
+        assert set(zip(rows.tolist(), cols.tolist())) == meeting_pairs(lo, hi, other_lo, other_hi)
+        assert int((cols == 1).sum()) == len(lo)
+
+    @settings(max_examples=500)
+    @given(
+        st.floats(-1e300, 1e300, allow_nan=False),
+        st.floats(0, 1e300, allow_nan=False),
+        st.integers(-8, 8),
+        st.booleans(),
+    )
+    def test_keeps_every_center_the_gate_admits(self, x, gate, quarters, right):
+        # a center within 2 ulps of the gate from x + gate or x - gate, exactly, then rounded:
+        # kept whenever |x - c| <= gate as floats compute it, though c can lie past x +- gate as computed
+        edge = Fraction(x) + (Fraction(gate) if right else -Fraction(gate))
+        c = float(edge + Fraction(quarters, 4) * Fraction(math.ulp(gate)))
+        rows, _ = x_overlap_pairs(np.array([x]) - gate, np.array([x]) + gate, np.array([c]), np.array([c]))
+        if abs(x - c) <= gate:
+            assert rows.tolist() == [0]
+
+    def test_keeps_a_center_past_the_computed_window(self):
+        # x + gate is 2**-52 exactly, c is past it, yet x - c rounds to -gate
+        x, gate, c = -1.0, 1.0 + 2.0**-52, 2.0**-52 + 2.0**-54
+        assert c > x + gate and abs(x - c) == gate
+        for scale in (2.0**-1000, 1.0, 2.0**900):
+            for sign in (1.0, -1.0):
+                xs, gs, cs = sign * x * scale, gate * scale, sign * c * scale
+                assert abs(xs - cs) == gs and abs(cs) > abs(xs + sign * gs)
+                rows, _ = x_overlap_pairs(np.array([xs - gs]), np.array([xs + gs]), np.array([cs]), np.array([cs]))
+                assert rows.tolist() == [0]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", range(4))
+    def test_a_key_not_finite_gives_every_pair(self, value, key):
+        keys = [np.array([0.0, 10.0, 20.0]), np.array([1.0, 11.0, 21.0]), np.array([0.5, 50.0]), np.array([0.7, 60.0])]
+        keys[key][0] = value
+        rows, cols = x_overlap_pairs(*keys)
+        assert rows.tolist() == [0, 0, 1, 1, 2, 2] and cols.tolist() == [0, 1] * 3
 
 
 class TestBoxConstruction:
