@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, Tracklet, _Tracklets
+from .formats import VARIANT_WH, Detection, DetectionFrame, Tracklet, _check_variant, _Tracklets
 from .geometry import (
     BROAD_PHASE_MIN_CELLS,
     KERNEL_MIN_CELLS,
@@ -79,15 +79,14 @@ class AssociationResult:
 
 def tracked_box(det: Detection, variant: str) -> BoxLTRB:
     """Previous-frame box regressed from a detection, per parameterization."""
+    _check_variant(variant)
     if variant == VARIANT_WH:
         if not isinstance(det.tracked_size, TrackedSizeWH):
             raise ValueError("detection does not carry wh tracked-size values")
         return tracked_box_wh(det.center, det.size, det.disp, det.tracked_size)
-    if variant == VARIANT_LTRB:
-        if not isinstance(det.tracked_size, TrackedSizeLTRB):
-            raise ValueError("detection does not carry ltrb tracked-size values")
-        return tracked_box_ltrb(det.tracked_size)
-    raise ValueError(f"unknown variant: {variant!r}")
+    if not isinstance(det.tracked_size, TrackedSizeLTRB):
+        raise ValueError("detection does not carry ltrb tracked-size values")
+    return tracked_box_ltrb(det.tracked_size)
 
 
 def displacement_cost(dets: Sequence[Detection], tracks: Sequence[Tracklet]) -> np.ndarray:
@@ -98,10 +97,10 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence[Tracklet]) -> 
     """
     frame = DetectionFrame.of(dets)
     tracks = _Tracklets.of(tracks)
-    gates = frame.values("gate")
     if len(frame) * len(tracks) < KERNEL_MIN_CELLS:
         return _displacement_cost_loop(
-            frame.values("back"), gates, frame.values("cls"), tracks.values("centers"), tracks.values("classes")
+            frame.values("back"), frame.values("gate"), frame.values("cls"), tracks.values("centers"),
+            tracks.values("classes"),
         )
     back, centers, gate = frame.column("back"), tracks.column("centers"), frame.column("gate")
     # Centers near the float limit overflow these differences to +-inf, and infinite ones make inf - inf = NaN,
@@ -121,11 +120,10 @@ def displacement_cost(dets: Sequence[Detection], tracks: Sequence[Tracklet]) -> 
             dx, dy, g = x[rows] - cx[cols], back[:, 1][rows] - centers[:, 1][cols], gate[rows]
             near = (np.abs(dx) <= g) & (np.abs(dy) <= g) & (frame.column("cls")[rows] == tracks.column("classes")[cols])
             rows, cols, dx, dy = rows[near], cols[near], dx[near], dy[near]
+    dist = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(rows))
+    near = dist <= gate[rows]
     cost = np.full((len(frame), len(tracks)), INADMISSIBLE)
-    for i, j, x, y in zip(rows.tolist(), cols.tolist(), dx.tolist(), dy.tolist()):
-        dist = math.hypot(x, y)
-        if dist <= gates[i]:
-            cost[i, j] = dist
+    cost[rows[near], cols[near]] = dist[near]
     return cost
 
 
@@ -162,8 +160,7 @@ def iou_cost(
         raise ValueError(f"unknown filter form: {filter_form!r}")
     frame = DetectionFrame.of(dets)
     if len(frame) and frame.variant != variant:
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant: {variant!r}")
+        _check_variant(variant)
         raise ValueError(f"detection does not carry {variant} tracked-size values")
     tracks = _Tracklets.of(tracks)
     if len(frame) * len(tracks) < KERNEL_MIN_CELLS:

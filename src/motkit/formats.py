@@ -45,6 +45,12 @@ VARIANT_LTRB = "ltrb"
 VARIANTS = (VARIANT_WH, VARIANT_LTRB)
 
 
+def _check_variant(variant: object) -> None:
+    """Refuse anything but a tracked-size variant, naming it."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant: {variant!r}")
+
+
 class ParseError(ValueError):
     """Malformed input row; the message names the 1-based line number."""
 
@@ -105,16 +111,7 @@ class TrackRecord:
     confidence: float
 
 
-class _Rows(Sequence):
-    """A sequence of rows that equals any sequence of equal rows."""
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-
-class _Table(_Rows):
+class _Table(Sequence):
     """Rows as named columns, each held as a Python list, a numpy array or both.
 
     A table holds its columns, or is a view of another table's rows (a slice
@@ -214,6 +211,11 @@ class _Table(_Rows):
 
     def __iter__(self) -> Iterator:
         return iter(self._objects())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __repr__(self) -> str:
         return self._REPR.format(self._objects())
@@ -448,40 +450,19 @@ class Predictions:
     variant: str
     by_frame: dict[int, DetectionFrame] = field(default_factory=dict)
 
-    def dense_frames(self) -> Sequence[tuple[int, Sequence[Detection]]]:
-        """Contiguous (frame, detections) pairs from the first to the last frame.
+    def dense_frames(self) -> list[tuple[int, DetectionFrame]]:
+        """The (frame, detections) pairs in ascending frame order, the pairs ``motkit track`` steps.
 
-        Frames with no detections appear with an empty list; the tracker loop
-        steps each one, and gives the records it gives for ``by_frame.items()``.
-        Empty input gives an empty sequence. The pairs are made as they are
-        read, so a long gap costs no memory, and they can be iterated again.
+        A frame number with no rows is left out: :func:`~motkit.tracker.run_sequence`
+        steps it as an empty frame, or not at all when the gap retires every tracklet.
         """
-        numbers = range(min(self.by_frame), max(self.by_frame) + 1) if self.by_frame else range(0)
-        return _DenseFrames(self.by_frame, numbers)
+        return list(self.by_frame.items())
 
 
-class _DenseFrames(_Rows):
-    """The (frame, detections) pairs of a range of frame numbers, an absent frame empty."""
-
-    def __init__(self, by_frame: dict[int, DetectionFrame], numbers: range):
-        self._by_frame, self._numbers = by_frame, numbers
-
-    def _pair(self, frame_no: int) -> tuple[int, Sequence[Detection]]:
-        return frame_no, self._by_frame.get(frame_no, [])
-
-    def __len__(self) -> int:
-        return len(self._numbers)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(self._pair, self._numbers[index]))
-        return self._pair(self._numbers[index])
-
-    def __iter__(self) -> Iterator[tuple[int, Sequence[Detection]]]:
-        return map(self._pair, self._numbers)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+def _run_bounds(values: np.ndarray) -> list[int]:
+    """The start of each run of equal neighbours in ``values``, then its length."""
+    cuts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return [0, *cuts.tolist(), len(values)] if len(values) else [0]
 
 
 def _lines(source: Union[str, Iterable[str]]) -> list[str]:
@@ -759,8 +740,7 @@ def _ts_fields(det: Detection) -> tuple[float, ...]:
 
 def write_predictions(variant: str, frames: Iterable[tuple[int, Sequence[Detection]]]) -> str:
     """Prediction file text: header line plus one row per detection, formatted from its frame's columns."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant: {variant!r}")
+    _check_variant(variant)
     out = [f"variant: {variant}\n"]
     for frame_no, dets in frames:
         if not len(dets):  # no rows, and no variant to check
@@ -799,11 +779,9 @@ def parse_predictions(source: Union[str, Iterable[str]]) -> Predictions:
     ordered = not (frame[1:] < frame[:-1]).any()
     order = np.argsort(frame, kind="stable")
     frame = frame[order]
-    bounds = [0, *(np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist(), len(frame)]
+    bounds = _run_bounds(frame)
     numbers = frame.tolist()
     by_frame = {
-        numbers[a]: table.take(slice(a, b) if ordered else order[a:b].tolist())
-        for a, b in zip(bounds, bounds[1:])
-        if a < b
+        numbers[a]: table.take(slice(a, b) if ordered else order[a:b].tolist()) for a, b in zip(bounds, bounds[1:])
     }
     return Predictions(variant=variant, by_frame=by_frame)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .formats import DEFAULT_OUTPUT_THRESHOLD, VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection
+from .formats import DEFAULT_OUTPUT_THRESHOLD, VARIANT_LTRB, VARIANT_WH, Detection, _check_variant
 from .geometry import Displacement, Point2, Size2, TrackedSizeLTRB, TrackedSizeWH, iou, ltrb
 
 log = logging.getLogger(__name__)
@@ -128,8 +128,7 @@ class Peak:
 
 def empty_channel_maps(grid: GridSpec, variant: str = VARIANT_LTRB) -> ChannelMaps:
     """All-zero channel maps matching ``grid``."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant: {variant!r}")
+    _check_variant(variant)
     shape = (grid.grid_h, grid.grid_w)
     return ChannelMaps(*(np.zeros(shape + ch.cell_shape) for ch in _map_channels(variant)))
 

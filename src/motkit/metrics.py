@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import GtEntry, TrackRecord, _MotTable
+from .formats import GtEntry, TrackRecord, _MotTable, _run_bounds
 from .geometry import KERNEL_MIN_CELLS, iou_array, iou_ltrb
 
 DEFAULT_IOU_THRESHOLD = 0.5  # overlap a pair needs to count as a match
@@ -66,12 +66,6 @@ class _Scored(_MotTable):
 
     frames: list  # the frame numbers, ascending
     bounds: list[int]  # frame k's rows are bounds[k]:bounds[k + 1]
-
-
-def _run_bounds(values: np.ndarray) -> list[int]:
-    """The start of each run of equal neighbours in ``values``, then its length."""
-    cuts = np.flatnonzero(values[1:] != values[:-1]) + 1
-    return [0, *cuts.tolist(), len(values)] if len(values) else [0]
 
 
 def _scored(rows: Sequence[GtEntry | TrackRecord], kind: str) -> _Scored:

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import _INPUTS, VARIANT_LTRB, VARIANT_WH, VARIANTS, Detection, DetectionFrame, GtEntry, ParseError
-from .formats import _WRITTEN, _int_column, _MotTable
+from .formats import _INPUTS, VARIANT_LTRB, VARIANT_WH, Detection, DetectionFrame, GtEntry, ParseError
+from .formats import _WRITTEN, _check_variant, _int_column, _MotTable
 from .geometry import BoxLTRB, Point2, Size2, box_from_center_size, iou_array
 
 OCCLUSION_IOU = 0.7
@@ -107,8 +107,7 @@ class ScenarioConfig:
             if not 1 <= getattr(self, name) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite and >= 1, got {getattr(self, name)}")
         _check_finite(self, "occlusion_iou")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant: {self.variant!r}")
+        _check_variant(self.variant)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -273,8 +272,8 @@ def perturb(
     """
     if noise.fp_rate > 0 and (image_size is None or variant is None):
         raise ValueError("image_size and variant are required when fp_rate > 0")
-    if variant not in (None, *VARIANTS):
-        raise ValueError(f"unknown variant: {variant!r}")
+    if variant is not None:
+        _check_variant(variant)
     framed = [(frame_no, DetectionFrame.of(dets) if len(dets) else ()) for frame_no, dets in frames]
     full = [frame for _, frame in framed if len(frame)]
     found = {frame.variant for frame in full}

@@ -12,8 +12,8 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .association import FILTER_FORMS, FILTER_RATIONALE, Strategy, _check_strategy, associate
-from .formats import _RECORD_COLUMNS, _TRACKLET_COLUMNS, DEFAULT_OUTPUT_THRESHOLD, VARIANT_LTRB, VARIANTS, Detection
-from .formats import DetectionFrame, Tracklet, TrackRecord, _MotTable, _Tracklets
+from .formats import _RECORD_COLUMNS, _TRACKLET_COLUMNS, DEFAULT_OUTPUT_THRESHOLD, VARIANT_LTRB, Detection
+from .formats import DetectionFrame, Tracklet, TrackRecord, _check_variant, _MotTable, _Tracklets
 
 DEFAULT_LIFETIME = 30
 
@@ -32,8 +32,7 @@ class TrackerConfig:
             raise ValueError("lifetime must be >= 1")
         if not 0.0 <= self.out_threshold <= 1.0:
             raise ValueError("out_threshold must lie in [0, 1]")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant: {self.variant!r}")
+        _check_variant(self.variant)
         if self.iou_filter_form not in FILTER_FORMS:
             raise ValueError(f"unknown filter form: {self.iou_filter_form!r}")
 
@@ -103,15 +102,6 @@ def step(
     return TrackerState(next_live, next_id, frame_no), records
 
 
-def _joined(parts: Iterable[_MotTable]) -> _MotTable:
-    """One table of the rows of ``parts``, in order."""
-    columns: tuple[list, ...] = ([], [], [], [])
-    for part in parts:
-        for column, name in zip(columns, _RECORD_COLUMNS):
-            column += part.values(name)
-    return _MotTable(*columns)
-
-
 def run_sequence(
     frames: Iterable[tuple[int, Sequence[Detection]]], cfg: TrackerConfig
 ) -> Sequence[TrackRecord]:
@@ -125,7 +115,7 @@ def run_sequence(
     does not ascend raises ``ValueError``. Output is deterministic for a fixed
     input and config; the records are one table of columns.
     """
-    parts: list[_MotTable] = []
+    columns: tuple[list, ...] = ([], [], [], [])
     state: TrackerState | None = None
     for frame_no, dets in frames:
         if state is not None and frame_no <= state.frame_index:
@@ -135,5 +125,6 @@ def run_sequence(
         while state.frame_index + 1 < frame_no:
             state, _ = step(state, (), cfg)
         state, recs = step(state, dets, cfg)
-        parts.append(recs)
-    return _joined(parts)
+        for column, name in zip(columns, _RECORD_COLUMNS):
+            column += recs.values(name)
+    return _MotTable(*columns)

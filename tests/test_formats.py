@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +20,7 @@ from motkit.formats import (
     write_predictions,
 )
 from motkit.association import tracked_box
+from motkit.cli import main
 from motkit.geometry import (
     BoxLTRB,
     Displacement,
@@ -30,6 +30,7 @@ from motkit.geometry import (
     TrackedSizeWH,
     ltrb,
 )
+from motkit.tracker import TrackerConfig, run_sequence
 from oracles import write_predictions_objects
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -348,31 +349,24 @@ class TestPredictions:
             flat_out = [d for _, dets in sorted(back.by_frame.items()) for d in dets]
             assert flat_in == flat_out
 
-    def test_dense_frames_fills_gaps(self):
+    def test_dense_frames_are_the_parsed_frames(self):
         preds = parse_predictions(
-            "variant: wh\n2,10,10,4,4,0.9,1,0,0,0,0,0.5\n5,10,10,4,4,0.9,1,0,0,0,0,0.5\n"
+            "variant: wh\n5,10,10,4,4,0.9,1,0,0,0,0,0.5\n2,10,10,4,4,0.9,1,0,0,0,0,0.5\n"
         )
         dense = preds.dense_frames()
-        assert [f for f, _ in dense] == [2, 3, 4, 5]
-        assert [len(d) for _, d in dense] == [1, 0, 0, 1]
+        assert dense == list(preds.by_frame.items()) and [f for f, _ in dense] == [2, 5]
+        assert parse_predictions("variant: wh\n").dense_frames() == [] == Predictions("wh").dense_frames()
 
-    def test_dense_frames_are_made_as_they_are_read(self):
+    def test_frames_far_apart_replay_as_motkit_track_writes_them(self, tmp_path):
+        # the frame numbers alone span 2**63 frames: only the two parsed ones are listed
         row = "{},10,10,4,4,0.9,1,0,0,0,0,0.5\n"
-        preds = parse_predictions("variant: wh\n" + row.format(1) + row.format(200_000))
-        tracemalloc.start()
-        try:
-            dense = preds.dense_frames()
-            n_frames = sum(1 for _ in dense)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert n_frames == len(dense) == 200_000 and peak < 2**20
-        assert list(dense) == list(dense)
-        want = [(f, preds.by_frame.get(f, [])) for f in range(1, 200_001)]
-        assert dense == want and repr(dense[:3]) == repr(want[:3])
-        assert dense[0] == (1, preds.by_frame[1]) and dense[-1] == (200_000, preds.by_frame[200_000])
-        assert dense[1] == (2, []) and dense[-2] == (199_999, []) and dense[5:7] == [(6, []), (7, [])]
-        assert parse_predictions("variant: wh\n").dense_frames() == [] and not len(Predictions("wh").dense_frames())
+        path = tmp_path / "preds.csv"
+        path.write_text("variant: wh\n" + row.format(1) + row.format(2**63))
+        preds = parse_predictions(path.read_text())
+        assert len(preds.dense_frames()) == 2
+        records = run_sequence(preds.dense_frames(), TrackerConfig(variant="wh"))
+        assert main(["track", str(path), "--out", str(tmp_path / "tracks.txt")]) == 0
+        assert write_mot(records).encode() == (tmp_path / "tracks.txt").read_bytes()
 
     def test_variant_mismatch_on_write_rejected(self):
         with pytest.raises(ValueError, match="variant"):
