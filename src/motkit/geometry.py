@@ -167,26 +167,35 @@ def iou_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def x_overlap_pairs(
-    lo: np.ndarray, hi: np.ndarray, other_lo: np.ndarray, other_hi: np.ndarray
+    lo: np.ndarray, hi: np.ndarray, other_lo: np.ndarray, other_hi: np.ndarray,
+    group: np.ndarray | None = None, other_group: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of a superset of the pairs whose x-extents ``[lo, hi]`` and ``[other_lo, other_hi]`` meet.
 
     Sort-and-sweep: with the other extents sorted on their left edge, a row's window runs from the first whose
     running maximum right edge reaches ``lo`` to the last that starts by ``hi``. ``[lo, hi]`` is widened by 2**-50
-    of its magnitude, far more than a caller's rounding (``x - gate``) can lose. Any key not finite gives every pair.
+    of its magnitude, far more than a caller's rounding (``x - gate``) can lose. Given ``group`` keys for both
+    sides, only pairs of one group are kept: the sweep reads each edge as ``(group, x)``, compared
+    lexicographically as numpy orders ``group + x*1j``, so a window never leaves its group. Any x key not finite
+    makes every extent ``[0, 0]``, which gives every pair (of one group).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         pad = (np.abs(lo) + np.abs(hi)) * 2.0**-50 + 2.0**-1022  # the floor covers subnormal rounding
         lo, hi = lo - pad, hi + pad
     if not all(np.isfinite(keys).all() for keys in (lo, hi, other_lo, other_hi)):
-        return np.indices((len(lo), len(other_lo))).reshape(2, -1)
-    by_lo = np.argsort(other_lo, kind="stable")
-    start = np.searchsorted(np.maximum.accumulate(other_hi[by_lo]), lo)
-    stop = np.searchsorted(other_lo[by_lo], hi, side="right")
+        lo = hi = np.zeros(len(lo))
+        other_lo = other_hi = np.zeros(len(other_lo))
+    keys = (lo, hi, other_lo, other_hi)
+    if group is not None:
+        keys = (group + lo * 1j, group + hi * 1j, other_group + other_lo * 1j, other_group + other_hi * 1j)
+    key_lo, key_hi, other_key_lo, other_key_hi = keys
+    by_lo = np.argsort(other_key_lo, kind="stable")
+    start = np.searchsorted(np.maximum.accumulate(other_key_hi[by_lo]), key_lo)
+    stop = np.searchsorted(other_key_lo[by_lo], key_hi, side="right")
     counts = np.maximum(stop - start, 0)
     rows = np.repeat(np.arange(len(lo)), counts)
     cols = by_lo[np.arange(len(rows)) + np.repeat(start - (np.cumsum(counts) - counts), counts)]
-    keep = other_hi[cols] >= lo[rows]
+    keep = other_hi[cols] >= lo[rows]  # a window's pairs share their group
     return rows[keep], cols[keep]
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .formats import GtEntry, TrackRecord, _MotTable, _run_bounds
-from .geometry import KERNEL_MIN_CELLS, iou_array, iou_ltrb
+from .geometry import KERNEL_MIN_CELLS, iou_array, iou_ltrb, x_overlap_pairs
 
 DEFAULT_IOU_THRESHOLD = 0.5  # overlap a pair needs to count as a match
 
@@ -87,7 +87,7 @@ def _scored(rows: Sequence[GtEntry | TrackRecord], kind: str) -> _Scored:
         first = repeats.min()
         raise _RepeatedRow(kind, frame[first], ids[first], int(kept[first]))
     order = kept[np.argsort(frame, kind="stable")]
-    scored = _Scored(*(table.column(name)[order] for name in _MotTable._KINDS if table._has(name)))
+    scored = _Scored(*(table.column(name).take(order, axis=0) for name in _MotTable._KINDS if table._has(name)))
     scored.bounds = _run_bounds(scored.frame)
     scored.frames = scored.frame[scored.bounds[:-1]].tolist()
     return scored
@@ -136,7 +136,7 @@ def clear_mot(
         kept = [(g, h) for g, h in prev_corr.items() if g in gt_row and h in hyp_row]
         if len(kept) >= KERNEL_MIN_CELLS:
             g_rows, h_rows = [gt_row[g] for g, _ in kept], [hyp_row[h] for _, h in kept]
-            holds = (iou_array(gt.box[g_rows], hyp.box[h_rows]) >= iou_thresh).tolist()
+            holds = (iou_array(gt.box.take(g_rows, axis=0), hyp.box.take(h_rows, axis=0)) >= iou_thresh).tolist()
         else:
             holds = [iou_ltrb(gt_boxes[gt_row[g]], hyp_boxes[hyp_row[h]]) >= iou_thresh for g, h in kept]
         corr = {g: h for (g, h), ok in zip(kept, holds) if ok}
@@ -149,7 +149,7 @@ def clear_mot(
             if len(rem_g) * len(rem_h) < KERNEL_MIN_CELLS:
                 overlap = np.array([[iou_ltrb(gt_boxes[r], hyp_boxes[c]) for c in h_rows] for r in g_rows])
             else:
-                overlap = iou_array(gt.box[g_rows][:, None], hyp.box[h_rows][None])
+                overlap = iou_array(gt.box.take(g_rows, axis=0)[:, None], hyp.box.take(h_rows, axis=0)[None])
             cost = np.where(overlap >= iou_thresh, 1.0 - overlap, _BIG_COST)
             rows, cols = linear_sum_assignment(cost)
             for r, c in zip(rows, cols):
@@ -203,30 +203,17 @@ def idf1(
 def _id_overlap_counts(gt: _Scored, hyp: _Scored, iou_thresh: float) -> np.ndarray:
     """Frames each (ground-truth id, hypothesis id) pair overlaps at the threshold.
 
-    Hypothesis boxes are laid out once as a (frame, slot) grid whose unused
-    slots hold id index -1; each ground-truth track then takes one kernel
-    call against the grid rows of its frames. One call per track, not per
-    sequence, keeps the working set to one track's frames.
+    Each ground-truth row meets only the hypothesis rows of its frame whose x-extents
+    :func:`~motkit.geometry.x_overlap_pairs` finds can meet its own, the rank of the frame among the
+    hypothesis frames as group key; one kernel call scores those pairs and one ``bincount`` counts the hits.
+    A pair left out has ``iw <= 0``, so its IOU is 0 and below any threshold in (0, 1].
     """
+    gt_ids, gt_row = np.unique(gt.id, return_inverse=True)
     hyp_ids, hyp_col = np.unique(hyp.id, return_inverse=True)
-    sizes = np.diff(hyp.bounds)
-    at_frame = np.repeat(np.arange(len(sizes)), sizes)
-    slot = np.arange(len(at_frame)) - np.repeat(hyp.bounds[:-1], sizes).astype(int)
-    grid = np.zeros((len(sizes), sizes.max(initial=0), 4))
-    grid_ids = np.full(grid.shape[:2], -1)
-    grid[at_frame, slot] = hyp.box
-    grid_ids[at_frame, slot] = hyp_col
-
-    frame_row = {f: k for k, f in enumerate(hyp.frames)}
-    grid_row = np.repeat([frame_row.get(f, -1) for f in gt.frames], np.diff(gt.bounds)).astype(int)
-    inside = np.flatnonzero(grid_row >= 0)
-    by_track = inside[np.argsort(gt.id[inside], kind="stable")]  # each track's rows in frame order
-    bounds = _run_bounds(gt.id[by_track])
-    counts = np.zeros((len(bounds) - 1, len(hyp_ids)), dtype=int)
-    for row, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        rows = by_track[a:b]
-        k = grid_row[rows]
-        ids = grid_ids[k]
-        hit = (iou_array(gt.box[rows][:, None], grid[k]) >= iou_thresh) & (ids >= 0)
-        counts[row] = np.bincount(ids[hit], minlength=len(hyp_ids))
-    return counts
+    rank = {f: k for k, f in enumerate(hyp.frames)}
+    gt_rank = np.repeat([rank.get(f, -1) for f in gt.frames], np.diff(gt.bounds))
+    hyp_rank = np.repeat(np.arange(len(hyp.frames)), np.diff(hyp.bounds))
+    g, h = x_overlap_pairs(gt.box[:, 0], gt.box[:, 2], hyp.box[:, 0], hyp.box[:, 2], gt_rank, hyp_rank)
+    hit = iou_array(gt.box.take(g, axis=0), hyp.box.take(h, axis=0)) >= iou_thresh
+    cells = gt_row[g[hit]] * len(hyp_ids) + hyp_col[h[hit]]
+    return np.bincount(cells, minlength=len(gt_ids) * len(hyp_ids)).reshape(len(gt_ids), len(hyp_ids))

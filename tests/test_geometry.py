@@ -197,16 +197,27 @@ class TestIouArray:
         assert iou_array(a[:, None], np.zeros((0, 4))[None]).shape == (3, 0)
 
 
-def meeting_pairs(lo, hi, other_lo, other_hi):
-    """Every (i, j) whose closed x-extents meet, by brute force."""
+def meeting_pairs(lo, hi, other_lo, other_hi, group=None, other_group=None):
+    """Every (i, j) whose closed x-extents meet, and whose groups are equal if given, by brute force."""
     return {
-        (i, j) for i in range(len(lo)) for j in range(len(other_lo)) if lo[i] <= other_hi[j] and other_lo[j] <= hi[i]
+        (i, j) for i in range(len(lo)) for j in range(len(other_lo))
+        if lo[i] <= other_hi[j] and other_lo[j] <= hi[i] and (group is None or group[i] == other_group[j])
     }
 
 
 # few distinct edges, so extents share edges, touch, nest and have zero width
 edges = st.sampled_from([0.0, 1.0, 2.5, 3.0, 7.0, 10.0]) | st.floats(-20, 20, allow_nan=False)
 extents = st.lists(st.tuples(edges, edges).map(sorted), max_size=12)
+# the same in a few groups, with edges at the largest finite magnitudes, whose widened keys overflow
+huge = st.sampled_from([-sys.float_info.max, -1e308, 1e308, sys.float_info.max])
+grouped_extents = st.lists(st.tuples(st.integers(0, 3), st.tuples(edges | huge, edges | huge).map(sorted)), max_size=12)
+
+
+def grouped_keys(extents):
+    """The group keys and the left and right edges of (group, (lo, hi)) extents, as arrays."""
+    group = np.array([g for g, _ in extents], dtype=int)
+    lo, hi = np.array([x for _, x in extents], dtype=float).reshape(-1, 2).T
+    return group, lo, hi
 
 
 class TestXOverlapPairs:
@@ -218,6 +229,23 @@ class TestXOverlapPairs:
         got = list(zip(rows.tolist(), cols.tolist()))
         assert len(set(got)) == len(got)
         assert meeting_pairs(lo, hi, other_lo, other_hi) <= set(got)
+
+    @settings(max_examples=300)
+    @given(grouped_extents, grouped_extents)
+    def test_grouped_keeps_every_meeting_pair_of_one_group_once(self, rows_x, cols_x):
+        (group, lo, hi), (other_group, other_lo, other_hi) = grouped_keys(rows_x), grouped_keys(cols_x)
+        rows, cols = x_overlap_pairs(lo, hi, other_lo, other_hi, group, other_group)
+        got = list(zip(rows.tolist(), cols.tolist()))
+        assert len(set(got)) == len(got)
+        assert all(group[i] == other_group[j] for i, j in got)
+        assert meeting_pairs(lo, hi, other_lo, other_hi, group, other_group) <= set(got)
+
+    def test_a_group_starts_its_own_running_maximum(self):
+        # group 0's wide extent reaches past every row's x, but no row of group 1 meets it
+        lo, hi, group = np.array([50.0, 70.0]), np.array([60.0, 80.0]), np.array([1, 1])
+        other_lo, other_hi = np.array([0.0, 55.0, 90.0]), np.array([100.0, 58.0, 95.0])
+        rows, cols = x_overlap_pairs(lo, hi, other_lo, other_hi, group, np.array([0, 1, 1]))
+        assert list(zip(rows.tolist(), cols.tolist())) == [(0, 1)]
 
     def test_a_spanning_extent_meets_every_row(self):
         lo, hi = np.arange(0.0, 100.0, 10.0), np.arange(5.0, 105.0, 10.0)
@@ -260,6 +288,8 @@ class TestXOverlapPairs:
         keys[key][0] = value
         rows, cols = x_overlap_pairs(*keys)
         assert rows.tolist() == [0, 0, 1, 1, 2, 2] and cols.tolist() == [0, 1] * 3
+        rows, cols = x_overlap_pairs(*keys, np.array([0, 1, 1]), np.array([1, 0]))
+        assert sorted(zip(rows.tolist(), cols.tolist())) == [(0, 1), (1, 0), (2, 0)]  # every pair of one group
 
 
 class TestBoxConstruction:

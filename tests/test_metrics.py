@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from motkit import metrics
-from motkit.formats import GtEntry, TrackRecord, _mot_line, parse_mot, parse_track_file
+from motkit.formats import GtEntry, TrackRecord, _mot_line, _MotTable, parse_mot, parse_track_file
 from motkit.geometry import KERNEL_MIN_CELLS, BoxLTRB, ltrb
 from motkit.metrics import clear_mot, idf1
 from oracles import clear_enumerate, clear_mot_objects, idf1_enumerate, idf1_objects
@@ -393,3 +395,85 @@ class TestColumnsAgainstObjectScorers:
         assert scores(clear_mot, idf1, g, h, 0.5) == scores(clear_mot_objects, idf1_objects, gt, hyp, 0.5)
         with pytest.raises(ValueError, match=f"duplicate hypothesis entry for frame {big + 1}, id {big + 2}$"):
             clear_mot(g, list(h) + [hyp_row(big + 1, big + 2, BOX)])
+
+
+# x-edges that share, touch, nest and have zero width, at the largest finite magnitudes and infinite (which only
+# the API admits); y-extents from a few edges, so that boxes whose x-extents meet may still miss in y
+x_edges = st.sampled_from([0.0, 1.0, 2.5, 3.0, 7.0, 10.0]) | st.floats(-20, 20) | st.sampled_from(
+    [-sys.float_info.max, -1e308, 1e308, sys.float_info.max, -math.inf, math.inf])
+y_edges = st.sampled_from([0.0, 1.0, 4.0, 9.0])
+boxes = st.tuples(st.tuples(x_edges, x_edges).map(sorted), st.tuples(y_edges, y_edges).map(sorted)).map(
+    lambda e: BoxLTRB(e[0][0], e[1][0], e[0][1], e[1][1]))
+
+
+@st.composite
+def id_tables(draw):
+    """Ground truth and hypotheses over a few frames, one past int64, whose boxes come from one small pool."""
+    pool = draw(st.lists(boxes, min_size=1, max_size=4))
+    rows = st.lists(st.tuples(st.sampled_from([1, 2, 3, 2**64 + 1]), st.integers(1, 3), st.sampled_from(pool)),
+                    max_size=10, unique_by=lambda r: r[:2])
+    return [gt_row(*r) for r in draw(rows)], [hyp_row(*r) for r in draw(rows)]
+
+
+def counted_broad_phase(monkeypatch):
+    """Patch ``metrics.x_overlap_pairs`` to append the pairs each call keeps; return that list."""
+    calls = []
+    real = metrics.x_overlap_pairs
+
+    def counting(*keys):
+        rows, cols = real(*keys)
+        calls.append(len(rows))
+        return rows, cols
+
+    monkeypatch.setattr(metrics, "x_overlap_pairs", counting)
+    return calls
+
+
+def sparse_crowd_sequence(rng):
+    """150 objects in 1920² over five frames, mostly disjoint; hypotheses jitter, drop and relabel them."""
+    gt, hyp = [], []
+    hyp_of = rng.permutation(150) + 1
+    for f in range(1, 6):
+        xy = rng.uniform(0, 1880, size=(150, 2))
+        wh = rng.uniform(20, 60, size=(150, 2))
+        for g in range(150):
+            (x, y), (w, h) = xy[g].tolist(), wh[g].tolist()
+            gt.append(gt_row(f, g + 1, BoxLTRB(x, y, x + w, y + h)))
+            if rng.random() < 0.9:
+                dx, dy = rng.normal(0, 3, size=2).tolist()
+                h_id = int(hyp_of[g]) + 1000 * (f > 3 and g % 7 == 0)  # a seventh of the tracks relabeled late
+                hyp.append(hyp_row(f, h_id, BoxLTRB(x + dx, y + dy, x + dx + w, y + dy + h)))
+    return gt, hyp
+
+
+class TestIdf1OnCandidatePairs:
+    """IDF1 counts overlaps only on same-frame x-overlap candidates; every score equals the referees'."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(id_tables(), st.sampled_from([0.3, 0.5, 1.0]))
+    @example(([], []), 0.5)
+    @example(([gt_row(1, 1, BOX)], []), 0.5)
+    @example(([], [hyp_row(1, 1, BOX)]), 0.5)
+    def test_equals_the_referees(self, tables, thresh):
+        gt, hyp = tables
+        got = idf1(_MotTable.of(gt), _MotTable.of(hyp), thresh)
+        assert repr(got) == repr(idf1_objects(gt, hyp, thresh))
+        want = idf1_enumerate(rows_of(gt), rows_of(hyp), thresh)
+        assert repr((got.idf1, got.idtp, got.idfp, got.idfn)) == repr(want)
+
+    def test_an_infinite_edge_takes_every_pair_of_its_frame(self, monkeypatch):
+        calls = counted_broad_phase(monkeypatch)
+        gt = [gt_row(1, 1, BOX), gt_row(1, 2, BoxLTRB(-math.inf, 0, 5, 1)), gt_row(2, 1, BOX), gt_row(3, 1, BOX)]
+        hyp = [hyp_row(1, 7, BOX), hyp_row(1, 8, FAR_BOX), hyp_row(2, 7, FAR_BOX), hyp_row(2, 8, BOX)]
+        got = idf1(gt, hyp)
+        assert calls == [2 * 2 + 1 * 2]  # frame 3 has no hypotheses
+        assert (got.idtp, got.idfp, got.idfn) == (1, 3, 3)
+        assert repr(got) == repr(idf1_objects(gt, hyp))
+
+    def test_a_crowd_takes_one_call_on_under_a_tenth_of_the_cells(self, monkeypatch):
+        calls = counted_broad_phase(monkeypatch)
+        gt, hyp = sparse_crowd_sequence(np.random.default_rng(45))
+        got = idf1(gt, hyp)
+        assert repr(got) == repr(idf1_objects(gt, hyp)) and got.idtp > 0.8 * len(hyp)
+        cells = sum(sum(e.frame == f for e in gt) * sum(r.frame == f for r in hyp) for f in range(1, 6))
+        assert len(calls) == 1 and 0 < calls[0] < cells // 10

@@ -340,10 +340,8 @@ class TestGapFrames:
         monkeypatch.setattr(formats.DetectionFrame, "__init__", counted)
         cfg = TrackerConfig(variant="wh", lifetime=10**6)
         records = run_sequence(preds.by_frame.items(), cfg)
-        dense = run_sequence(preds.dense_frames(), cfg)
         assert built == []
-        want = "1,1,45,45,10,10,0.9,-1,-1,-1\n5001,1,45,45,10,10,0.9,-1,-1,-1\n"
-        assert write_mot(records) == write_mot(dense) == want
+        assert write_mot(records) == "1,1,45,45,10,10,0.9,-1,-1,-1\n5001,1,45,45,10,10,0.9,-1,-1,-1\n"
         assert repr(DetectionFrame.of([])) == "DetectionFrame([])" and DetectionFrame.of([]).variant is None
 
 
