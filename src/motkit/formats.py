@@ -169,7 +169,8 @@ class _Table(Sequence):
         got = self._arrays.get(name)
         if got is None:
             if self._table is not None and name in self._table._arrays:
-                got = self._table._arrays[name][self._index]
+                whole, rows = self._table._arrays[name], self._index
+                got = whole[rows] if isinstance(rows, slice) else whole.take(rows, axis=0)
             else:
                 kind, values = self._KINDS[name], self.values(name)
                 if kind is int:
@@ -280,7 +281,7 @@ _RECORD_COLUMNS = ("frame", "id", "box", "conf")
 _INPUTS = ("frame", "cls", "center", "size", "conf", "disp", "ts", "iou_pred")
 #: The columns association and the tracker read as Python lists.
 _LOOP_COLUMNS = ("frame", "cls", "conf", "iou_pred", "center", "box", "tracked", "back", "gate")
-#: The columns :func:`write_predictions` reads as Python lists, in its row order.
+#: The columns :func:`write_predictions` writes after the frame number, in a row's field order.
 _WRITTEN = ("center", "size", "conf", "cls", "disp", "ts", "iou_pred")
 
 
@@ -704,31 +705,48 @@ def parse_track_file(source: Union[str, Iterable[str]]) -> Sequence[TrackRecord]
     return _MotTable(v["frame"], v["id"], v["box"], v["conf"])
 
 
-def _mot_line(frame: int, track_id: int, edges: Sequence[float], rest: str) -> str:
-    # width and height as BoxLTRB's: right - left, bottom - top
-    left, top, right, bottom = edges
-    return f"{frame},{track_id},{_fmt(left)},{_fmt(top)},{_fmt(right - left)},{_fmt(bottom - top)},{rest}\n"
-
-
 def write_gt(entries: Iterable[GtEntry]) -> str:
-    """Ground-truth rows, sorted stably by (frame, id), formatted from the entries' columns."""
+    """Ground-truth rows, sorted stably by (frame, id), formatted column by column from the entries' columns."""
     table = _MotTable.of(entries)
-    flags, classes, visibility = map(table.values, ("conf", "cls", "visibility"))
-    return _write_rows(table, [f"{1 if c != 0 else 0},{k},{_fmt(v)}" for c, k, v in zip(flags, classes, visibility)])
+    return _write_rows(table, (table.conf != 0).astype(np.int64), table.cls, table.column("visibility"))
 
 
 def write_mot(records: Iterable[TrackRecord]) -> str:
-    """Tracker output rows, sorted stably by (frame, id), formatted from the records' columns."""
+    """Tracker output rows, sorted stably by (frame, id), formatted column by column from the records' columns."""
     table = _MotTable.of(records)
-    return _write_rows(table, [f"{_fmt(c)},-1,-1,-1" for c in table.values("conf")])
+    return _write_rows(table, table.conf, np.full(len(table), "-1,-1,-1", dtype=object))
 
 
-def _write_rows(table: _MotTable, rests: list[str]) -> str:
-    """The table's rows sorted stably by (frame, id), each ending in its ``rests`` entry."""
-    frames, ids, boxes = map(table.values, ("frame", "id", "box"))
-    return "".join(
-        _mot_line(frames[k], ids[k], boxes[k], rests[k]) for k in np.lexsort((table.id, table.frame)).tolist()
-    )
+def _write_rows(table: _MotTable, *rest: np.ndarray) -> str:
+    """The table's rows sorted stably by (frame, id): frame, id, left, top, width, height, then ``rest``."""
+    box = table.box
+    with np.errstate(over="ignore"):  # BoxLTRB's width and height; one past the float range is inf, which _fmt refuses
+        size = box[:, 2:] - box[:, :2]
+    return _rows_text((table.frame, table.id, box[:, :2], size, *rest), np.lexsort((table.id, table.frame)))
+
+
+#: Rows the writers format at once: only one block's field texts are alive together.
+_BLOCK_ROWS = 512
+
+
+def _rows_text(columns: Sequence[np.ndarray], order: np.ndarray) -> str:
+    """The ``order`` rows of the columns, a line of comma-joined fields each, formatted a block of rows at a time."""
+    out = []
+    for rows in np.split(order, range(_BLOCK_ROWS, len(order), _BLOCK_ROWS)):
+        fields = np.column_stack([_fmt_column(column.take(rows, axis=0)) for column in columns])
+        out.append("\n".join([*map(",".join, fields.tolist()), ""]))
+    return "".join(out)
+
+
+def _fmt_column(values: np.ndarray) -> np.ndarray:
+    """Texts of the values, in their shape: ``str`` of each, or for floats :func:`_fmt`'s rule as one ``repr`` pass and
+    one mask that rewrites the integral values below 1e15. Floats not all finite go through ``_fmt``, which raises."""
+    flat, floats = values.ravel(), values.dtype == float
+    form = (repr if np.isfinite(flat).all() else _fmt) if floats else str
+    texts = np.array(list(map(form, flat.tolist())), dtype=object)
+    whole = np.flatnonzero((flat == np.trunc(flat)) & (np.abs(flat) < 1e15)) if floats else []
+    texts[whole] = list(map(str, flat[whole].astype(np.int64).tolist()))
+    return texts.reshape(values.shape)
 
 
 def _ts_fields(det: Detection) -> tuple[float, ...]:
@@ -739,21 +757,15 @@ def _ts_fields(det: Detection) -> tuple[float, ...]:
 
 
 def write_predictions(variant: str, frames: Iterable[tuple[int, Sequence[Detection]]]) -> str:
-    """Prediction file text: header line plus one row per detection, formatted from its frame's columns."""
+    """Prediction file text: header line plus one row per detection, formatted column by column from the frames."""
     _check_variant(variant)
-    out = [f"variant: {variant}\n"]
-    for frame_no, dets in frames:
-        if not len(dets):  # no rows, and no variant to check
-            continue
-        frame = DetectionFrame.of(dets)
-        if frame.variant != variant:
-            other = VARIANT_WH if variant == VARIANT_LTRB else VARIANT_LTRB
-            raise ValueError(f"detection variant {other} does not match file variant {variant}")
-        for (cx, cy), (w, h), conf, cls, (dx, dy), ts, o in zip(*map(frame.values, _WRITTEN)):
-            head = map(_fmt, (cx, cy, w, h, conf))
-            rest = map(_fmt, (dx, dy, *ts, o))
-            out.append(f"{frame_no},{','.join(head)},{cls},{','.join(rest)}\n")
-    return "".join(out)
+    frames = [(frame_no, DetectionFrame.of(dets)) for frame_no, dets in frames if len(dets)]  # no rows, no variant
+    if any(frame.variant != variant for _, frame in frames):
+        other = VARIANT_WH if variant == VARIANT_LTRB else VARIANT_LTRB
+        raise ValueError(f"detection variant {other} does not match file variant {variant}")
+    columns = [np.concatenate([frame.column(name) for _, frame in frames]) for name in _WRITTEN] if frames else []
+    numbers = np.array([frame_no for frame_no, _ in frames], dtype=object).repeat([len(frame) for _, frame in frames])
+    return f"variant: {variant}\n" + _rows_text([numbers, *columns], np.arange(len(numbers)))
 
 
 def parse_predictions(source: Union[str, Iterable[str]]) -> Predictions:

@@ -3,7 +3,8 @@
 Coordinates follow the image convention: x grows rightward, y grows
 downward, so a box's top edge has the smaller y value. Box pairs are scored
 by scalar loops, by the :func:`iou_array` kernel, or by that kernel on the
-pairs the broad phase :func:`x_overlap_pairs` keeps.
+pairs the broad phase :func:`x_overlap_pairs` keeps: large cost matrices, and
+keyed on the frame, IDF1's overlap counts and the simulator's occlusion test.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def x_overlap_pairs(
     of its magnitude, far more than a caller's rounding (``x - gate``) can lose. Given ``group`` keys for both
     sides, only pairs of one group are kept: the sweep reads each edge as ``(group, x)``, compared
     lexicographically as numpy orders ``group + x*1j``, so a window never leaves its group. Any x key not finite
-    makes every extent ``[0, 0]``, which gives every pair (of one group).
+    makes every extent ``[0, 0]``, which gives every pair (of one group), as zero extents do for the occlusion test.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         pad = (np.abs(lo) + np.abs(hi)) * 2.0**-50 + 2.0**-1022  # the floor covers subnormal rounding

@@ -21,13 +21,15 @@ from typing import Sequence
 import numpy as np
 
 from .formats import _INPUTS, VARIANT_LTRB, VARIANT_WH, Detection, DetectionFrame, GtEntry, ParseError
-from .formats import _WRITTEN, _check_variant, _int_column, _MotTable
-from .geometry import BoxLTRB, Point2, Size2, box_from_center_size, iou_array
+from .formats import _check_variant, _int_column, _MotTable
+from .geometry import BoxLTRB, Point2, Size2, box_from_center_size, iou_array, x_overlap_pairs
 
 OCCLUSION_IOU = 0.7
 
 #: Most agent-frames a scene may hold: ``generate`` boxes every agent at every frame up front.
 _MAX_AGENT_FRAMES = 2**22
+#: Most same-frame pairs one occlusion block may bound: its candidate pairs and their IOUs are held at once.
+_PAIR_BUDGET = 2**16
 
 FrameDetections = list[tuple[int, Sequence[Detection]]]
 
@@ -167,9 +169,7 @@ def generate(cfg: ScenarioConfig) -> tuple[Sequence[GtEntry], FrameDetections]:
     object-by-object build bit for bit.
     """
     boxes = _paths(cfg)
-    visible = _visibility(cfg, boxes)
-    # np.nonzero walks row-major, so the transpose gives frame-major, agent-ascending rows.
-    fr, ag = np.nonzero(visible.T)
+    fr, ag = _visibility(cfg, boxes)
     cur = boxes[ag, fr]
     prev = boxes[ag, np.maximum(fr - 1, 0)]
     l, t, r, b = cur.T
@@ -222,24 +222,31 @@ def _paths(cfg: ScenarioConfig) -> np.ndarray:
     return boxes
 
 
-def _visibility(cfg: ScenarioConfig, boxes: np.ndarray) -> np.ndarray:
-    """``(agents, frames)``: inside the image and not occluded by a nearer on-screen agent.
+def _visibility(cfg: ScenarioConfig, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame-major (frame, agent) indices of the agent-frames inside the image and not hidden by a nearer agent there.
 
-    Each agent takes one kernel call against every nearer agent, over the
-    frames where it is itself on screen.
+    The on-screen rows are the broad phase :func:`~motkit.geometry.x_overlap_pairs` keyed on the frame; its pairs with
+    a nearer agent take the kernel. A pair it leaves out scores 0, so under a negative threshold every same-frame pair
+    is a candidate. Each block of rows, swept against its frames' rows, bounds at most ``_PAIR_BUDGET`` pairs: the sum
+    of its rows' frame sizes.
     """
     l, t, r, b = np.moveaxis(boxes, -1, 0)
-    inside = (l >= 0) & (t >= 0) & (r <= cfg.width) & (b <= cfg.height)
-    visible = inside.copy()
-    depths = np.array([a.depth for a in cfg.agents])
-    for k in range(len(cfg.agents)):
-        on = np.flatnonzero(inside[k])
-        nearer = np.flatnonzero(depths < depths[k])
-        if on.size and nearer.size:
-            grid = np.ix_(nearer, on)
-            overlap = iou_array(boxes[k, on], boxes[grid])
-            visible[k, on] = ~((overlap > cfg.occlusion_iou) & inside[grid]).any(axis=0)
-    return visible
+    # np.nonzero walks row-major, so the transpose gives frame-major, agent-ascending rows.
+    fr, ag = np.nonzero(((l >= 0) & (t >= 0) & (r <= cfg.width) & (b <= cfg.height)).T)
+    box, depth, visible = boxes[ag, fr], np.array([a.depth for a in cfg.agents])[ag], np.ones(len(fr), dtype=bool)
+    lo, hi = (box[:, 0], box[:, 2]) if cfg.occlusion_iou >= 0 else (np.zeros(len(fr)),) * 2
+    starts = np.searchsorted(fr, np.arange(cfg.frames + 1))  # each frame's first row, then the row count
+    bound = np.concatenate(([0], np.cumsum(np.diff(starts)[fr])))  # running sum of the rows' frame sizes
+    a = 0
+    while a < len(fr):
+        z = max(a + 1, np.searchsorted(bound, bound[a] + _PAIR_BUDGET, side="right") - 1)
+        o, p = starts[fr[a]], starts[fr[z - 1] + 1]
+        rows, cols = x_overlap_pairs(lo[a:z], hi[a:z], lo[o:p], hi[o:p], fr[a:z], fr[o:p])
+        nearer = depth[o + cols] < depth[a + rows]
+        rows, cols = rows[nearer] + a, cols[nearer] + o
+        visible[rows[iou_array(box.take(rows, axis=0), box.take(cols, axis=0)) > cfg.occlusion_iou]] = False
+        a = z
+    return fr[visible], ag[visible]
 
 
 #: The jittered columns in the order their noise is drawn; each one's sigma is ``<name>_noise_sigma``.
@@ -333,7 +340,7 @@ def perturb(
         shifted = col["iou_pred"][:n] + noise.iou_pred_bias
         floored = np.where(0.0 > shifted, 0.0, shifted)
         col["iou_pred"][:n] = np.where(1.0 < floored, 1.0, floored)
-    table = DetectionFrame(variant, *(col[name][take] for name in _INPUTS), lists=_WRITTEN)
+    table = DetectionFrame(variant, *(col[name][take] for name in _INPUTS), lists=())
     return [(f, table.take(slice(a, b))) for (f, _), a, b in zip(framed, bounds, bounds[1:])]
 
 

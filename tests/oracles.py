@@ -18,9 +18,11 @@ simulator's noise referee ``perturb_scalar`` jitters one ``Detection`` at a
 time with a scalar ``Generator.normal`` draw per channel, the form the
 column-wise ``perturb`` must equal by ``repr``; ``write_predictions_objects``
 formats one ``Detection`` attribute at a time, the bytes the column writer
-``write_predictions`` must equal. ``parse_scenario_config`` is the
-hand-written scene-file reader that ``simulator.parse_scene`` replaced:
-wherever it accepts a file, the table-driven reader must return equal
+``write_predictions`` must equal. ``write_gt_rows`` and ``write_mot_rows`` (with
+``mot_line``) are the row writers ``formats.write_gt`` and ``write_mot`` were,
+one ``_fmt`` call per value: the column writers must equal their bytes.
+``parse_scenario_config`` is the hand-written scene-file reader that
+``simulator.parse_scene`` replaced: wherever it accepts a file, the table-driven reader must return equal
 configs, and wherever it refuses one, refuse it too. The scorers'
 referees ``clear_mot_objects`` and ``idf1_objects`` (with ``_by_frame`` and
 ``_id_overlap_counts``) group ``GtEntry`` and ``TrackRecord`` objects per
@@ -639,6 +641,27 @@ def write_predictions_objects(variant: str, frames: Iterable[tuple[int, list[Det
             rest = map(_fmt, (d.disp.dx, d.disp.dy, *_ts_fields(d), d.iou_pred))
             out.append(f"{frame_no},{','.join(head)},{d.class_id},{','.join(rest)}\n")
     return "".join(out)
+
+
+def mot_line(frame: int, track_id: int, edges: Sequence[float], rest: str) -> str:
+    """One MOT row, each edge value through ``_fmt``; width and height as ``BoxLTRB``'s: right - left, bottom - top."""
+    left, top, right, bottom = edges
+    return f"{frame},{track_id},{_fmt(left)},{_fmt(top)},{_fmt(right - left)},{_fmt(bottom - top)},{rest}\n"
+
+
+def write_gt_rows(entries: Iterable[GtEntry]) -> str:
+    """``formats.write_gt`` one entry at a time: sorted stably by (frame, id), one ``_fmt`` call per value."""
+    rows = sorted(entries, key=lambda e: (e.frame, e.track_id))
+    return "".join(
+        mot_line(e.frame, e.track_id, ltrb(e.box), f"{1 if e.consider else 0},{e.class_id},{_fmt(e.visibility)}")
+        for e in rows
+    )
+
+
+def write_mot_rows(records: Iterable[TrackRecord]) -> str:
+    """``formats.write_mot`` one record at a time: sorted stably by (frame, id), one ``_fmt`` call per value."""
+    rows = sorted(records, key=lambda r: (r.frame, r.track_id))
+    return "".join(mot_line(r.frame, r.track_id, ltrb(r.box), f"{_fmt(r.confidence)},-1,-1,-1") for r in rows)
 
 
 class SceneFileError(ValueError):

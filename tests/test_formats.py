@@ -1,5 +1,7 @@
 import math
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from motkit.formats import (
     ParseError,
     Predictions,
     TrackRecord,
+    _RECORD_COLUMNS,
+    _fmt,
     _MotTable,
     parse_mot,
     parse_predictions,
@@ -30,8 +34,9 @@ from motkit.geometry import (
     TrackedSizeWH,
     ltrb,
 )
+from motkit.simulator import generate, parse_scene, perturb
 from motkit.tracker import TrackerConfig, run_sequence
-from oracles import write_predictions_objects
+from oracles import write_gt_rows, write_mot_rows, write_predictions_objects
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 unit = st.floats(0, 1, allow_nan=False, allow_infinity=False)
@@ -460,3 +465,100 @@ class TestMotTable:
         assert table.cls.tolist() == [7, 2] and table.column("visibility").tolist() == [0.25, 0.5]
         assert write_gt(rows) == "1,3,1,1,1,1,1,2,0.5\n2,1,0,0,4,2,0,7,0.25\n"
         assert parse_mot(write_gt(rows)) == [rows[1], rows[0]]
+
+
+# -- the MOT column writers against the row writers they replaced ---------------------------------
+
+edge = st.sampled_from(WRITTEN + [-v for v in WRITTEN]) | any_finite | st.integers(-1000, 1000)
+key = st.sampled_from([1, 2, 7, 2**63, 2**64 + 1]) | st.integers(1, 40)
+
+
+@st.composite
+def mot_rows(draw, gt):
+    """Ground-truth entries or track records in no (frame, id) order, some keys repeated."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        left, right = sorted((draw(edge), draw(edge)))
+        top, bottom = sorted((draw(edge), draw(edge)))
+        box = BoxLTRB(left, top, right, bottom)
+        if gt:
+            cls = draw(st.sampled_from([1, 2, 2**63]))
+            rows.append(GtEntry(draw(key), draw(key), box, cls, draw(written), draw(st.booleans())))
+        else:
+            rows.append(TrackRecord(draw(key), draw(key), box, draw(written)))
+    return rows
+
+
+def written_or_raised(write, rows):
+    """The text ``write`` makes of ``rows``, or the type of the exception it raises."""
+    try:
+        return write(rows)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def as_tables(rows):
+    """The rows as a list, as a table of their Python lists and as a table of numpy columns."""
+    listed = _MotTable.of(rows)
+    names = ("frame", "id", "box", "conf", "cls", "visibility") if listed.cls is not None else _RECORD_COLUMNS
+    return rows, listed, _MotTable(*map(listed.column, names))
+
+
+class TestMotWritersEqualRowReferees:
+    """``write_gt`` and ``write_mot`` against the row writers in ``oracles``: the same bytes or exception type."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mot_rows(gt=True))
+    def test_write_gt(self, rows):
+        want = written_or_raised(write_gt_rows, rows)
+        for table in as_tables(rows):
+            assert written_or_raised(write_gt, table) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(mot_rows(gt=False))
+    def test_write_mot(self, rows):
+        want = written_or_raised(write_mot_rows, rows)
+        for table in as_tables(rows):
+            assert written_or_raised(write_mot, table) == want
+
+    def test_more_rows_than_a_block(self):
+        rows = [TrackRecord(k % 7 + 1, 5000 - k, BoxLTRB(k / 3, 0.5, k, 2**60), k / 5000) for k in range(5000)]
+        assert write_mot(rows) == write_mot_rows(rows)
+        gt = [GtEntry(r.frame, r.track_id, r.box, 1, r.confidence, r.track_id % 3 > 0) for r in rows]
+        assert write_gt(gt) == write_gt_rows(gt)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_value_that_is_not_finite_raises_as_fmt_does(self, bad):
+        with pytest.raises((OverflowError, ValueError)) as raised:
+            _fmt(bad)
+        box, det = BoxLTRB(0, 0, 1, 1), _det(cx=bad)
+        bad_box = BoxLTRB(0, 0, bad, 1) if bad > 1 else BoxLTRB(bad, 0, 1, 1)  # an edge, or a width past the range
+        writes = [
+            (write_mot, write_mot_rows, [TrackRecord(2, 1, box, 0.5), TrackRecord(1, 1, box, bad)]),
+            (write_gt, write_gt_rows, [GtEntry(1, 1, box, 1, bad)]),
+            (write_gt, write_gt_rows, [GtEntry(1, 1, bad_box, 1, 1.0)]),
+            (lambda f: write_predictions("wh", f), lambda f: write_predictions_objects("wh", f), [(1, [_det(), det])]),
+        ]
+        for write, referee, rows in writes:
+            for form in (write, referee):
+                with pytest.raises(raised.type):
+                    form(rows)
+
+
+def test_writers_on_the_churn_scene_stay_within_a_bounded_peak(monkeypatch):
+    """The files of the benchmark's churn scene (seed 0), written at most 1.5 times the row writers' peak."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    cfg, noise = parse_scene(workloads.churn(0).scenes["churn"])
+    gt, oracle = generate(cfg)
+    dets = perturb(oracle, noise, cfg.seed, image_size=(cfg.width, cfg.height), variant=cfg.variant)
+    # the row writers peaked at 4.0 MiB (predictions) and 6.8 MiB (ground truth) on these files
+    for write, limit in ((lambda: write_predictions(cfg.variant, dets), 6.0), (lambda: write_gt(gt), 10.2)):
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * 2**20

@@ -558,9 +558,7 @@ def whole_table(source, variant):
     noisy = perturb(oracle, MODERATE_NOISE, 3, image_size=(200, 200), variant=variant)
     if source == "parsed":
         return parse_predictions(write_predictions(variant, noisy)).by_frame[1]._table, formats._LOOP_COLUMNS
-    if source == "generated":
-        return oracle[0][1]._table, ()
-    return noisy[0][1]._table, formats._WRITTEN
+    return (oracle if source == "generated" else noisy)[0][1]._table, ()
 
 
 @pytest.mark.parametrize("variant", ["wh", "ltrb"])

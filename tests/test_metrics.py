@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from motkit import metrics
-from motkit.formats import GtEntry, TrackRecord, _mot_line, _MotTable, parse_mot, parse_track_file
+from motkit.formats import GtEntry, TrackRecord, _MotTable, parse_mot, parse_track_file
 from motkit.geometry import KERNEL_MIN_CELLS, BoxLTRB, ltrb
 from motkit.metrics import clear_mot, idf1
-from oracles import clear_enumerate, clear_mot_objects, idf1_enumerate, idf1_objects
+from oracles import clear_enumerate, clear_mot_objects, idf1_enumerate, idf1_objects, mot_line
 
 
 def gt_row(frame, tid, box, consider=True):
@@ -324,8 +324,8 @@ def wide_sequence(rng):
 def mot_texts(gt, hyp):
     """Ground-truth and tracker-output file text of the rows, in the given order."""
     return (
-        "".join(_mot_line(e.frame, e.track_id, ltrb(e.box), f"{int(e.consider)},{e.class_id},{e.visibility}") for e in gt),
-        "".join(_mot_line(r.frame, r.track_id, ltrb(r.box), f"{r.confidence},-1,-1,-1") for r in hyp),
+        "".join(mot_line(e.frame, e.track_id, ltrb(e.box), f"{int(e.consider)},{e.class_id},{e.visibility}") for e in gt),
+        "".join(mot_line(r.frame, r.track_id, ltrb(r.box), f"{r.confidence},-1,-1,-1") for r in hyp),
     )
 
 

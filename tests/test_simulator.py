@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from motkit.association import Strategy
 from motkit.formats import Detection, DetectionFrame, TrackRecord, write_predictions
-from motkit.geometry import BoxLTRB, Displacement, Point2, Size2, TrackedSizeLTRB, TrackedSizeWH, iou
+from motkit.geometry import BoxLTRB, Displacement, Point2, Size2, TrackedSizeLTRB, TrackedSizeWH, iou, iou_array
 from motkit.metrics import clear_mot
 from motkit.simulator import (
     MODERATE_NOISE,
     AgentSpec,
+    _paths,
+    _visibility,
     NoiseConfig,
     ScenarioConfig,
     crossing_scenario,
@@ -50,7 +53,11 @@ def reference_visibility(cfg):
 
 
 def crowded_config(seed, n_agents=30):
-    """Agents of similar size crossing a small image and its edges, depths often tied."""
+    """Agents of similar size crossing a small image and its edges, depths often tied.
+
+    The occlusion threshold cycles through 0.3, -0.5 (every nearer on-screen agent occludes, overlapping or not),
+    0.0 and 1.0 (no IOU exceeds it).
+    """
     rng = np.random.default_rng(seed)
     frames = 25
     agents = []
@@ -60,7 +67,26 @@ def crowded_config(seed, n_agents=30):
         agents.append(
             AgentSpec(width=w, height=h, waypoints=((1, x0, y0), (frames, x1, y1)), depth=int(rng.integers(0, 4)))
         )
-    return ScenarioConfig(width=120, height=120, frames=frames, agents=tuple(agents), occlusion_iou=0.3)
+    threshold = THRESHOLDS[seed % len(THRESHOLDS)]
+    return ScenarioConfig(width=120, height=120, frames=frames, agents=tuple(agents), occlusion_iou=threshold)
+
+
+#: Occlusion thresholds the random scenes draw: a negative one occludes by every nearer on-screen agent.
+THRESHOLDS = (0.3, -0.5, 0.0, 1.0, 0.7)
+
+
+def touching_pair(rng, frames):
+    """Two agents walking straight down whose x-edges touch exactly, the nearer one's left edge on the image's.
+
+    Even integer widths keep every center and edge exact; their y-extents meet at the first frames.
+    """
+    near, far = (float(2 * rng.integers(1, 16)) for _ in range(2))
+    y0, y1 = (float(y) for y in rng.uniform(10, 90, size=2))
+    x = near + far / 2
+    return [
+        AgentSpec(width=near, height=30, waypoints=((1, near / 2, y0), (frames, near / 2, y1)), depth=0),
+        AgentSpec(width=far, height=24, waypoints=((1, x, y0 + 4), (frames, x, y1 - 4)), depth=1),
+    ]
 
 
 def referee_config(seed):
@@ -70,7 +96,9 @@ def referee_config(seed):
     frames before the first waypoint and past the last one both occur. Every
     third seed uses integer coordinates and sizes. Depths are often tied,
     and paths wander across the image edges, so agents leave and re-enter.
-    Odd seeds are ``wh`` scenes.
+    Odd seeds are ``wh`` scenes. Every fifth seed puts the random agents at
+    one depth, and every fourth adds a :func:`touching_pair`. The occlusion
+    threshold is one of ``THRESHOLDS``.
     """
     rng = np.random.default_rng(seed)
     frames = int(rng.integers(1, 40))
@@ -85,14 +113,18 @@ def referee_config(seed):
             xy, size = np.round(xy).astype(int), np.round(size).astype(int)
         waypoints = tuple((f, x, y) for f, (x, y) in zip(keys, xy.tolist()))
         w, h = size.tolist()
-        agents.append(AgentSpec(width=w, height=h, waypoints=waypoints, depth=int(rng.integers(0, 3))))
+        depth = int(rng.integers(0, 3))
+        agents.append(AgentSpec(width=w, height=h, waypoints=waypoints, depth=0 if seed % 5 == 4 else depth))
+    threshold = float(rng.choice(THRESHOLDS))
+    if seed % 4 == 1:
+        agents += touching_pair(rng, frames)
     return ScenarioConfig(
         width=120,
         height=100,
         frames=frames,
         agents=tuple(agents),
         variant="wh" if seed % 2 else "ltrb",
-        occlusion_iou=float(rng.choice([0.3, 0.7])),
+        occlusion_iou=threshold,
     )
 
 
@@ -233,6 +265,68 @@ class TestGenerate:
     def test_deterministic(self):
         cfg = random_scenario(7)
         assert generate(cfg) == generate(cfg)
+
+
+def stacked_config(threshold):
+    """400 agents walking up and down one x-column for 40 frames: every same-frame pair meets in x."""
+    rng = np.random.default_rng(1)
+    agents = []
+    for _ in range(400):
+        w, h = (float(v) for v in rng.uniform(20, 30, size=2))
+        y0, y1 = (float(v) for v in rng.uniform(-10, 410, size=2))
+        waypoints = ((1, 100.0, y0), (40, 100.0, y1))
+        agents.append(AgentSpec(width=w, height=h, waypoints=waypoints, depth=int(rng.integers(0, 8))))
+    return ScenarioConfig(width=200, height=400, frames=40, agents=tuple(agents), occlusion_iou=threshold)
+
+
+def dense_visibility(cfg, boxes):
+    """``_visibility``'s (frame index, agent index) lists from one all-pairs kernel call per frame."""
+    l, t, r, b = np.moveaxis(boxes, -1, 0)
+    inside = (l >= 0) & (t >= 0) & (r <= cfg.width) & (b <= cfg.height)
+    depth = np.array([a.depth for a in cfg.agents])
+    frames, agents = [], []
+    for f in range(cfg.frames):
+        on = np.flatnonzero(inside[:, f])
+        box, nearer = boxes[on, f], depth[on][None, :] < depth[on][:, None]
+        visible = on[~((iou_array(box[:, None], box[None]) > cfg.occlusion_iou) & nearer).any(axis=1)]
+        frames += [f] * len(visible)
+        agents += visible.tolist()
+    return frames, agents
+
+
+class TestOcclusionBroadPhase:
+    """``_visibility`` scores same-frame x-overlap candidates in blocks of bounded size."""
+
+    @pytest.mark.parametrize("threshold", [0.3, -0.5])
+    def test_a_stacked_column_equals_the_dense_kernel_at_a_bounded_peak(self, threshold):
+        cfg = stacked_config(threshold)
+        boxes = _paths(cfg)
+        tracemalloc.start()
+        try:
+            frames, agents = _visibility(cfg, boxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20  # all ~6.4 million same-frame pairs at once would take hundreds of MiB
+        want = dense_visibility(cfg, boxes)
+        assert (frames.tolist(), agents.tolist()) == want
+        assert 500 < len(want[0]) < 8000
+
+    def test_touching_x_edges_occlude_only_under_a_negative_threshold(self):
+        near = AgentSpec(width=20, height=30, waypoints=((1, 10.0, 50.0),), depth=0)  # x-edges 0 and 20
+        far = AgentSpec(width=20, height=30, waypoints=((1, 30.0, 50.0),), depth=1)  # x-edges 20 and 40
+        for threshold, want in ((-0.5, {1}), (0.0, {1, 2}), (1.0, {1, 2})):
+            cfg = ScenarioConfig(width=100, height=100, frames=3, agents=(near, far), occlusion_iou=threshold)
+            assert reference_visibility(cfg) == {(f, k) for f in (1, 2, 3) for k in want}
+            assert {(e.frame, e.track_id) for e in generate(cfg)[0]} == reference_visibility(cfg)
+
+    def test_a_negative_threshold_occludes_by_every_nearer_agent_on_screen(self):
+        agents = [AgentSpec(width=10, height=10, waypoints=((1, 10.0 + 30 * k, 50.0),), depth=k) for k in range(3)]
+        agents.append(AgentSpec(width=10, height=10, waypoints=((1, 500.0, 50.0),), depth=-1))  # off screen
+        cfg = ScenarioConfig(width=100, height=100, frames=2, agents=tuple(agents), occlusion_iou=-0.5)
+        assert reference_visibility(cfg) == {(1, 1), (2, 1)}
+        frames, visible = _visibility(cfg, _paths(cfg))
+        assert frames.tolist() == [0, 1] and visible.tolist() == [0, 0]
 
 
 class TestPerturb:
