@@ -1,8 +1,8 @@
 """Command-line pipeline: simulate scenes, track predictions, evaluate output.
 
 Exit codes: 0 on success, 2 for input problems (missing or malformed files,
-repeated (frame, id) rows, bad config), 3 for evaluation-domain errors (no
-ground truth to score).
+unwritable output paths, repeated (frame, id) rows, bad config), 3 for
+evaluation-domain errors (no ground truth to score).
 Output files are written atomically (temp file then rename).
 """
 
@@ -31,21 +31,23 @@ EXIT_EVAL_DOMAIN = 3
 GRAD_CHECK_TOLERANCE = 1e-4
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 class InputError(Exception):
     """Input-level failure; the CLI maps it to exit code 2."""
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)  # a failed write or rename leaves it behind
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _read_text(path: str) -> str:

@@ -1,14 +1,16 @@
 """CLEAR-MOT and identity-F1 scoring of hypothesis tracks against ground truth.
 
-Per-frame correspondence follows the CLEAR protocol: matches from the
-previous frame are kept while still valid (IOU at or above the threshold),
-then the remaining boxes are paired by minimum-cost optimal assignment. An
-identity switch is counted when a ground-truth track's matched hypothesis id
-differs from the most recent id it ever matched, so losing a track and
-reacquiring it under the same id is not a switch. IDF1 instead scores one
-global trajectory-level assignment. Within a frame, rows keep their order in
-the file, and assignment ties go to the earlier row: swapping two tied rows
-of a frame can change the switches counted.
+Both scores count the hits, the same-frame pairs whose IOU reaches the
+threshold, found once per pair of scored tables. Per-frame correspondence
+follows the CLEAR protocol: matches from the previous frame are kept while
+they are still hits, then the remaining boxes are paired by minimum-cost
+optimal assignment while a free hit remains. An identity switch is counted
+when a ground-truth track's matched hypothesis id differs from the most
+recent id it ever matched, so losing a track and reacquiring it under the
+same id is not a switch. IDF1 instead scores one global trajectory-level
+assignment. Within a frame, the assignment takes the rows in file order and
+keeps the tied pair its solver reaches first: swapping two tied rows of a
+frame can change the switches counted.
 
 Both scorers read the rows as the columns of the parsers' tables (a plain
 list of rows is framed as one first), sorted once on frame.
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .formats import GtEntry, TrackRecord, _MotTable, _run_bounds
-from .geometry import KERNEL_MIN_CELLS, iou_array, iou_ltrb, x_overlap_pairs
+from .geometry import iou_array, x_overlap_pairs
 
 DEFAULT_IOU_THRESHOLD = 0.5  # overlap a pair needs to count as a match
 
@@ -66,6 +68,7 @@ class _Scored(_MotTable):
 
     frames: list  # the frame numbers, ascending
     bounds: list[int]  # frame k's rows are bounds[k]:bounds[k + 1]
+    hits: tuple = (None, None, None)  # (hyp table, threshold, its hits): the last :func:`_hits` answer
 
 
 def _scored(rows: Sequence[GtEntry | TrackRecord], kind: str) -> _Scored:
@@ -119,50 +122,43 @@ def clear_mot(
     if num_gt == 0:
         raise ValueError("no considered ground truth; MOTA is undefined")
 
-    gt_ids, gt_boxes, hyp_ids, hyp_boxes = gt.id.tolist(), gt.box.tolist(), hyp.id.tolist(), hyp.box.tolist()
+    gt_ids, hyp_ids = gt.id.tolist(), hyp.id.tolist()
+    hit_gt, hit_hyp, overlap = _hits(gt, hyp, iou_thresh)
+    hit_cells = list(zip(zip(gt.id.take(hit_gt).tolist(), hyp.id.take(hit_hyp).tolist()), (1.0 - overlap).tolist()))
+    cut = np.searchsorted(hit_gt, gt.bounds).tolist()  # frame k's hits are cut[k]:cut[k + 1]
 
-    gt_span = {f: (a, b) for f, a, b in zip(gt.frames, gt.bounds, gt.bounds[1:])}
+    gt_span = {f: (a, b, s, e) for f, a, b, s, e in zip(gt.frames, gt.bounds, gt.bounds[1:], cut, cut[1:])}
     hyp_span = {f: (a, b) for f, a, b in zip(hyp.frames, hyp.bounds, hyp.bounds[1:])}
     fp = fn = ids = 0
     last_matched: dict[int, int] = {}
     prev_corr: dict[int, int] = {}
 
     for frame in sorted(gt_span.keys() | hyp_span.keys()):
-        a, b = gt_span.get(frame, (0, 0))
+        a, b, s, e = gt_span.get(frame, (0, 0, 0, 0))
         c, d = hyp_span.get(frame, (0, 0))
-        gt_row = dict(zip(gt_ids[a:b], range(a, b)))  # id -> its row, in file order
-        hyp_row = dict(zip(hyp_ids[c:d], range(c, d)))
+        hits = dict(hit_cells[s:e])  # (gt id, hyp id) -> 1 - IOU
+        corr = {g: h for g, h in prev_corr.items() if (g, h) in hits}
 
-        kept = [(g, h) for g, h in prev_corr.items() if g in gt_row and h in hyp_row]
-        if len(kept) >= KERNEL_MIN_CELLS:
-            g_rows, h_rows = [gt_row[g] for g, _ in kept], [hyp_row[h] for _, h in kept]
-            holds = (iou_array(gt.box.take(g_rows, axis=0), hyp.box.take(h_rows, axis=0)) >= iou_thresh).tolist()
-        else:
-            holds = [iou_ltrb(gt_boxes[gt_row[g]], hyp_boxes[hyp_row[h]]) >= iou_thresh for g, h in kept]
-        corr = {g: h for (g, h), ok in zip(kept, holds) if ok}
-
-        rem_g = [g for g in gt_row if g not in corr]
         used_h = set(corr.values())
-        rem_h = [h for h in hyp_row if h not in used_h]
-        if rem_g and rem_h:
-            g_rows, h_rows = [gt_row[g] for g in rem_g], [hyp_row[h] for h in rem_h]
-            if len(rem_g) * len(rem_h) < KERNEL_MIN_CELLS:
-                overlap = np.array([[iou_ltrb(gt_boxes[r], hyp_boxes[c]) for c in h_rows] for r in g_rows])
-            else:
-                overlap = iou_array(gt.box.take(g_rows, axis=0)[:, None], hyp.box.take(h_rows, axis=0)[None])
-            cost = np.where(overlap >= iou_thresh, 1.0 - overlap, _BIG_COST)
-            rows, cols = linear_sum_assignment(cost)
-            for r, c in zip(rows, cols):
-                if overlap[r, c] >= iou_thresh:
-                    corr[rem_g[r]] = rem_h[c]
+        free = [(g, h, cell) for (g, h), cell in hits.items() if g not in corr and h not in used_h]
+        if free:
+            rem_g = [g for g in gt_ids[a:b] if g not in corr]
+            rem_h = [h for h in hyp_ids[c:d] if h not in used_h]
+            row, col = {g: k for k, g in enumerate(rem_g)}, {h: k for k, h in enumerate(rem_h)}
+            cost = np.full((len(rem_g), len(rem_h)), _BIG_COST)
+            for g, h, cell in free:
+                cost[row[g], col[h]] = cell
+            for r, k in zip(*linear_sum_assignment(cost)):
+                if (rem_g[r], rem_h[k]) in hits:
+                    corr[rem_g[r]] = rem_h[k]
 
         for g, h in corr.items():
             if g in last_matched and last_matched[g] != h:
                 ids += 1
             last_matched[g] = h
 
-        fn += len(gt_row) - len(corr)
-        fp += len(hyp_row) - len(corr)
+        fn += b - a - len(corr)
+        fp += d - c - len(corr)
         prev_corr = corr
 
     mota = 1.0 - (fp + fn + ids) / num_gt
@@ -187,33 +183,35 @@ def idf1(
     if total_gt == 0 and total_hyp == 0:
         return IdResult(idf1=1.0, idtp=0, idfp=0, idfn=0)
 
-    mat = _id_overlap_counts(gt, hyp, iou_thresh)
-    idtp = 0
-    if mat.any():
-        mat = mat[mat.any(axis=1)][:, mat.any(axis=0)]
-        rows, cols = linear_sum_assignment(-mat)
-        idtp = int(mat[rows, cols].sum())
-
+    hit_gt, hit_hyp, _ = _hits(gt, hyp, iou_thresh)
+    gt_ids, g = np.unique(gt.id.take(hit_gt), return_inverse=True)  # the ids with a hit, as rows and columns
+    hyp_ids, h = np.unique(hyp.id.take(hit_hyp), return_inverse=True)
+    mat = np.bincount(g * len(hyp_ids) + h, minlength=len(gt_ids) * len(hyp_ids)).reshape(len(gt_ids), len(hyp_ids))
+    rows, cols = linear_sum_assignment(-mat)
+    idtp = int(mat[rows, cols].sum())
     idfp = total_hyp - idtp
     idfn = total_gt - idtp
     score = 2.0 * idtp / (2.0 * idtp + idfp + idfn)
     return IdResult(idf1=score, idtp=idtp, idfp=idfp, idfn=idfn)
 
 
-def _id_overlap_counts(gt: _Scored, hyp: _Scored, iou_thresh: float) -> np.ndarray:
-    """Frames each (ground-truth id, hypothesis id) pair overlaps at the threshold.
+def _hits(gt: _Scored, hyp: _Scored, iou_thresh: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ground-truth row, hypothesis row and IOU of every same-frame pair at or above the threshold, by gt row.
 
     Each ground-truth row meets only the hypothesis rows of its frame whose x-extents
-    :func:`~motkit.geometry.x_overlap_pairs` finds can meet its own, the rank of the frame among the
-    hypothesis frames as group key; one kernel call scores those pairs and one ``bincount`` counts the hits.
-    A pair left out has ``iw <= 0``, so its IOU is 0 and below any threshold in (0, 1].
+    :func:`~motkit.geometry.x_overlap_pairs` finds can meet its own, the rank of the frame among the hypothesis
+    frames as group key; one kernel call scores those pairs. A pair left out has ``iw <= 0``, so its IOU is 0 and
+    below any threshold in (0, 1]. Kept on ``gt`` for the last ``hyp`` and threshold: both scorers find them once.
     """
-    gt_ids, gt_row = np.unique(gt.id, return_inverse=True)
-    hyp_ids, hyp_col = np.unique(hyp.id, return_inverse=True)
+    seen_hyp, seen_thresh, hits = gt.hits
+    if seen_hyp is hyp and seen_thresh == iou_thresh:
+        return hits
     rank = {f: k for k, f in enumerate(hyp.frames)}
     gt_rank = np.repeat([rank.get(f, -1) for f in gt.frames], np.diff(gt.bounds))
     hyp_rank = np.repeat(np.arange(len(hyp.frames)), np.diff(hyp.bounds))
     g, h = x_overlap_pairs(gt.box[:, 0], gt.box[:, 2], hyp.box[:, 0], hyp.box[:, 2], gt_rank, hyp_rank)
-    hit = iou_array(gt.box.take(g, axis=0), hyp.box.take(h, axis=0)) >= iou_thresh
-    cells = gt_row[g[hit]] * len(hyp_ids) + hyp_col[h[hit]]
-    return np.bincount(cells, minlength=len(gt_ids) * len(hyp_ids)).reshape(len(gt_ids), len(hyp_ids))
+    overlap = iou_array(gt.box.take(g, axis=0), hyp.box.take(h, axis=0))
+    hit = overlap >= iou_thresh
+    hits = g[hit], h[hit], overlap[hit]
+    gt.hits = (hyp, iou_thresh, hits)
+    return hits

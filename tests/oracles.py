@@ -3,7 +3,9 @@
 Everything here is deliberately brute force. The metric and matching
 oracles share no code with the package: IOU by pixel counting, greedy
 matching as an explicit trace, and the identity-assignment score by full
-enumeration. ``iou_ltrb_minmax`` is the scalar IOU of two edge rows
+enumeration. CLEAR's enumeration ``clear_outcomes`` follows every way of
+breaking a frame's tied matchings, since which tied pair the solver takes can
+change the later counts. ``iou_ltrb_minmax`` is the scalar IOU of two edge rows
 written with ``min`` and ``max``, which ``geometry.iou_ltrb``'s comparisons
 must equal bit for bit. The scene generator's referee builds the package's own row
 types one object at a time from its scalar API (``AgentSpec.box``,
@@ -178,8 +180,23 @@ def clear_enumerate(
     pairs are kept while their IOU stays at or above the threshold. The other
     boxes are paired by the matching with the most pairs at or above the
     threshold and, among those, the least total 1 - IOU, chosen from every
-    injective matching. A switch is a pair whose hypothesis id differs from
-    the last one its ground-truth id matched.
+    injective matching; of tied matchings, the first enumerated. A switch is a
+    pair whose hypothesis id differs from the last one its ground-truth id matched.
+    """
+    return next(clear_outcomes(gt_rows, hyp_rows, iou_thresh))
+
+
+def clear_outcomes(
+    gt_rows: list[tuple[int, int, tuple[float, float, float, float]]],
+    hyp_rows: list[tuple[int, int, tuple[float, float, float, float]]],
+    iou_thresh: float = 0.5,
+) -> Iterator[tuple[int, int, int]]:
+    """The CLEAR (fp, fn, ids) of :func:`clear_enumerate` under every way of breaking its frames' ties.
+
+    A frame's matchings tie when they pair as many boxes and their totals of
+    1 - IOU differ by at most 1e-9 (the rounding of a sum depends on its order).
+    Every tied matching is followed on to the later frames, the least total of
+    each frame first, so the first outcome is :func:`clear_enumerate`'s.
     """
     gt_by_frame = defaultdict(dict)
     hyp_by_frame = defaultdict(dict)
@@ -187,6 +204,7 @@ def clear_enumerate(
         gt_by_frame[frame][tid] = box
     for frame, tid, box in hyp_rows:
         hyp_by_frame[frame][tid] = box
+    frames = sorted(set(gt_by_frame) | set(hyp_by_frame))
 
     def matchings(gs, hs):
         if not gs:
@@ -197,34 +215,35 @@ def clear_enumerate(
             for rest in matchings(gs[1:], [x for x in hs if x != h]):
                 yield [(gs[0], h)] + rest
 
-    fp = fn = ids = 0
-    last_matched: dict[int, int] = {}
-    prev: dict[int, int] = {}
-    for frame in sorted(set(gt_by_frame) | set(hyp_by_frame)):
-        g_boxes, h_boxes = gt_by_frame[frame], hyp_by_frame[frame]
-        corr = {
+    def walk(k, prev, last_matched, fp, fn, ids):
+        if k == len(frames):
+            yield fp, fn, ids
+            return
+        g_boxes, h_boxes = gt_by_frame[frames[k]], hyp_by_frame[frames[k]]
+        kept = {
             g: h for g, h in prev.items()
             if g in g_boxes and h in h_boxes and _box_iou(g_boxes[g], h_boxes[h]) >= iou_thresh
         }
-        rem_g = [g for g in g_boxes if g not in corr]
-        rem_h = [h for h in h_boxes if h not in corr.values()]
-        best_key, best = None, []
+        rem_g = [g for g in g_boxes if g not in kept]
+        rem_h = [h for h in h_boxes if h not in kept.values()]
+        options = []
         for m in matchings(rem_g, rem_h):
             ious = [_box_iou(g_boxes[g], h_boxes[h]) for g, h in m]
-            if any(v < iou_thresh for v in ious):
+            if all(v >= iou_thresh for v in ious):
+                options.append(((-len(m), sum(1.0 - v for v in ious)), m))
+        size, total = min(key for key, _ in options)
+        for key, m in sorted(options, key=lambda option: option[0]):
+            if key[0] != size or key[1] > total + 1e-9:
                 continue
-            key = (-len(m), sum(1.0 - v for v in ious))
-            if best_key is None or key < best_key:
-                best_key, best = key, m
-        corr.update(best)
-        for g, h in corr.items():
-            if g in last_matched and last_matched[g] != h:
-                ids += 1
-            last_matched[g] = h
-        fn += len(g_boxes) - len(corr)
-        fp += len(h_boxes) - len(corr)
-        prev = corr
-    return fp, fn, ids
+            corr, seen, switches = {**kept, **dict(m)}, dict(last_matched), 0
+            for g, h in corr.items():
+                if g in seen and seen[g] != h:
+                    switches += 1
+                seen[g] = h
+            yield from walk(k + 1, corr, seen, fp + len(h_boxes) - len(corr), fn + len(g_boxes) - len(corr),
+                            ids + switches)
+
+    return walk(0, {}, {}, 0, 0, 0)
 
 
 def idf1_enumerate(

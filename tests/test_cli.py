@@ -121,6 +121,16 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "nope.cfg"), "--out-dir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        config, taken = tmp_path / "scene.cfg", tmp_path / "taken"
+        config.write_text(CROSSING_CONFIG)
+        taken.write_text("kept\n")
+        assert main(["simulate", str(config), "--out-dir", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {taken / 'gt.txt'}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.cfg", "taken"]
+        assert taken.read_text() == "kept\n"
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "scene.cfg"
         config.write_text("scenario = crossing\nbogus = 1\n")
@@ -217,6 +227,18 @@ class TestTrack:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["track", str(tmp_path / "nope.csv")]) == 2
+
+    def test_out_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        sim = self._simulate(tmp_path)
+        capsys.readouterr()  # discard the simulate summary
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["track", str(sim / "preds.csv"), "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {taken}: ")
+        # the temp file is made next to the output path, and removed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.cfg", "sim", "taken"]
+        assert list(taken.iterdir()) == []
 
     def test_malformed_predictions_exit_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -450,8 +472,11 @@ class TestEval:
         assert "threshold" in captured.err
 
     def test_each_table_is_scored_once(self, tmp_path, capsys, monkeypatch):
-        # both scorers read the tables cmd_eval scored, so an eval builds two scored tables, not four
-        built = []
+        # both scorers read the tables cmd_eval scored, so an eval builds two scored tables, not four,
+        # and finds their hits in one broad-phase call
+        built, broad_phase = [], []
+        pairs = metrics.x_overlap_pairs
+        monkeypatch.setattr(metrics, "x_overlap_pairs", lambda *keys: broad_phase.append(keys) or pairs(*keys))
 
         def counting(rows, kind):
             if not isinstance(rows, metrics._Scored):
@@ -464,7 +489,7 @@ class TestEval:
         gt_path, hyp_path = write_fixture_files(tmp_path)
         assert main(["eval", str(gt_path), str(hyp_path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["idf1"] == 0.5
-        assert built == ["ground-truth", "hypothesis"]
+        assert built == ["ground-truth", "hypothesis"] and len(broad_phase) == 1
 
     @pytest.mark.parametrize(
         "gt_flags, hyp_repeats, code, message",

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from motkit import metrics
 from motkit.formats import GtEntry, TrackRecord, _MotTable, parse_mot, parse_track_file
-from motkit.geometry import KERNEL_MIN_CELLS, BoxLTRB, ltrb
+from motkit.geometry import BoxLTRB, ltrb
 from motkit.metrics import clear_mot, idf1
-from oracles import clear_enumerate, clear_mot_objects, idf1_enumerate, idf1_objects, mot_line
+from oracles import clear_enumerate, clear_mot_objects, clear_outcomes, idf1_enumerate, idf1_objects, mot_line
 
 
 def gt_row(frame, tid, box, consider=True):
@@ -264,28 +264,36 @@ def crowded_sequence(rng):
     return gt, hyp
 
 
-@pytest.fixture(params=["default", "kernel-if-nonempty"])
-def metrics_cutover(request, monkeypatch):
-    if request.param == "kernel-if-nonempty":
-        monkeypatch.setattr(metrics, "KERNEL_MIN_CELLS", 1)
+def counted_assignments(monkeypatch):
+    """Patch ``metrics.linear_sum_assignment`` to append, per call, the hits it is given and the hits it takes.
+
+    A hit is a cell below ``_BIG_COST``; return the list of those pairs of counts.
+    """
+    calls = []
+    real = metrics.linear_sum_assignment
+
+    def counting(cost):
+        rows, cols = real(cost)
+        calls.append((int((cost < metrics._BIG_COST).sum()), int((cost[rows, cols] < metrics._BIG_COST).sum())))
+        return rows, cols
+
+    monkeypatch.setattr(metrics, "linear_sum_assignment", counting)
+    return calls
 
 
 class TestAgainstOraclesAtThresholds:
     @pytest.mark.parametrize("thresh", [0.3, 0.5, 1.0])
-    def test_clear_mot_matches_enumeration(self, thresh, metrics_cutover):
+    def test_clear_mot_matches_enumeration(self, thresh, monkeypatch):
+        assignments = counted_assignments(monkeypatch)
         rng = np.random.default_rng(41)
-        switches = kernel_frames = 0
+        switches = 0
         for _ in range(60):
             gt, hyp = crowded_sequence(rng)
             res = clear_mot(gt, hyp, thresh)
             assert (res.fp, res.fn, res.ids) == clear_enumerate(rows_of(gt), rows_of(hyp), thresh)
             switches += res.ids
-            frames = {e.frame for e in gt}
-            kernel_frames += sum(
-                sum(e.frame == f for e in gt) * sum(r.frame == f for r in hyp) >= KERNEL_MIN_CELLS
-                for f in frames
-            )
-        assert switches > 0 and kernel_frames > 0
+        # some frames leave two or more free hits to the assignment, so its choice among them is checked
+        assert switches > 0 and sum(given >= 2 for given, _ in assignments) > 0
 
     @pytest.mark.parametrize("thresh", [0.3, 0.5, 1.0])
     def test_idf1_matches_enumeration(self, thresh):
@@ -299,8 +307,8 @@ class TestAgainstOraclesAtThresholds:
 
 
 def wide_sequence(rng):
-    """Twenty-four objects on a grid, nearly all tracked exactly, so most frames keep
-    at least ``KERNEL_MIN_CELLS`` pairs from the last frame, at every threshold."""
+    """Twenty-four objects on a grid, nearly all tracked exactly, so continuity keeps
+    most of a frame's pairs from the last frame, at every threshold."""
     n_gt = 24
     hyp_of = list(range(1, n_gt + 1))
     gt, hyp = [], []
@@ -335,20 +343,22 @@ def scores(score_clear, score_idf1, gt, hyp, thresh):
 
 class TestColumnsAgainstObjectScorers:
     @pytest.mark.parametrize("thresh", [0.3, 0.5, 1.0])
-    def test_tables_and_lists_equal_the_object_scorers(self, thresh, metrics_cutover, monkeypatch):
-        continuity_calls = []  # elementwise kernel calls: the continuity check on (n, 4) rows
-        kernel = metrics.iou_array
-        monkeypatch.setattr(metrics, "iou_array", lambda a, b: continuity_calls.append(a.ndim == 2) or kernel(a, b))
+    def test_tables_and_lists_equal_the_object_scorers(self, thresh, monkeypatch):
+        assignments = counted_assignments(monkeypatch)
         rng = np.random.default_rng(43)
-        switches = 0
+        switches = kept = 0
         for k in range(40):
             gt, hyp = wide_sequence(rng) if k % 4 == 0 else crowded_sequence(rng)
             gt_text, hyp_text = mot_texts(gt, hyp)
             for g, h in ((parse_mot(gt_text), parse_track_file(hyp_text)), (gt, hyp)):
                 expected = scores(clear_mot_objects, idf1_objects, list(g), list(h), thresh)
                 assert scores(clear_mot, idf1, g, h, thresh) == expected
-            switches += clear_mot(gt, hyp, thresh).ids
-        assert switches > 0 and any(continuity_calls)
+            start = len(assignments)
+            res = clear_mot(gt, hyp, thresh)
+            switches += res.ids
+            if k % 4 == 0:  # the matches no assignment took were kept from the last frame by continuity
+                kept += res.num_gt - res.fn - sum(taken for _, taken in assignments[start:])
+        assert switches > 0 and kept > 10 * 24  # more than a whole grid per wide sequence
 
     @pytest.mark.parametrize("first, ids", [(("1,1", "1,2"), 0), (("1,2", "1,1"), 2)])
     def test_tied_rows_go_to_the_earlier_row_in_the_file(self, first, ids):
@@ -447,7 +457,7 @@ def sparse_crowd_sequence(rng):
 
 
 class TestIdf1OnCandidatePairs:
-    """IDF1 counts overlaps only on same-frame x-overlap candidates; every score equals the referees'."""
+    """CLEAR and IDF1 score the hits found on same-frame x-overlap candidates; every score equals the referees'."""
 
     @settings(max_examples=400, deadline=None)
     @given(id_tables(), st.sampled_from([0.3, 0.5, 1.0]))
@@ -460,6 +470,38 @@ class TestIdf1OnCandidatePairs:
         assert repr(got) == repr(idf1_objects(gt, hyp, thresh))
         want = idf1_enumerate(rows_of(gt), rows_of(hyp), thresh)
         assert repr((got.idf1, got.idtp, got.idfp, got.idfn)) == repr(want)
+        try:
+            clear = clear_mot(_MotTable.of(gt), _MotTable.of(hyp), thresh)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as expected:
+                clear_mot_objects(gt, hyp, thresh)
+            assert str(exc) == str(expected.value)
+        else:
+            assert repr(clear) == repr(clear_mot_objects(gt, hyp, thresh))
+            # the solver's pick among tied matchings is one of the enumerated ones; without ties, the one
+            assert (clear.fp, clear.fn, clear.ids) in set(clear_outcomes(rows_of(gt), rows_of(hyp), thresh))
+
+    def test_one_gt_table_against_two_hyp_tables_and_two_thresholds(self):
+        # the hits kept on the ground-truth table belong to one hypothesis table and threshold: no answer reuses them
+        gt, hyp = crowded_sequence(np.random.default_rng(46))
+        shifted = [hyp_row(r.frame, r.track_id, BoxLTRB(r.box.left + 2, r.box.top, r.box.right + 2, r.box.bottom))
+                   for r in hyp]
+        g = metrics._scored(_MotTable.of(gt), "ground-truth")
+        tables = [(h, metrics._scored(_MotTable.of(h), "hypothesis")) for h in (hyp, shifted)]
+        answers = []
+        # each step changes the hypothesis table or the threshold, not both
+        for k, thresh in [(0, 0.3), (1, 0.3), (1, 1.0), (0, 1.0), (0, 0.3)]:
+            h, table = tables[k]
+            answers.append(scores(clear_mot, idf1, g, table, thresh))
+            assert answers[-1] == scores(clear_mot_objects, idf1_objects, gt, h, thresh)
+        assert len(set(answers)) == 4
+
+    def test_both_scorers_share_one_broad_phase(self, monkeypatch):
+        calls = counted_broad_phase(monkeypatch)
+        gt, hyp = crowded_sequence(np.random.default_rng(47))
+        g, h = metrics._scored(_MotTable.of(gt), "ground-truth"), metrics._scored(_MotTable.of(hyp), "hypothesis")
+        assert scores(clear_mot, idf1, g, h, 0.5) == scores(clear_mot_objects, idf1_objects, gt, hyp, 0.5)
+        assert len(calls) == 1
 
     def test_an_infinite_edge_takes_every_pair_of_its_frame(self, monkeypatch):
         calls = counted_broad_phase(monkeypatch)
