@@ -281,15 +281,29 @@ def counted_assignments(monkeypatch):
     return calls
 
 
+@pytest.fixture(params=["found", "kept"])
+def hit_source(request):
+    """Return ``prepare(gt, hyp, thresh)``: the tables to score, on which the scorers find the hits
+    themselves (``found``) or read the ones :func:`metrics._hits` already kept on the ground-truth table (``kept``)."""
+    def prepare(gt, hyp, thresh):
+        if request.param == "found":
+            return gt, hyp
+        g, h = metrics._scored(gt, "ground-truth"), metrics._scored(hyp, "hypothesis")
+        metrics._hits(g, h, thresh)
+        return g, h
+
+    return prepare
+
+
 class TestAgainstOraclesAtThresholds:
     @pytest.mark.parametrize("thresh", [0.3, 0.5, 1.0])
-    def test_clear_mot_matches_enumeration(self, thresh, monkeypatch):
+    def test_clear_mot_matches_enumeration(self, thresh, hit_source, monkeypatch):
         assignments = counted_assignments(monkeypatch)
         rng = np.random.default_rng(41)
         switches = 0
         for _ in range(60):
             gt, hyp = crowded_sequence(rng)
-            res = clear_mot(gt, hyp, thresh)
+            res = clear_mot(*hit_source(gt, hyp, thresh), thresh)
             assert (res.fp, res.fn, res.ids) == clear_enumerate(rows_of(gt), rows_of(hyp), thresh)
             switches += res.ids
         # some frames leave two or more free hits to the assignment, so its choice among them is checked
@@ -343,7 +357,7 @@ def scores(score_clear, score_idf1, gt, hyp, thresh):
 
 class TestColumnsAgainstObjectScorers:
     @pytest.mark.parametrize("thresh", [0.3, 0.5, 1.0])
-    def test_tables_and_lists_equal_the_object_scorers(self, thresh, monkeypatch):
+    def test_tables_and_lists_equal_the_object_scorers(self, thresh, hit_source, monkeypatch):
         assignments = counted_assignments(monkeypatch)
         rng = np.random.default_rng(43)
         switches = kept = 0
@@ -352,7 +366,7 @@ class TestColumnsAgainstObjectScorers:
             gt_text, hyp_text = mot_texts(gt, hyp)
             for g, h in ((parse_mot(gt_text), parse_track_file(hyp_text)), (gt, hyp)):
                 expected = scores(clear_mot_objects, idf1_objects, list(g), list(h), thresh)
-                assert scores(clear_mot, idf1, g, h, thresh) == expected
+                assert scores(clear_mot, idf1, *hit_source(g, h, thresh), thresh) == expected
             start = len(assignments)
             res = clear_mot(gt, hyp, thresh)
             switches += res.ids
