@@ -10,16 +10,19 @@ tracklets as the tracker's table of columns; a plain list of
 :class:`~motkit.formats.Detection` or :class:`~motkit.formats.Tracklet` is
 framed once on entry.
 
-A cost matrix takes scalar loops below ``KERNEL_MIN_CELLS`` cells, the dense kernel below
-``BROAD_PHASE_MIN_CELLS``, and from there the kernel on the pairs :func:`~motkit.geometry.x_overlap_pairs`
-keeps; every other pair is inadmissible, so all three give the same matrix bit for bit.
+A cost matrix takes scalar loops below ``KERNEL_MIN_CELLS`` cells, the dense kernel below ``BROAD_PHASE_MIN_CELLS``,
+and from there the kernel on the pairs :func:`~motkit.geometry.x_overlap_pairs` keeps (for IOU, those whose y-extents
+meet too); every other pair is inadmissible, so all three give the same matrix bit for bit. From ``KERNEL_MIN_CELLS``
+cells, greedy matching walks only the admissible cells, found by one flat search of the matrix.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -171,11 +174,14 @@ def iou_cost(
     last, tracked, pred = tracks.column("boxes"), frame.column("tracked"), frame.column("iou_pred")
     if len(frame) * len(tracks) < BROAD_PHASE_MIN_CELLS:
         return _iou_cells(last[None], tracked[:, None], pred[:, None], _same_class(frame, tracks), filter_form)
-    # Any other pair has iw <= 0, so an IOU of 0: inadmissible. take gathers rows far faster than [rows].
+    # Any other pair misses in x or in y (iw or ih <= 0, or a NaN edge): inadmissible. take beats [rows] at gathers.
     rows, cols = x_overlap_pairs(tracked[:, 0], tracked[:, 2], last[:, 0], last[:, 2])
+    last, tracked = last.take(cols, axis=0), tracked.take(rows, axis=0)
+    meet = ((tracked[:, 1] < last[:, 3]) & (last[:, 1] < tracked[:, 3])).nonzero()[0]
+    rows, cols = rows[meet], cols[meet]
     same = frame.column("cls")[rows] == tracks.column("classes")[cols]
     cost = np.full((len(frame), len(tracks)), INADMISSIBLE)
-    cost[rows, cols] = _iou_cells(last.take(cols, axis=0), tracked.take(rows, axis=0), pred[rows], same, filter_form)
+    cost[rows, cols] = _iou_cells(last.take(meet, axis=0), tracked.take(meet, axis=0), pred[rows], same, filter_form)
     return cost
 
 
@@ -223,31 +229,26 @@ def greedy_match(cost: np.ndarray, det_order: Sequence[int]) -> AssociationResul
     tracklet stay unmatched.
     """
     n_det, n_trk = cost.shape
-    if sorted(det_order) != list(range(n_det)):
+    try:
+        order = [*map(operator.index, det_order)]  # plain ints, whatever integer type came in
+    except TypeError:  # a float or a string: never a permutation
+        order = [-1]
+    if sorted(order) != [*range(n_det)]:
         raise ValueError("det_order is not a permutation of detection indices")
     if n_det * n_trk < KERNEL_MIN_CELLS:
-        return _greedy_match_loop(cost, det_order)
-    # Only the admissible cells are visited (NaN < inf is false, so a NaN cell is none).
-    # np.nonzero lists them row by row; the stable sort orders each row's by cost, equal costs
-    # by lower column. A detection's first free candidate is then the loop's pick: the
-    # cheapest free tracklet, ties to the lowest index.
-    rows, cols = np.nonzero(cost < INADMISSIBLE)
-    candidates = cols[np.lexsort((cost[rows, cols], rows))].tolist()
-    bounds = np.searchsorted(rows, np.arange(n_det + 1)).tolist()
-    taken = [False] * n_trk
-    matches: list[tuple[int, int]] = []
-    unmatched_dets: list[int] = []
-    for i in det_order:
-        for j in candidates[bounds[i] : bounds[i + 1]]:
-            if not taken[j]:
-                taken[j] = True
-                matches.append((i, j))
-                break
-        else:
-            unmatched_dets.append(i)
-    unmatched_dets.sort()
-    unmatched_trks = [j for j in range(n_trk) if not taken[j]]
-    return AssociationResult(matches, unmatched_dets, unmatched_trks)
+        return _greedy_match_loop(cost, order)
+    # Only the admissible cells (NaN < inf is false: a NaN cell is none), which a flat nonzero lists row-major whatever
+    # the layout, are walked: by their row's rank in det_order (argsort inverts it), then cost, then column, so the
+    # first free cell of a detection still unmatched is the loop's pick, the cheapest free tracklet.
+    flat = (cost < INADMISSIBLE).ravel().nonzero()[0]
+    rows, cols = np.divmod(flat, n_trk)
+    walk = np.lexsort((cost.ravel()[flat], np.fromiter(order, np.intp, n_det).argsort()[rows]))
+    left, free, matches = [True] * n_det, [True] * n_trk, []
+    for i, j in zip(rows[walk].tolist(), cols[walk].tolist()):
+        if left[i] and free[j]:
+            left[i] = free[j] = False
+            matches.append((i, j))
+    return AssociationResult(matches, [*compress(range(n_det), left)], [*compress(range(n_trk), free)])
 
 
 def _greedy_match_loop(cost: np.ndarray, det_order: Sequence[int]) -> AssociationResult:
@@ -285,8 +286,7 @@ ROUNDS: dict[Strategy, tuple[tuple[str, ...], ...]] = {
 def _greedy_round(
     kinds: Sequence[str], dets: DetectionFrame, tracks: Sequence[Tracklet], variant: str, filter_form: str
 ) -> AssociationResult:
-    # The cost functions are looked up by module name on every call, so a
-    # wrapper patched onto the module attribute sees each matrix build.
+    # The cost functions are looked up by module name per call: a wrapper patched onto one sees every matrix build.
     cost = None
     for kind in kinds:
         m = displacement_cost(dets, tracks) if kind == "dis" else iou_cost(dets, tracks, variant, filter_form)

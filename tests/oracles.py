@@ -126,15 +126,16 @@ def greedy_trace(cost: np.ndarray, det_order: list[int]) -> tuple[list[tuple[int
     """Explicit trace of confidence-ordered greedy matching.
 
     Walks detections in the given order; each takes the free tracklet with
-    the smallest finite cost, lowest index on ties. Returns (matches,
-    unmatched detections ascending, unmatched tracklets ascending).
+    the smallest cost below ``INADMISSIBLE`` (so never a NaN cell, and a
+    ``-inf`` cell first), lowest index on ties. Returns (matches, unmatched
+    detections ascending, unmatched tracklets ascending).
     """
     n_det, n_trk = cost.shape
     free = set(range(n_trk))
     matches = []
     unmatched_d = []
     for i in det_order:
-        candidates = [(cost[i, j], j) for j in sorted(free) if math.isfinite(cost[i, j])]
+        candidates = [(cost[i, j], j) for j in sorted(free) if cost[i, j] < INADMISSIBLE]
         if not candidates:
             unmatched_d.append(i)
             continue

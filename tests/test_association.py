@@ -179,6 +179,23 @@ class TestGreedyMatch:
         with pytest.raises(ValueError):
             greedy_match(np.zeros((2, 2)), [0, 0])
 
+    @pytest.mark.parametrize("n", [2, 5])  # the loop and the kernel
+    def test_order_of_non_integers_rejected(self, n):
+        for order in ([1.0, 0.0] + list(range(2, n)), [str(i) for i in range(n)], [None] * n, [0.5, 1.5][:n]):
+            with pytest.raises(ValueError, match="permutation"):
+                greedy_match(np.zeros((n, n)), order)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_integer_like_order_gives_plain_ints(self, n):
+        cost = np.where(np.eye(n) > 0, 0.5, 0.25)
+        want = greedy_match(cost, list(range(n))[::-1])
+        orders = [np.arange(n)[::-1], [np.int64(i) for i in range(n)][::-1], list(np.arange(n, dtype=np.uint8))[::-1]]
+        for order in orders + ([[True, False]] if n == 2 else []):
+            res = greedy_match(cost, order)
+            assert res == want
+            values = [*sum(res.matches, ()), *res.unmatched_detections, *res.unmatched_tracklets]
+            assert {type(v) for v in values} == {int}
+
     def test_against_oracle_random(self):
         rng = np.random.default_rng(13)
         for _ in range(300):
@@ -590,6 +607,27 @@ class TestGreedyOverAdmissibleCells:
         assert sides == ({True, False} if cutover > 1 else {False})
         assert greedy_match(np.full((5, 5), math.nan), list(range(5))).matches == []
 
+    def test_memory_layouts_with_special_cells(self, cutover):
+        # the flat search reads row-major whatever the layout: Fortran order, a transposed view and strided slices
+        # (one reversed) pick as the trace and the loop do, on -inf, NaN and tied cells
+        rng = np.random.default_rng(38)
+        sides = set()
+        for _ in range(120):
+            n, m = (int(v) for v in rng.integers(1, 10, size=2))
+            sides.add(n * m < cutover)
+            cost = rng.choice([0.1, 0.2, 0.2, -math.inf, math.nan, INADMISSIBLE], size=(n, m))
+            spread = np.full((2 * n, 3 * m), 0.05)
+            spread[::2, ::3] = cost
+            views = [np.asfortranarray(cost), np.ascontiguousarray(cost.T).T, spread[::2, ::3],
+                     cost[::-1, ::-1].copy()[::-1, ::-1]]
+            order = [int(i) for i in rng.permutation(n)]
+            for view in views:
+                assert np.array_equal(view, cost, equal_nan=True)
+                assert not view.flags.c_contiguous or min(n, m) == 1
+                self.check(view, order)
+                assert greedy_match(view, order) == greedy_match(cost, order)
+        assert sides == ({True, False} if cutover > 1 else {False})
+
 
 def crowd_case(rng, variant, nonfinite):
     """A crowd-shaped frame: 150-250 boxes a side in 1920², mostly disjoint, on integer edges.
@@ -653,6 +691,38 @@ def crowd_case(rng, variant, nonfinite):
     return dets, tracks
 
 
+def ycut_case(rng, variant):
+    """:func:`crowd_case` plus the y-extent cases the IOU broad phase's y-cut must score as the dense kernel does.
+
+    Two tracklets with NaN and infinite y edges are appended, and detections of tracklet 7's class at its x-extent
+    whose tracked boxes touch its top and its bottom edge (ih == 0), have zero height (``wh``: a height change
+    larger than the height, so ``prev_size`` clamps to 0), sit inside its y-extent, hold it, or have NaN or +-inf
+    y edges; one more meets the appended tracklets in x. Predicted IOUs are 0, so any overlap is admissible.
+    Returns the detections, the tracklets and the index of the first appended detection.
+    """
+    dets, tracks = crowd_case(rng, variant, nonfinite=False)
+    n_det, n_trk, nan, inf = len(dets), len(tracks), math.nan, math.inf
+    tracks = tracks + [track(n_trk + 1, 2000.0, nan, 40, 80), track(n_trk + 2, 2000.0, inf, 40, 80)]
+    t = tracks[7].last_box
+    left, top, right, bottom, cls = t.left, t.top, t.right, t.bottom, tracks[7].class_id
+    boxes = [(left, top - 30, right, top), (left, bottom, right, bottom + 30), (left, top + 10, right, top + 10),
+             (left, top + 5, right, bottom - 5), (left, top - 5, right, bottom + 5), (left, nan, right, nan),
+             (left, inf, right, inf), (left, -inf, right, -inf)]
+    if variant == "ltrb":  # one edge at a time
+        boxes += [(left, nan, right, bottom), (left, top, right, nan), (left, -inf, right, bottom),
+                  (left, top, right, inf)]
+    for k, (l, tp, r, b) in enumerate(boxes):
+        if variant == "ltrb":  # the tracked box is the edges; the detection's own box stays finite
+            dets.append(det((l + r) / 2, 100.0, r - l, 20.0, cls=cls, ts=TrackedSizeLTRB(l, tp, r, b), o=0.0))
+        else:  # the tracked box is the detection's; the zero-height one is 20 high less a change of 25
+            ts, h = (TrackedSizeWH(0.0, 25.0), 20.0) if k == 2 else (TrackedSizeWH(0.0, 0.0), b - tp)
+            dets.append(det((l + r) / 2, (tp + b) / 2, r - l, h, cls=cls, ts=ts, o=0.0))
+    box = (1990.0, 100.0, 2010.0, 140.0)
+    ts = TrackedSizeLTRB(*box) if variant == "ltrb" else TrackedSizeWH(0.0, 0.0)
+    dets.append(det(2000.0, 120.0, 20.0, 40.0, ts=ts, o=0.0))
+    return dets, tracks, n_det
+
+
 def cost_matrices(dets, tracks, variant):
     return [iou_cost(dets, tracks, variant, form) for form in FILTER_FORMS] + [displacement_cost(dets, tracks)]
 
@@ -687,6 +757,41 @@ class TestBroadPhase:
             assert (cost[:, 1] == INADMISSIBLE).all()  # the zero-width tracklet
         dis = displacement_cost(dets, tracks)
         assert (dis[:2] == INADMISSIBLE).all() and dis[span, 0] < INADMISSIBLE
+
+    @pytest.mark.parametrize("variant", ["ltrb", "wh"])
+    def test_y_cut_equals_dense_kernel_and_loop(self, monkeypatch, variant):
+        dets, tracks, first = ycut_case(np.random.default_rng(44), variant)
+        found, scored = [], []
+        x_overlap_pairs, iou_array = association.x_overlap_pairs, association.iou_array
+
+        def counting_pairs(*keys):
+            found.append(x_overlap_pairs(*keys))
+            return found[-1]
+
+        def counting_iou(a, b):
+            scored.append(len(a))
+            return iou_array(a, b)
+
+        monkeypatch.setattr(association, "x_overlap_pairs", counting_pairs)
+        monkeypatch.setattr(association, "iou_array", counting_iou)
+        tracked = [tracked_box(d, variant) for d in dets]
+        for form in FILTER_FORMS:
+            del found[:], scored[:]
+            cost = iou_cost(dets, tracks, variant, form)
+            # the kernel scores exactly the x pairs whose y-extents meet strictly, a small share of them
+            (rows, cols), = found
+            meet = sum(tracked[i].top < tracks[j].last_box.bottom and tracks[j].last_box.top < tracked[i].bottom
+                       for i, j in zip(rows.tolist(), cols.tolist()))
+            assert scored == [meet] and 0 < meet < len(rows) // 2
+            with monkeypatch.context() as m:
+                m.setattr(association, "BROAD_PHASE_MIN_CELLS", 2**62)
+                assert same_bits(cost, iou_cost(dets, tracks, variant, form))
+            assert same_bits(cost, iou_cost_loop(dets, tracks, variant, form))
+            assert (cost[:, -2:] == INADMISSIBLE).all() and (cost[first + 5:, :] == INADMISSIBLE).all()
+            assert (cost[first : first + 3, 7] == INADMISSIBLE).all() and (cost[first + 2] == INADMISSIBLE).all()
+        # inside its y-extent and holding it: the rationale form admits both
+        rationale = iou_cost(dets, tracks, variant, "rationale")
+        assert (rationale[first + 3 : first + 5, 7] < INADMISSIBLE).all()
 
     def test_routing_by_cell_count(self, monkeypatch):
         calls = []
